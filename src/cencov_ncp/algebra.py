@@ -9,13 +9,12 @@ and the involution ``a*(alpha) = conj(a(inv(alpha))) / delta(alpha)``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupoidMismatch, NonUniformP, NotPairGroupoid
-from .groupoid import FiniteGroupoid, has_uniform_P, pair_structure
+from .errors import GroupoidMismatch
+from .groupoid import FiniteGroupoid
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,7 @@ def delta_element(G: FiniteGroupoid, elem: str) -> AlgebraElement:
 def unit_element(G: FiniteGroupoid) -> AlgebraElement:
     """The algebra unit: the sum of all outcome units."""
     c = np.zeros(len(G.elements), dtype=complex)
-    for x in G.outcomes:
-        c[G.index[G.unit_of[x]]] = 1.0
+    c[G.unit_ix] = 1.0
     return AlgebraElement(G, c)
 
 
@@ -66,20 +64,19 @@ def _same_groupoid(a: AlgebraElement, b: AlgebraElement) -> FiniteGroupoid:
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product pinned down by ``left_regular_rep(a.b) = lambda(a) lambda(b)``."""
     G = _same_groupoid(a, b)
-    idx = G.index
-    c = np.zeros(len(G.elements), dtype=complex)
-    for beta, alpha, gamma in G.composable_pairs:
-        c[idx[gamma]] += a.coeff[idx[beta]] * b.coeff[idx[alpha]]
+    beta, alpha, gamma = G.triples
+    terms = a.coeff[beta] * b.coeff[alpha]
+    # summed per gamma in canonical pair order, real and imaginary parts apart
+    n = len(G.elements)
+    c = (np.bincount(gamma, weights=terms.real, minlength=n)
+         + 1j * np.bincount(gamma, weights=terms.imag, minlength=n))
     return AlgebraElement(G, c)
 
 
 def star(a: AlgebraElement) -> AlgebraElement:
     """Involution: ``a*(alpha) = conj(a(inv(alpha))) / delta(alpha)``."""
     G = a.groupoid
-    c = np.zeros(len(G.elements), dtype=complex)
-    for alpha in G.elements:
-        c[G.index[alpha]] = np.conj(a.coeff[G.index[G.inv(alpha)]]) / G.delta(alpha)
-    return AlgebraElement(G, c)
+    return AlgebraElement(G, np.conj(a.coeff[G.inv_ix]) / G.delta_vec)
 
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -99,16 +96,11 @@ def left_regular_rep(a: AlgebraElement) -> np.ndarray:
     """
     G = a.groupoid
     n = len(G.elements)
+    # every (beta, gamma) with equal sources is (alpha o gamma, gamma) for one
+    # composable pair (alpha, gamma)
+    alpha, gamma, beta = G.triples
     M = np.zeros((n, n), dtype=complex)
-    idx = G.index
-    for beta in G.elements:
-        for gamma in G.elements:
-            if G.s(gamma) != G.s(beta):
-                continue
-            alpha = G.compose(beta, G.inv(gamma))
-            M[idx[beta], idx[gamma]] = (
-                a.coeff[idx[alpha]] * math.sqrt(G.delta(alpha))
-            )
+    M[beta, gamma] = (a.coeff * np.sqrt(G.delta_vec))[alpha]
     return M
 
 
@@ -119,30 +111,11 @@ def fundamental_rep_pair(a: AlgebraElement) -> np.ndarray:
     pair groupoids with uniform P, where delta is identically 1 and the map is
     a *-isomorphism onto the full matrix algebra.
     """
-    G = a.groupoid
-    table = pair_structure(G)
-    if table is None:
-        raise NotPairGroupoid("fundamental representation needs a pair groupoid")
-    if not has_uniform_P(G):
-        raise NonUniformP("fundamental representation needs uniform P")
-    n = len(G.outcomes)
-    oidx = {x: i for i, x in enumerate(G.outcomes)}
-    F = np.zeros((n, n), dtype=complex)
-    for (y, x), elem in table.items():
-        F[oidx[y], oidx[x]] = a.coeff[G.index[elem]]
-    return F
+    return a.coeff[a.groupoid.pair_index]
 
 
 def element_from_matrix(G: FiniteGroupoid, F: np.ndarray) -> AlgebraElement:
     """Inverse of :func:`fundamental_rep_pair` on a uniform pair groupoid."""
-    table = pair_structure(G)
-    if table is None:
-        raise NotPairGroupoid("needs a pair groupoid")
-    if not has_uniform_P(G):
-        raise NonUniformP("needs uniform P")
-    F = np.asarray(F, dtype=complex)
-    oidx = {x: i for i, x in enumerate(G.outcomes)}
     c = np.zeros(len(G.elements), dtype=complex)
-    for (y, x), elem in table.items():
-        c[G.index[elem]] = F[oidx[y], oidx[x]]
+    c[G.pair_index] = np.asarray(F, dtype=complex)
     return AlgebraElement(G, c)

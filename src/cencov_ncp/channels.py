@@ -23,6 +23,7 @@ from .errors import (
     GroupoidMismatch,
     NonTracePreserving,
     NormalizationLost,
+    NotPairGroupoid,
     PositivityLost,
     RowSumViolation,
 )
@@ -101,18 +102,14 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
     G1, G2 = Pi.g1, Pi.g2
 
     # (i) sum_x Pi(a1, 1_x) P2(x) = [a1 is a unit]
-    norm_dev = 0.0
-    for a1 in G1.elements:
-        total = sum(Pi.value(a1, G2.unit_of[x]) * G2.P[x] for x in G2.outcomes)
-        want = 1.0 if G1.is_unit(a1) else 0.0
-        norm_dev = max(norm_dev, abs(total - want))
+    want = (G1.unit_ix[G1.src] == np.arange(len(G1.elements))).astype(float)
+    norm_dev = float(np.abs(Pi.pi[:, G2.unit_ix] @ G2.P_vec - want).max())
 
     # (ii) Pi(1_x, .) positive definite on Gamma_2, for every unit of Gamma_1
     pos_min: dict[str, float] = {}
     pos_ok = True
-    for x1 in G1.outcomes:
-        u = G1.unit_of[x1]
-        phi = Pi.pi[G1.index[u], :]
+    for x1, u in zip(G1.outcomes, G1.unit_ix):
+        phi = Pi.pi[u, :]
         worst = np.inf
         for x2 in G2.outcomes:
             M = fiber_gram(G2, phi, x2)
@@ -122,22 +119,19 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
             _, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL))
             worst = min(worst, lo)
         pos_min[x1] = float(worst)
-        scale = 1.0 + float(np.abs(Pi.pi[G1.index[u], :]).max(initial=0.0))
+        scale = 1.0 + float(np.abs(phi).max(initial=0.0))
         pos_ok = pos_ok and worst >= -max(tol, numkit.PSD_TOL) * scale
 
     # (iii) conj(Pi(a1,a2)) = delta2(a2) Pi(inv(a1), inv(a2))
-    herm_dev = 0.0
-    for a1 in G1.elements:
-        for a2 in G2.elements:
-            lhs = np.conj(Pi.value(a1, a2))
-            rhs = G2.delta(a2) * Pi.value(G1.inv(a1), G2.inv(a2))
-            herm_dev = max(herm_dev, abs(lhs - rhs))
+    herm_dev = float(np.abs(
+        Pi.pi.conj() - G2.delta_vec * Pi.pi[np.ix_(G1.inv_ix, G2.inv_ix)]
+    ).max(initial=0.0))
 
     scale = 1.0 + float(np.abs(Pi.pi).max(initial=0.0))
     return KernelReport(
-        normalization_deficit=float(norm_dev),
+        normalization_deficit=norm_dev,
         positivity_min_eigenvalue=pos_min,
-        hermiticity_deficit=float(herm_dev),
+        hermiticity_deficit=herm_dev,
         normalization_ok=norm_dev <= tol * scale,
         positivity_ok=pos_ok,
         hermiticity_ok=herm_dev <= tol * scale,
@@ -146,19 +140,12 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
 
 def identity_kernel(G: FiniteGroupoid) -> QuantumKernel:
     """The unit morphism: ``Pi(a1, a2) = [a1 = a2] / nu(a1)``."""
-    n = len(G.elements)
-    pi = np.zeros((n, n), dtype=complex)
-    for a in G.elements:
-        i = G.index[a]
-        pi[i, i] = 1.0 / G.nu(a)
-    return QuantumKernel(G, G, pi)
+    return QuantumKernel(G, G, np.diag(1.0 / G.nu_vec).astype(complex))
 
 
 def push_phi(phi1: np.ndarray, Pi: QuantumKernel) -> np.ndarray:
     """Unvalidated pushforward ``(phi1 Pi)(a2) = sum phi1 Pi nu1``."""
-    G1 = Pi.g1
-    nu1 = np.array([G1.nu(a) for a in G1.elements])
-    return (phi1 * nu1) @ Pi.pi
+    return (phi1 * Pi.g1.nu_vec) @ Pi.pi
 
 
 def push_state(phi1: State, Pi: QuantumKernel) -> State:
@@ -184,18 +171,14 @@ def pull_observable(Pi: QuantumKernel, f2: AlgebraElement) -> AlgebraElement:
     """``(Pi f2)(a1) = sum_{a2} Pi(a1, a2) f2(a2) nu2(a2)``."""
     if f2.groupoid != Pi.g2:
         raise GroupoidMismatch("observable groupoid does not match kernel target")
-    G2 = Pi.g2
-    nu2 = np.array([G2.nu(a) for a in G2.elements])
-    return AlgebraElement(Pi.g1, Pi.pi @ (f2.coeff * nu2))
+    return AlgebraElement(Pi.g1, Pi.pi @ (f2.coeff * Pi.g2.nu_vec))
 
 
 def compose(Pi12: QuantumKernel, Pi23: QuantumKernel) -> QuantumKernel:
     """``(Pi12 o Pi23)(a1, a3) = sum_{a2} Pi12(a1,a2) Pi23(a2,a3) nu2(a2)``."""
     if Pi12.g2 != Pi23.g1:
         raise GroupoidMismatch("middle groupoids do not match")
-    G2 = Pi12.g2
-    nu2 = np.array([G2.nu(a) for a in G2.elements])
-    return QuantumKernel(Pi12.g1, Pi23.g2, (Pi12.pi * nu2) @ Pi23.pi)
+    return QuantumKernel(Pi12.g1, Pi23.g2, (Pi12.pi * Pi12.g2.nu_vec) @ Pi23.pi)
 
 
 def embed_classical(K: ClassicalKernel, G1: FiniteGroupoid,
@@ -208,9 +191,7 @@ def embed_classical(K: ClassicalKernel, G1: FiniteGroupoid,
     if K.K.shape != (len(G1.outcomes), len(G2.outcomes)):
         raise GroupoidMismatch("stochastic matrix shape does not match outcome sets")
     pi = np.zeros((len(G1.elements), len(G2.elements)), dtype=complex)
-    for i, x in enumerate(G1.outcomes):
-        for j, y in enumerate(G2.outcomes):
-            pi[G1.index[G1.unit_of[x]], G2.index[G2.unit_of[y]]] = K.K[i, j] / G2.P[y]
+    pi[np.ix_(G1.unit_ix, G2.unit_ix)] = K.K / G2.P_vec
     return QuantumKernel(G1, G2, pi)
 
 
@@ -243,38 +224,35 @@ def kernel_to_cp_map(Pi: QuantumKernel) -> Callable[[np.ndarray], np.ndarray]:
     return phi_star
 
 
+def completeness_deficit(kraus: Sequence[np.ndarray]) -> float:
+    """``max |sum_k A_k† A_k - I|``, zero for a trace-preserving Kraus family."""
+    total = sum(a.conj().T @ a for a in kraus)
+    return float(np.abs(total - np.eye(total.shape[0])).max())
+
+
+def _pair_indices(G1: FiniteGroupoid, G2: FiniteGroupoid, what: str):
+    """Both pair indices; a missing pair structure on either side is reported
+    before non-uniform P on either side."""
+    if G1.pair_grid is None or G2.pair_grid is None:
+        raise NotPairGroupoid(f"{what} need pair groupoids")
+    return G1.pair_index, G2.pair_index
+
+
 def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
                    G2: FiniteGroupoid, tol: float = 1e-9) -> QuantumKernel:
     """Kernel of the channel ``D -> sum_k A_k D A_k†`` between uniform pair
     groupoids, via ``Pi((t1,s1),(t2,s2)) = m * sum_k A_k[s2,s1] conj(A_k[t2,t1])``.
     """
-    from .groupoid import has_uniform_P, pair_structure
-    from .errors import NonUniformP, NotPairGroupoid
-
-    t1map = pair_structure(G1)
-    t2map = pair_structure(G2)
-    if t1map is None or t2map is None:
-        raise NotPairGroupoid("Kraus kernels need pair groupoids")
-    if not (has_uniform_P(G1) and has_uniform_P(G2)):
-        raise NonUniformP("Kraus kernels need uniform P")
-    n, m = len(G1.outcomes), len(G2.outcomes)
+    E1, E2 = _pair_indices(G1, G2, "Kraus kernels")
+    n, m = len(E1), len(E2)
     A = [np.asarray(a, dtype=complex) for a in kraus]
     for a in A:
         if a.shape != (m, n):
             raise GroupoidMismatch(f"Kraus operator shape {a.shape}, expected {(m, n)}")
-    completeness = sum(a.conj().T @ a for a in A)
-    dev = float(np.abs(completeness - np.eye(n)).max())
+    dev = completeness_deficit(A)
     if dev > tol:
         raise NonTracePreserving(f"sum A†A deviates from identity by {dev:.3e}")
-
-    o1 = {x: i for i, x in enumerate(G1.outcomes)}
-    o2 = {x: i for i, x in enumerate(G2.outcomes)}
-    pi = np.zeros((n * n, m * m), dtype=complex)
-    for (t1, s1), e1 in t1map.items():
-        for (t2, s2), e2 in t2map.items():
-            val = sum(a[o2[s2], o1[s1]] * np.conj(a[o2[t2], o1[t1]]) for a in A)
-            pi[G1.index[e1], G2.index[e2]] = m * val
-    return QuantumKernel(G1, G2, pi)
+    return kernel_from_matrix_map(lambda D: sum(a @ D @ a.conj().T for a in A), G1, G2)
 
 
 def kernel_from_matrix_map(phi_star: Callable[[np.ndarray], np.ndarray],
@@ -284,46 +262,26 @@ def kernel_from_matrix_map(phi_star: Callable[[np.ndarray], np.ndarray],
     ``Pi((t1,s1),(t2,s2)) = m * phi_star(E_{s1 t1})[s2, t2]``; useful for
     building counterexample kernels such as the transpose map.
     """
-    from .groupoid import has_uniform_P, pair_structure
-    from .errors import NonUniformP, NotPairGroupoid
-
-    t1map = pair_structure(G1)
-    t2map = pair_structure(G2)
-    if t1map is None or t2map is None:
-        raise NotPairGroupoid("matrix-map kernels need pair groupoids")
-    if not (has_uniform_P(G1) and has_uniform_P(G2)):
-        raise NonUniformP("matrix-map kernels need uniform P")
-    n, m = len(G1.outcomes), len(G2.outcomes)
-    o1 = {x: i for i, x in enumerate(G1.outcomes)}
-    o2 = {x: i for i, x in enumerate(G2.outcomes)}
+    E1, E2 = _pair_indices(G1, G2, "matrix-map kernels")
+    n, m = len(E1), len(E2)
     pi = np.zeros((n * n, m * m), dtype=complex)
-    for (t1, s1), e1 in t1map.items():
-        E = np.zeros((n, n), dtype=complex)
-        E[o1[s1], o1[t1]] = 1.0
-        out = np.asarray(phi_star(E), dtype=complex)
-        for (t2, s2), e2 in t2map.items():
-            pi[G1.index[e1], G2.index[e2]] = m * out[o2[s2], o2[t2]]
+    for t1 in range(n):
+        for s1 in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[s1, t1] = 1.0
+            pi[E1[t1, s1], E2] = m * np.asarray(phi_star(unit), dtype=complex).T
     return QuantumKernel(G1, G2, pi)
 
 
 def choi_matrix(Pi: QuantumKernel) -> np.ndarray:
-    """``C = sum_ij E_ij (x) Phi_*(E_ij)`` for the state-side map of Pi."""
-    from .groupoid import pair_structure
-    from .errors import NotPairGroupoid
+    """``C = sum_ij E_ij (x) Phi_*(E_ij)`` for the state-side map of Pi.
 
-    if pair_structure(Pi.g1) is None or pair_structure(Pi.g2) is None:
-        raise NotPairGroupoid("Choi matrix needs pair groupoids")
-    n = len(Pi.g1.outcomes)
-    m = len(Pi.g2.outcomes)
-    phi_star = kernel_to_cp_map(Pi)
-    C = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            block = phi_star(E)
-            C[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
-    return C
+    Entrywise ``C[(i,k),(j,l)] = Pi((j,i),(l,k)) / m``, a reshuffle of the kernel.
+    """
+    E1, E2 = _pair_indices(Pi.g1, Pi.g2, "Choi matrices")
+    n, m = len(E1), len(E2)
+    blocks = Pi.pi[np.ix_(E1.ravel(), E2.ravel())].reshape(n, n, m, m)
+    return blocks.transpose(1, 3, 0, 2).reshape(n * m, n * m) / m
 
 
 def cp_verdict(Pi: QuantumKernel, psd_tol: float = numkit.PSD_TOL):

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import fileio
 from .channels import (
+    completeness_deficit,
     compose as compose_kernels,
     cp_verdict,
     pull_observable,
@@ -96,12 +97,10 @@ def _ref_for_output(input_file: str, ref: str, out: str) -> str:
 @click.option("--h", "hstep", type=float, default=1e-5, show_default=True,
               help="Finite-difference step for model derivatives.")
 @click.option("--json", "json_out", is_flag=True, help="Machine-readable output.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for randomized corpus generation.")
 @click.pass_context
-def main(ctx, tol, hstep, json_out, seed):
+def main(ctx, tol, hstep, json_out):
     """Finite groupoid algebras, states, kernels, and Cramer-Rao reports."""
-    ctx.obj = {"tol": tol, "h": hstep, "json": json_out, "seed": seed}
+    ctx.obj = {"tol": tol, "h": hstep, "json": json_out}
 
 
 @main.command()
@@ -139,8 +138,7 @@ def validate(ctx, file):
         data.update(passed=True, shape=list(K.K.shape))
     elif kind == "kraus":
         ops = _guard(fileio.load_kraus, file)
-        comp = sum(a.conj().T @ a for a in ops)
-        dev = float(np.abs(comp - np.eye(comp.shape[0])).max())
+        dev = completeness_deficit(ops)
         if dev > tol:
             _emit(ctx, {**data, "passed": False, "completeness_deficit": dev})
             _fail(EXIT_VALIDATION,

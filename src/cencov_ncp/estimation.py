@@ -72,8 +72,7 @@ class Estimator:
 
 def derivative_vector(M: StatisticalModel, h: float = DEFAULT_H) -> np.ndarray:
     """Central difference of ``s -> phi_s(alpha) nu(alpha)`` per element."""
-    G = M.groupoid
-    nu = np.array([G.nu(a) for a in G.elements])
+    nu = M.groupoid.nu_vec
     hi = M.at(M.s0 + h)
     lo = M.at(M.s0 - h)
     return (hi.phi * nu - lo.phi * nu) / (2.0 * h)
@@ -176,8 +175,7 @@ def _classical_p(M: StatisticalModel, s: float) -> np.ndarray:
     G = M.groupoid
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical Fisher-Rao needs a trivial groupoid")
-    dist = outcome_distribution(M.at(s))
-    return np.array([dist[x] for x in G.outcomes])
+    return np.fromiter(outcome_distribution(M.at(s)).values(), dtype=float)
 
 
 def classical_fisher_rao(M: StatisticalModel, h: float = DEFAULT_H,
@@ -212,9 +210,7 @@ def congruent_invariance(M: StatisticalModel, K: ClassicalKernel,
 
     before = classical_fisher_rao(M, h=h)
 
-    G1 = M.groupoid
-    P1 = np.array([G1.P[x] for x in G1.outcomes])
-    P2 = P1 @ K.K
+    P2 = M.groupoid.P_vec @ K.K
     if np.any(P2 <= 0.0):
         raise NotCongruent("pushforward reference measure is not strictly positive")
     m = K.K.shape[1]

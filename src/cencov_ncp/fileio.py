@@ -68,21 +68,39 @@ def detect_kind(path: str | Path) -> str:
 # groupoids
 # ---------------------------------------------------------------------------
 
+def _labels(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a list of string ids")
+    return value
+
+
+def _label_map(value) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise TypeError("expected an object mapping ids to string ids")
+    return dict(value)
+
+
+def _number_map(value) -> dict[str, float]:
+    if not isinstance(value, dict):
+        raise TypeError("expected an object mapping ids to numbers")
+    return {k: float(v) for k, v in value.items()}
+
+
 def load_groupoid(path: str | Path) -> FiniteGroupoid:
     path = Path(path)
     data = _read_json(path)
     try:
-        compose = {(b, a): g for b, a, g in data["compose"]}
+        compose = {(b, a): g for b, a, g in map(_labels, data["compose"])}
         spec = GroupoidSpec(
-            outcomes=list(data["outcomes"]),
-            elements=list(data["elements"]),
-            source=dict(data["source"]),
-            target=dict(data["target"]),
-            inverse=dict(data["inverse"]),
+            outcomes=_labels(data["outcomes"]),
+            elements=_labels(data["elements"]),
+            source=_label_map(data["source"]),
+            target=_label_map(data["target"]),
+            inverse=_label_map(data["inverse"]),
             compose=compose,
-            units=dict(data["units"]),
-            P={k: float(v) for k, v in data["P"].items()},
-            fiber_weight={k: float(v) for k, v in data["fiber_weight"].items()}
+            units=_label_map(data["units"]),
+            P=_number_map(data["P"]),
+            fiber_weight=_number_map(data["fiber_weight"])
             if "fiber_weight" in data else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -104,36 +122,64 @@ def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
     })
 
 
+def _referenced_groupoid(path: Path, data: dict, key: str, loaded: dict) -> FiniteGroupoid:
+    """Load the groupoid that ``data[key]`` refers to, once per resolved file
+    for the lifetime of ``loaded``."""
+    ref = data.get(key)
+    if not isinstance(ref, str):
+        raise SchemaError(f"{path}: missing {key} reference")
+    file = _resolve(path, ref)
+    resolved = file.resolve()
+    if resolved not in loaded:
+        loaded[resolved] = load_groupoid(file)
+    return loaded[resolved]
+
+
 # ---------------------------------------------------------------------------
 # coefficient functions (states and observables)
 # ---------------------------------------------------------------------------
 
-def _coeff_vector(G: FiniteGroupoid, re: dict, im: dict, path: Path) -> np.ndarray:
-    v = np.zeros(len(G.elements), dtype=complex)
-    for table, factor in ((re, 1.0), (im, 1j)):
-        for elem, val in table.items():
-            if elem not in G.index:
-                raise SchemaError(f"{path}: unknown element {elem!r}")
-            v[G.index[elem]] += factor * float(val)
-    return v
+def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], locate,
+                      path: Path) -> np.ndarray:
+    """Add the real and imaginary tables ``data[keys[0]]``, ``data[keys[1]]``
+    into ``out``; ``locate`` maps a label to an index of ``out``, or None."""
+    for key, factor in zip(keys, (1.0, 1j)):
+        table = data.get(key, {})
+        if not isinstance(table, dict):
+            raise SchemaError(f"{path}: {key} must be an object")
+        for label, val in table.items():
+            i = locate(label)
+            if i is None:
+                raise SchemaError(f"{path}: unknown {key} key {label!r}")
+            try:
+                out[i] += factor * float(val)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}: {key}[{label!r}] is not a number") from exc
+    return out
 
 
-def _coeff_tables(G: FiniteGroupoid, v: np.ndarray):
-    re = {e: float(v[G.index[e]].real) for e in G.elements if v[G.index[e]].real != 0.0}
-    im = {e: float(v[G.index[e]].imag) for e in G.elements if v[G.index[e]].imag != 0.0}
+def _split_tables(labels, values: np.ndarray) -> tuple[dict, dict]:
+    """Nonzero real and imaginary parts of ``values``, keyed by label."""
+    values = values.tolist()
+    re = {k: z.real for k, z in zip(labels, values) if z.real != 0.0}
+    im = {k: z.imag for k, z in zip(labels, values) if z.imag != 0.0}
     return re, im
+
+
+_STATE_KEYS = ("phi_re", "phi_im")
+
+
+def _read_coefficient_file(path: str | Path, keys: tuple[str, str], loaded: dict):
+    path = Path(path)
+    data = _read_json(path)
+    G = _referenced_groupoid(path, data, "groupoid", loaded)
+    v = np.zeros(len(G.elements), dtype=complex)
+    return G, _add_coefficients(v, data, keys, G.index.get, path), data["groupoid"]
 
 
 def load_state_file(path: str | Path):
     """Returns ``(groupoid, phi, groupoid_ref)`` without validating the state."""
-    path = Path(path)
-    data = _read_json(path)
-    ref = data.get("groupoid")
-    if not isinstance(ref, str):
-        raise SchemaError(f"{path}: missing groupoid reference")
-    G = load_groupoid(_resolve(path, ref))
-    phi = _coeff_vector(G, data.get("phi_re", {}), data.get("phi_im", {}), path)
-    return G, phi, ref
+    return _read_coefficient_file(path, _STATE_KEYS, {})
 
 
 def load_state(path: str | Path) -> State:
@@ -142,23 +188,17 @@ def load_state(path: str | Path) -> State:
 
 
 def save_state(rho: State, path: str | Path, groupoid_ref: str) -> None:
-    re, im = _coeff_tables(rho.groupoid, rho.phi)
+    re, im = _split_tables(rho.groupoid.elements, rho.phi)
     _write_json(Path(path), {"groupoid": groupoid_ref, "phi_re": re, "phi_im": im})
 
 
 def load_algebra_element(path: str | Path) -> AlgebraElement:
-    path = Path(path)
-    data = _read_json(path)
-    ref = data.get("groupoid")
-    if not isinstance(ref, str):
-        raise SchemaError(f"{path}: missing groupoid reference")
-    G = load_groupoid(_resolve(path, ref))
-    c = _coeff_vector(G, data.get("coeff_re", {}), data.get("coeff_im", {}), path)
+    G, c, _ = _read_coefficient_file(path, ("coeff_re", "coeff_im"), {})
     return AlgebraElement(G, c)
 
 
 def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str) -> None:
-    re, im = _coeff_tables(a.groupoid, a.coeff)
+    re, im = _split_tables(a.groupoid.elements, a.coeff)
     _write_json(Path(path), {"groupoid": groupoid_ref, "coeff_re": re, "coeff_im": im})
 
 
@@ -169,32 +209,27 @@ def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str)
 def load_kernel(path: str | Path) -> QuantumKernel:
     path = Path(path)
     data = _read_json(path)
-    for key in ("source_groupoid", "target_groupoid"):
-        if not isinstance(data.get(key), str):
-            raise SchemaError(f"{path}: missing {key} reference")
-    g1 = load_groupoid(_resolve(path, data["source_groupoid"]))
-    g2 = load_groupoid(_resolve(path, data["target_groupoid"]))
+    loaded: dict = {}
+    g1 = _referenced_groupoid(path, data, "source_groupoid", loaded)
+    g2 = _referenced_groupoid(path, data, "target_groupoid", loaded)
+
+    def locate(key: str):
+        parts = key.split("|")
+        if len(parts) == 2 and parts[0] in g1.index and parts[1] in g2.index:
+            return g1.index[parts[0]], g2.index[parts[1]]
+        return None
+
     pi = np.zeros((len(g1.elements), len(g2.elements)), dtype=complex)
-    for table, factor in ((data.get("pi_re", {}), 1.0), (data.get("pi_im", {}), 1j)):
-        for key, val in table.items():
-            parts = key.split("|")
-            if len(parts) != 2 or parts[0] not in g1.index or parts[1] not in g2.index:
-                raise SchemaError(f"{path}: bad kernel key {key!r}")
-            pi[g1.index[parts[0]], g2.index[parts[1]]] += factor * float(val)
+    _add_coefficients(pi, data, ("pi_re", "pi_im"), locate, path)
     return QuantumKernel(g1, g2, pi)
 
 
 def save_kernel(Pi: QuantumKernel, path: str | Path,
                 source_ref: str, target_ref: str) -> None:
-    re: dict[str, float] = {}
-    im: dict[str, float] = {}
-    for a1 in Pi.g1.elements:
-        for a2 in Pi.g2.elements:
-            z = Pi.value(a1, a2)
-            if z.real != 0.0:
-                re[f"{a1}|{a2}"] = z.real
-            if z.imag != 0.0:
-                im[f"{a1}|{a2}"] = z.imag
+    rows, cols = np.nonzero(Pi.pi)
+    e1, e2 = Pi.g1.elements, Pi.g2.elements
+    labels = [f"{e1[i]}|{e2[j]}" for i, j in zip(rows.tolist(), cols.tolist())]
+    re, im = _split_tables(labels, Pi.pi[rows, cols])
     _write_json(Path(path), {
         "source_groupoid": source_ref,
         "target_groupoid": target_ref,
@@ -227,6 +262,8 @@ def load_kraus(path: str | Path) -> list[np.ndarray]:
         raise SchemaError(f"{path}: malformed Kraus file: {exc}") from exc
     if not ops:
         raise SchemaError(f"{path}: empty Kraus list")
+    if ops[0].ndim != 2 or any(a.shape != ops[0].shape for a in ops):
+        raise SchemaError(f"{path}: Kraus operators must be matrices of one shape")
     return ops
 
 
@@ -251,7 +288,7 @@ def load_model(path: str | Path):
         s0 = float(data["s0"])
         lo, hi = (float(x) for x in data["interval"])
         grid = [float(x) for x in data.get("grid", [])]
-        entries = sorted((float(k), v) for k, v in data["states"].items())
+        entries = sorted((float(k), v) for k, v in _label_map(data["states"]).items())
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc}") from exc
     if len(entries) < 2:
@@ -259,8 +296,9 @@ def load_model(path: str | Path):
 
     G: Optional[FiniteGroupoid] = None
     svals, phis = [], []
+    loaded: dict = {}
     for s, ref in entries:
-        Gs, phi, _ = load_state_file(_resolve(path, ref))
+        Gs, phi, _ = _read_coefficient_file(_resolve(path, ref), _STATE_KEYS, loaded)
         if G is None:
             G = Gs
         elif Gs != G:

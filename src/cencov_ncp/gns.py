@@ -38,14 +38,11 @@ def gram_matrix(rho: State) -> np.ndarray:
     """
     G = rho.groupoid
     n = len(G.elements)
+    # every (a, b) with equal targets is (inv(x), y) for one composable pair (x, y)
+    x, y, g = G.triples
+    a = G.inv_ix[x]
     M = np.zeros((n, n), dtype=complex)
-    for a in G.elements:
-        ia = G.index[a]
-        for b in G.elements:
-            if G.t(a) != G.t(b):
-                continue
-            g = G.compose(G.inv(a), b)
-            M[ia, G.index[b]] = rho.phi[G.index[g]] * G.nu(g) / G.delta(a)
+    M[a, y] = rho.phi[g] * G.nu_vec[g] / G.delta_vec[a]
     return M
 
 
@@ -87,12 +84,12 @@ def gns_represent(S: GnsSpace, a: AlgebraElement) -> np.ndarray:
     G = S.groupoid
     if a.groupoid != G:
         raise GroupoidMismatch("algebra element lives on a different groupoid")
-    idx = G.index
     n = len(G.elements)
-    # left multiplication by a in the delta basis: L[g, al] += a(be) over be o al = g
+    # left multiplication by a in the delta basis: L[g, al] = a(be) for be o al = g
+    # (beta is unique given gamma and alpha)
+    beta, alpha, gamma = G.triples
     L = np.zeros((n, n), dtype=complex)
-    for beta, alpha, gamma in G.composable_pairs:
-        L[idx[gamma], idx[alpha]] += a.coeff[idx[beta]]
+    L[gamma, alpha] = a.coeff[beta]
     Q = S.quotient_basis
     return Q.conj().T @ S.gram @ (L @ Q)
 

@@ -5,6 +5,17 @@ composition, a unit per outcome, and inverses.  The outcome space carries a
 strictly positive probability vector P, each target fiber carries a positive
 weight function (counting measure by default), and the total measure
 disintegrates as ``nu(alpha) = w(alpha) * P(t(alpha))``.
+
+String labels stay at the edge: the dataclass fields hold the tables as read
+from a file or built by a construction, and the string accessors (``compose``,
+``inv``, ``nu``, ...) read them one element at a time.  Every computation
+works on integer index arrays instead, derived from those tables once per
+groupoid as cached properties (so a copy made with ``dataclasses.replace``
+derives its own).  Elements are numbered in ``elements`` order and outcomes
+in ``outcomes`` order.  ``compose_ix[b, a]`` is the index of ``b o a``, or
+``-1`` where the pair does not compose; ``C[-1]`` silently reads the last row,
+so mask the sentinel before gathering through it, or use ``triples``, which
+lists only the composable pairs.
 """
 from __future__ import annotations
 
@@ -13,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     AssociativityViolation,
     BadMeasure,
@@ -20,7 +33,9 @@ from .errors import (
     CoherenceViolation,
     HomomorphismViolation,
     InverseViolation,
+    NonUniformP,
     NotAGroup,
+    NotPairGroupoid,
     SchemaError,
     UnitViolation,
     UnknownOutcome,
@@ -64,6 +79,10 @@ class FiniteGroupoid:
     def index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.elements)}
 
+    @cached_property
+    def outcome_index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.outcomes)}
+
     def s(self, alpha: str) -> str:
         return self.source[alpha]
 
@@ -91,23 +110,103 @@ class FiniteGroupoid:
     @cached_property
     def composable_pairs(self) -> tuple[tuple[str, str, str], ...]:
         """All triples ``(beta, alpha, beta o alpha)`` in canonical order."""
-        return tuple(
-            (b, a, g) for (b, a), g in sorted(
-                self.compose_table.items(),
-                key=lambda kv: (self.index[kv[0][0]], self.index[kv[0][1]]),
-            )
-        )
+        e = self.elements
+        b, a, g = (ix.tolist() for ix in self.triples)
+        return tuple((e[i], e[j], e[k]) for i, j, k in zip(b, a, g))
 
     def target_fiber(self, x: str) -> tuple[str, ...]:
         """Elements with target x, in canonical element order."""
-        if x not in self.P:
-            raise UnknownOutcome(f"unknown outcome {x!r}")
-        return tuple(a for a in self.elements if self.target[a] == x)
+        return tuple(self.elements[i] for i in self.fiber_ix(x))
 
     def source_fiber(self, x: str) -> tuple[str, ...]:
-        if x not in self.P:
+        return tuple(self.elements[i] for i in np.flatnonzero(self.src == self._outcome(x)))
+
+    def fiber_ix(self, x: str) -> np.ndarray:
+        """Element indices of the target fiber of x, in canonical order."""
+        return np.flatnonzero(self.tgt == self._outcome(x))
+
+    def _outcome(self, x: str) -> int:
+        if x not in self.outcome_index:
             raise UnknownOutcome(f"unknown outcome {x!r}")
-        return tuple(a for a in self.elements if self.source[a] == x)
+        return self.outcome_index[x]
+
+    # -- index arrays --------------------------------------------------------
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        """Outcome index of the source of each element."""
+        return _lookup(self.elements, self.source, self.outcome_index)
+
+    @cached_property
+    def tgt(self) -> np.ndarray:
+        """Outcome index of the target of each element."""
+        return _lookup(self.elements, self.target, self.outcome_index)
+
+    @cached_property
+    def inv_ix(self) -> np.ndarray:
+        """Element index of the inverse of each element."""
+        return _lookup(self.elements, self.inverse_map, self.index)
+
+    @cached_property
+    def unit_ix(self) -> np.ndarray:
+        """Element index of the unit of each outcome."""
+        return _lookup(self.outcomes, self.unit_of, self.index)
+
+    @cached_property
+    def P_vec(self) -> np.ndarray:
+        return np.array([self.P[x] for x in self.outcomes], dtype=float)
+
+    @cached_property
+    def nu_vec(self) -> np.ndarray:
+        w = np.array([self.fiber_weight[a] for a in self.elements], dtype=float)
+        return w * self.P_vec[self.tgt]
+
+    @cached_property
+    def delta_vec(self) -> np.ndarray:
+        return self.nu_vec[self.inv_ix] / self.nu_vec
+
+    @cached_property
+    def compose_ix(self) -> np.ndarray:
+        """``C[b, a]`` = index of ``b o a``, -1 where undefined (int32)."""
+        n, idx = len(self.elements), self.index
+        C = np.full((n, n), -1, dtype=np.int32)
+        bag = np.array([(idx[b], idx[a], idx[g]) for (b, a), g in self.compose_table.items()],
+                       dtype=np.intp).reshape(-1, 3)
+        C[bag[:, 0], bag[:, 1]] = bag[:, 2]
+        return C
+
+    @cached_property
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index arrays ``(beta, alpha, beta o alpha)`` of all composable pairs,
+        in canonical order."""
+        C = self.compose_ix
+        b, a = np.nonzero(C >= 0)
+        return b, a, C[b, a].astype(np.intp)
+
+    @cached_property
+    def pair_grid(self) -> Optional[np.ndarray]:
+        """``E[y, x]`` = index of the transition x -> y for a pair groupoid, else None."""
+        n = len(self.outcomes)
+        if len(self.elements) != n * n:
+            return None
+        E = np.full((n, n), -1, dtype=np.intp)
+        E[self.tgt, self.src] = np.arange(n * n)
+        return E if (E >= 0).all() else None
+
+    @property
+    def pair_index(self) -> np.ndarray:
+        """``pair_grid`` of a pair groupoid with uniform P, the setting of the
+        density-matrix dictionary; raises NotPairGroupoid or NonUniformP."""
+        if self.pair_grid is None:
+            raise NotPairGroupoid("the matrix picture needs a pair groupoid")
+        if not has_uniform_P(self):
+            raise NonUniformP("the matrix picture needs uniform P")
+        return self.pair_grid
+
+
+def _lookup(keys: Sequence[str], table: Mapping[str, str], index: Mapping[str, int]):
+    """``index[table[k]]`` for every key, as an index array."""
+    return np.array([index[table[k]] for k in keys], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +222,12 @@ def _check_measure(outcomes: Sequence[str], P: Mapping[str, float]) -> None:
     total = sum(P[x] for x in outcomes)
     if abs(total - 1.0) > MEASURE_TOL:
         raise BadMeasure(f"P sums to {total}, expected 1")
+
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Position of the first True entry of a flat mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def validate(spec: GroupoidSpec) -> FiniteGroupoid:
@@ -156,97 +261,84 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
         if x not in spec.units or spec.units[x] not in eset:
             raise SchemaError(f"units table missing outcome {x!r}")
 
-    s, t, inv = spec.source, spec.target, spec.inverse
-    comp = dict(spec.compose)
-    units = spec.units
-
-    # units act as identities on both sides
-    for x in outcomes:
-        u = units[x]
-        if s[u] != x or t[u] != x:
-            raise UnitViolation(f"unit {u!r} of {x!r} is not an endo-transition")
-    for a in elements:
-        if comp.get((a, units[s[a]])) != a:
-            raise UnitViolation(f"compose({a!r}, unit of source) != {a!r}")
-        if comp.get((units[t[a]], a)) != a:
-            raise UnitViolation(f"compose(unit of target, {a!r}) != {a!r}")
-
-    # definedness and source/target coherence
-    for b in elements:
-        for a in elements:
-            defined = (b, a) in comp
-            if defined != (t[a] == s[b]):
-                raise CoherenceViolation(
-                    f"compose({b!r},{a!r}) definedness disagrees with t/s match"
-                )
-            if defined:
-                g = comp[(b, a)]
-                if s[g] != s[a] or t[g] != t[b]:
-                    raise CoherenceViolation(
-                        f"compose({b!r},{a!r}) = {g!r} breaks source/target coherence"
-                    )
-
-    # inverses
-    for a in elements:
-        ia = inv[a]
-        if comp.get((ia, a)) != units[s[a]] or comp.get((a, ia)) != units[t[a]]:
-            raise InverseViolation(f"inverse law fails for {a!r}")
-
-    # associativity on all doubly-composable triples
-    for (c, b), cb in comp.items():
-        for a in elements:
-            if t[a] != s[b]:
-                continue
-            ba = comp[(b, a)]
-            left = comp.get((cb, a))
-            right = comp.get((c, ba))
-            if left is None or right is None or left != right:
-                raise AssociativityViolation(
-                    f"(({c!r} o {b!r}) o {a!r}) != ({c!r} o ({b!r} o {a!r}))"
-                )
-
-    weights = dict(spec.fiber_weight) if spec.fiber_weight else {a: 1.0 for a in elements}
-    for a in elements:
-        w = weights.get(a)
-        if w is None or not (w > 0.0) or not math.isfinite(w):
-            raise BadWeight(f"fiber weight of {a!r} must be a positive number")
-    # left invariance of the Haar system: w(alpha o beta) = w(beta)
-    for (b, a), g in comp.items():
-        if abs(weights[g] - weights[a]) > MEASURE_TOL * (1.0 + abs(weights[a])):
-            raise BadWeight(
-                f"fiber weights are not left-invariant at compose({b!r},{a!r})"
-            )
-
-    return FiniteGroupoid(
+    G = FiniteGroupoid(
         elements=elements,
         outcomes=outcomes,
-        source=dict(s),
-        target=dict(t),
-        inverse_map=dict(inv),
-        compose_table=comp,
-        unit_of=dict(units),
+        source=dict(spec.source),
+        target=dict(spec.target),
+        inverse_map=dict(spec.inverse),
+        compose_table=dict(spec.compose),
+        unit_of=dict(spec.units),
         P=dict(spec.P),
-        fiber_weight=weights,
+        fiber_weight=dict(spec.fiber_weight) if spec.fiber_weight
+        else {a: 1.0 for a in elements},
     )
+    s, t, inv, u, C = G.src, G.tgt, G.inv_ix, G.unit_ix, G.compose_ix
+    beta, alpha, gamma = G.triples
+    e, ar, ox = elements, np.arange(len(elements)), np.arange(len(outcomes))
+
+    # units act as identities on both sides
+    x = _first((s[u] != ox) | (t[u] != ox))
+    if x is not None:
+        raise UnitViolation(
+            f"unit {e[u[x]]!r} of {outcomes[x]!r} is not an endo-transition")
+    k = _first((C[ar, u[s]] != ar) | (C[u[t], ar] != ar))
+    if k is not None:
+        raise UnitViolation(f"a unit does not act as an identity on {e[k]!r}")
+
+    # definedness and source/target coherence
+    bad = (C >= 0) != (s[:, None] == t[None, :])
+    bad[beta, alpha] |= (s[gamma] != s[alpha]) | (t[gamma] != t[beta])
+    k = _first(bad)
+    if k is not None:
+        b, a = divmod(k, len(e))
+        raise CoherenceViolation(f"compose({e[b]!r},{e[a]!r}) breaks s/t coherence")
+
+    # inverses
+    k = _first((C[inv, ar] != u[s]) | (C[ar, inv] != u[t]))
+    if k is not None:
+        raise InverseViolation(f"inverse law fails for {e[k]!r}")
+
+    # associativity on all doubly-composable triples, one middle element at a
+    # time; after the coherence check every gather reads a composable pair
+    by_src = [np.flatnonzero(s == x) for x in ox]
+    by_tgt = [np.flatnonzero(t == x) for x in ox]
+    for b in ar:
+        cs, as_ = by_src[t[b]], by_tgt[s[b]]
+        left = C[C[cs, b][:, None], as_]
+        right = C[cs[:, None], C[b, as_]]
+        if not np.array_equal(left, right):
+            i, j = np.argwhere(left != right)[0]
+            c, a = e[cs[i]], e[as_[j]]
+            raise AssociativityViolation(
+                f"(({c!r} o {e[b]!r}) o {a!r}) != ({c!r} o ({e[b]!r} o {a!r}))")
+
+    w = np.array([G.fiber_weight.get(a, np.nan) for a in elements], dtype=float)
+    k = _first(~(w > 0.0) | ~np.isfinite(w))
+    if k is not None:
+        raise BadWeight(f"fiber weight of {e[k]!r} must be a positive number")
+    # left invariance of the Haar system: w(alpha o beta) = w(beta)
+    k = _first(np.abs(w[gamma] - w[alpha]) > MEASURE_TOL * (1.0 + np.abs(w[alpha])))
+    if k is not None:
+        raise BadWeight(f"fiber weights are not left-invariant at "
+                        f"compose({e[beta[k]]!r},{e[alpha[k]]!r})")
+    return G
 
 
 def modular_function(G: FiniteGroupoid) -> dict[str, float]:
     """The modular map delta, verified to be a groupoid homomorphism."""
-    delta = {a: G.delta(a) for a in G.elements}
-    for x in G.outcomes:
-        u = G.unit_of[x]
-        if abs(delta[u] - 1.0) > MEASURE_TOL:
-            raise HomomorphismViolation(f"delta(unit of {x!r}) != 1")
-    for b, a, g in G.composable_pairs:
-        if abs(delta[g] - delta[b] * delta[a]) > MEASURE_TOL * (1.0 + abs(delta[g])):
-            raise HomomorphismViolation(
-                f"delta is not multiplicative on compose({b!r},{a!r})"
-            )
-    return delta
-
-
-def target_fiber(G: FiniteGroupoid, x: str) -> tuple[str, ...]:
-    return G.target_fiber(x)
+    delta = G.delta_vec
+    x = _first(np.abs(delta[G.unit_ix] - 1.0) > MEASURE_TOL)
+    if x is not None:
+        raise HomomorphismViolation(f"delta(unit of {G.outcomes[x]!r}) != 1")
+    b, a, g = G.triples
+    deviation = np.abs(delta[g] - delta[b] * delta[a])
+    k = _first(deviation > MEASURE_TOL * (1.0 + np.abs(delta[g])))
+    if k is not None:
+        e = G.elements
+        raise HomomorphismViolation(
+            f"delta is not multiplicative on compose({e[b[k]]!r},{e[a[k]]!r})")
+    return dict(zip(G.elements, delta.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +348,6 @@ def target_fiber(G: FiniteGroupoid, x: str) -> tuple[str, ...]:
 def _uniform(outcomes: Sequence[str]) -> dict[str, float]:
     n = len(outcomes)
     return {x: 1.0 / n for x in outcomes}
-
-
-def _spec_to_groupoid(spec: GroupoidSpec) -> FiniteGroupoid:
-    return validate(spec)
 
 
 def pair_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGroupoid:
@@ -277,7 +365,7 @@ def pair_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGrou
             for x in outcomes:
                 compose[(f"({z},{y})", f"({y},{x})")] = f"({z},{x})"
     units = {x: f"({x},{x})" for x in outcomes}
-    return _spec_to_groupoid(GroupoidSpec(
+    return validate(GroupoidSpec(
         outcomes=outcomes, elements=elements, source=source, target=target,
         inverse=inverse, compose=compose, units=units,
         P=dict(P) if P else _uniform(outcomes),
@@ -290,7 +378,7 @@ def trivial_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteG
         raise BadMeasure("need at least one outcome")
     outcomes = [str(i + 1) for i in range(n)]
     elements = [f"1_{x}" for x in outcomes]
-    return _spec_to_groupoid(GroupoidSpec(
+    return validate(GroupoidSpec(
         outcomes=outcomes, elements=elements,
         source={f"1_{x}": x for x in outcomes},
         target={f"1_{x}": x for x in outcomes},
@@ -333,7 +421,7 @@ def group_groupoid(table: Mapping[tuple[str, str], str],
                 if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
                     raise NotAGroup("multiplication table is not associative")
     o = "*"
-    return _spec_to_groupoid(GroupoidSpec(
+    return validate(GroupoidSpec(
         outcomes=[o], elements=labels,
         source={g: o for g in labels}, target={g: o for g in labels},
         inverse=inverse, compose=dict(table), units={o: identity},
@@ -375,7 +463,7 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid, w: float) -> FiniteGr
     P.update({r(x): (1.0 - w) * G2.P[x] for x in G2.outcomes})
     weights = {l(a): G1.fiber_weight[a] for a in G1.elements}
     weights.update({r(a): G2.fiber_weight[a] for a in G2.elements})
-    return _spec_to_groupoid(GroupoidSpec(
+    return validate(GroupoidSpec(
         outcomes=outcomes, elements=elements, source=source, target=target,
         inverse=inverse, compose=compose, units=units, P=P, fiber_weight=weights,
     ))
@@ -404,7 +492,7 @@ def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
     P = {po(x, y): G1.P[x] * G2.P[y] for x in G1.outcomes for y in G2.outcomes}
     weights = {po(a, b): G1.fiber_weight[a] * G2.fiber_weight[b]
                for a in G1.elements for b in G2.elements}
-    return _spec_to_groupoid(GroupoidSpec(
+    return validate(GroupoidSpec(
         outcomes=outcomes, elements=elements, source=source, target=target,
         inverse=inverse, compose=compose, units=units, P=P, fiber_weight=weights,
     ))
@@ -416,18 +504,10 @@ def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
 
 def pair_structure(G: FiniteGroupoid) -> Optional[dict[tuple[str, str], str]]:
     """Map ``(target, source) -> element`` when G is a pair groupoid, else None."""
-    n = len(G.outcomes)
-    if len(G.elements) != n * n:
+    if G.pair_grid is None:
         return None
-    table: dict[tuple[str, str], str] = {}
-    for a in G.elements:
-        key = (G.target[a], G.source[a])
-        if key in table:
-            return None
-        table[key] = a
-    return table
+    return {(G.target[a], G.source[a]): a for a in G.elements}
 
 
 def has_uniform_P(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
-    n = len(G.outcomes)
-    return all(abs(G.P[x] - 1.0 / n) <= tol for x in G.outcomes)
+    return bool(np.all(np.abs(G.P_vec - 1.0 / len(G.outcomes)) <= tol))

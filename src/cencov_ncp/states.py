@@ -15,14 +15,8 @@ import numpy as np
 
 from . import numkit
 from .algebra import AlgebraElement
-from .errors import (
-    GroupoidMismatch,
-    InvalidDensity,
-    InvalidState,
-    NonUniformP,
-    NotPairGroupoid,
-)
-from .groupoid import FiniteGroupoid, has_uniform_P, pair_structure
+from .errors import GroupoidMismatch, InvalidDensity, InvalidState
+from .groupoid import FiniteGroupoid
 
 NORM_TOL = 1e-9
 
@@ -56,13 +50,8 @@ class State:
 
 def fiber_gram(G: FiniteGroupoid, phi: np.ndarray, x: str) -> np.ndarray:
     """Gram matrix ``phi(inv(a_k) o a_l)`` over the target fiber of x."""
-    fiber = G.target_fiber(x)
-    M = np.zeros((len(fiber), len(fiber)), dtype=complex)
-    for k, ak in enumerate(fiber):
-        for l, al in enumerate(fiber):
-            g = G.compose(G.inv(ak), al)
-            M[k, l] = phi[G.index[g]]
-    return M
+    fiber = G.fiber_ix(x)
+    return np.asarray(phi, dtype=complex)[G.compose_ix[np.ix_(G.inv_ix[fiber], fiber)]]
 
 
 def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
@@ -85,15 +74,12 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
         fiber_min[x] = lo
         psd_ok = psd_ok and ok
 
-    norm_deficit = abs(complex(sum(v[G.index[G.unit_of[x]]] * G.P[x]
-                                   for x in G.outcomes)) - 1.0)
-    sym_deficit = max(
-        abs(v[G.index[G.inv(a)]] - np.conj(v[G.index[a]])) for a in G.elements
-    )
+    norm_deficit = abs(complex(v[G.unit_ix] @ G.P_vec) - 1.0)
+    sym_deficit = float(np.abs(v[G.inv_ix] - np.conj(v)).max())
     return StateReport(
         fiber_min_eigenvalue=fiber_min,
         normalization_deficit=float(norm_deficit),
-        symmetry_deficit=float(sym_deficit),
+        symmetry_deficit=sym_deficit,
         psd_ok=psd_ok,
         normalization_ok=norm_deficit <= tol,
         symmetry_ok=sym_deficit <= max(tol, 1e-9),
@@ -117,15 +103,13 @@ def expectation(rho: State, a: AlgebraElement) -> complex:
     G = rho.groupoid
     if a.groupoid != G:
         raise GroupoidMismatch("state and observable live on different groupoids")
-    nu = np.array([G.nu(alpha) for alpha in G.elements])
-    return complex(np.sum(a.coeff * rho.phi * nu))
+    return complex(np.sum(a.coeff * rho.phi * G.nu_vec))
 
 
 def outcome_distribution(rho: State) -> dict[str, float]:
     """``p(x) = phi(1_x) P(x)``, nonnegative and summing to 1."""
     G = rho.groupoid
-    return {x: float(rho.phi[G.index[G.unit_of[x]]].real * G.P[x])
-            for x in G.outcomes}
+    return dict(zip(G.outcomes, (rho.phi[G.unit_ix].real * G.P_vec).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +137,6 @@ def make_density(D, tol: float = NORM_TOL) -> DensityMatrix:
     return DensityMatrix(M.copy())
 
 
-def _pair_dictionary(G: FiniteGroupoid):
-    table = pair_structure(G)
-    if table is None:
-        raise NotPairGroupoid("density dictionary needs a pair groupoid")
-    if not has_uniform_P(G):
-        raise NonUniformP("density dictionary needs uniform P")
-    oidx = {x: i for i, x in enumerate(G.outcomes)}
-    return table, oidx
-
-
 def density_from_state(rho: State) -> DensityMatrix:
     """``D[s, t] = phi(element (t,s)) / n`` on a uniform pair groupoid.
 
@@ -170,46 +144,27 @@ def density_from_state(rho: State) -> DensityMatrix:
     the matrix entry ``D[s, t]`` (this is the unique orientation for which the
     algebra expectation becomes ``Tr(D A)``).
     """
-    G = rho.groupoid
-    table, oidx = _pair_dictionary(G)
-    n = len(G.outcomes)
-    D = np.zeros((n, n), dtype=complex)
-    for (t, s), elem in table.items():
-        D[oidx[s], oidx[t]] = rho.phi[G.index[elem]] / n
-    return make_density(D)
+    return make_density(density_from_phi_unchecked(rho.phi, rho.groupoid))
 
 
 def state_from_density(D: DensityMatrix | np.ndarray, G: FiniteGroupoid) -> State:
     """Inverse dictionary: ``phi(element t<-s) = n * D[s, t]``."""
     M = D.matrix if isinstance(D, DensityMatrix) else np.asarray(D, dtype=complex)
     M = make_density(M).matrix
-    table, oidx = _pair_dictionary(G)
-    n = len(G.outcomes)
-    if M.shape[0] != n:
+    if G.pair_index.shape[0] != M.shape[0]:
         raise GroupoidMismatch("density matrix size does not match outcome count")
-    phi = np.zeros(len(G.elements), dtype=complex)
-    for (t, s), elem in table.items():
-        phi[G.index[elem]] = n * M[oidx[s], oidx[t]]
-    return make_state(G, phi)
+    return make_state(G, phi_from_density_unchecked(M, G))
 
 
 def phi_from_density_unchecked(M: np.ndarray, G: FiniteGroupoid) -> np.ndarray:
     """Linear (unvalidated) half of the dictionary, for linear extensions."""
-    table, oidx = _pair_dictionary(G)
-    n = len(G.outcomes)
     phi = np.zeros(len(G.elements), dtype=complex)
-    for (t, s), elem in table.items():
-        phi[G.index[elem]] = n * M[oidx[s], oidx[t]]
+    phi[G.pair_index] = len(G.outcomes) * np.asarray(M).T
     return phi
 
 
 def density_from_phi_unchecked(phi: np.ndarray, G: FiniteGroupoid) -> np.ndarray:
-    table, oidx = _pair_dictionary(G)
-    n = len(G.outcomes)
-    D = np.zeros((n, n), dtype=complex)
-    for (t, s), elem in table.items():
-        D[oidx[s], oidx[t]] = phi[G.index[elem]] / n
-    return D
+    return phi[G.pair_index].T / len(G.outcomes)
 
 
 def classical_state(G: FiniteGroupoid, p) -> State:
@@ -218,6 +173,5 @@ def classical_state(G: FiniteGroupoid, p) -> State:
         raise GroupoidMismatch("classical_state needs a trivial groupoid")
     p = np.asarray(p, dtype=float).reshape(-1)
     phi = np.zeros(len(G.elements), dtype=complex)
-    for i, x in enumerate(G.outcomes):
-        phi[G.index[G.unit_of[x]]] = p[i] / G.P[x]
+    phi[G.unit_ix] = p / G.P_vec
     return make_state(G, phi)

@@ -1,0 +1,278 @@
+"""The array implementations agree with the loop oracles in ``reference.py``.
+
+Every formula is compared on random inputs over pair groupoids with uniform
+and with non-uniform P (delta != 1), trivial groupoids, cyclic groups,
+products and disjoint unions; values must agree to 1e-12 relative, and
+every raised exception must be of the same class.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cencov_ncp as c
+import reference as ref
+from cencov_ncp.channels import (
+    choi_matrix,
+    choi_to_kernel,
+    density_from_phi_unchecked,
+    phi_from_density_unchecked,
+)
+from cencov_ncp.errors import CencovNcpError
+from cencov_ncp.groupoid import GroupoidSpec, validate
+from cencov_ncp.states import State
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def spec_of(G):
+    return GroupoidSpec(
+        outcomes=list(G.outcomes), elements=list(G.elements),
+        source=dict(G.source), target=dict(G.target),
+        inverse=dict(G.inverse_map), compose=dict(G.compose_table),
+        units=dict(G.unit_of), P=dict(G.P),
+        fiber_weight=dict(G.fiber_weight),
+    )
+
+
+def close(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    assert x.shape == y.shape
+    return np.abs(x - y).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(y).max(initial=0.0))
+
+
+def outcome(fn, *args):
+    """``(exception class, None)`` or ``(None, result)`` of a call."""
+    try:
+        return None, fn(*args)
+    except CencovNcpError as exc:
+        return type(exc), None
+
+
+def random_P(draw, n):
+    ps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    return {str(i + 1): p / sum(ps) for i, p in enumerate(ps)}
+
+
+@st.composite
+def groupoids(draw):
+    kind = draw(st.sampled_from(
+        ["pair", "pair_nonuniform", "trivial", "cyclic", "product", "union"]))
+    if kind == "pair":
+        return c.pair_groupoid(draw(st.integers(1, 4)))
+    if kind == "pair_nonuniform":
+        n = draw(st.integers(2, 4))
+        return c.pair_groupoid(n, P=random_P(draw, n))
+    if kind == "trivial":
+        n = draw(st.integers(1, 4))
+        return c.trivial_groupoid(n, P=random_P(draw, n))
+    if kind == "cyclic":
+        return c.cyclic_group_groupoid(draw(st.integers(1, 6)))
+    if kind == "product":
+        return c.product(c.pair_groupoid(2, P=random_P(draw, 2)),
+                         draw(st.sampled_from([c.trivial_groupoid(2),
+                                               c.cyclic_group_groupoid(2)])))
+    return c.disjoint_union(c.pair_groupoid(2, P=random_P(draw, 2)),
+                            c.cyclic_group_groupoid(3),
+                            draw(st.floats(0.1, 0.9)))
+
+
+uniform_pairs = st.integers(1, 5).map(c.pair_groupoid)
+pairs_or_any = st.one_of(uniform_pairs, groupoids())
+
+
+def vectors(draw, n, count=1):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(count)]
+    return out if count > 1 else out[0]
+
+
+@SETTINGS
+@given(groupoids())
+def test_validate_and_modular_function(G):
+    spec = spec_of(G)
+    assert validate(spec) == ref.validate(spec)
+    new, old = c.modular_function(G), ref.modular_function(G)
+    assert list(new) == list(old)
+    assert close(list(new.values()), list(old.values()))
+
+
+@SETTINGS
+@given(groupoids(), st.data())
+def test_algebra(G, data):
+    a, b = (c.AlgebraElement(G, v) for v in vectors(data.draw, len(G.elements), 2))
+    assert close(c.convolve(a, b).coeff, ref.convolve(a, b).coeff)
+    assert close(c.star(a).coeff, ref.star(a).coeff)
+    assert close(c.left_regular_rep(a), ref.left_regular_rep(a))
+
+
+@SETTINGS
+@given(groupoids(), st.data())
+def test_fiber_gram_and_gram_matrix(G, data):
+    phi = vectors(data.draw, len(G.elements))
+    for x in G.outcomes:
+        assert close(c.fiber_gram(G, phi, x), ref.fiber_gram(G, phi, x))
+    rho = State(G, phi)
+    assert close(c.gram_matrix(rho), ref.gram_matrix(rho))
+
+
+def same_report(new, old):
+    assert close(new.normalization_deficit, old.normalization_deficit)
+    assert close(new.hermiticity_deficit, old.hermiticity_deficit)
+    assert list(new.positivity_min_eigenvalue) == list(old.positivity_min_eigenvalue)
+    for x, lo in old.positivity_min_eigenvalue.items():
+        assert new.positivity_min_eigenvalue[x] == lo or close(new.positivity_min_eigenvalue[x], lo)
+    assert (new.normalization_ok, new.positivity_ok, new.hermiticity_ok) == (
+        old.normalization_ok, old.positivity_ok, old.hermiticity_ok)
+
+
+@SETTINGS
+@given(groupoids(), groupoids(), st.data())
+def test_kernel_axioms(G1, G2, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (len(G1.elements), len(G2.elements))
+    Pi = c.QuantumKernel(G1, G2, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    same_report(c.validate_kernel(Pi), ref.validate_kernel(Pi))
+    Id = c.identity_kernel(G1)
+    same_report(c.validate_kernel(Id), ref.validate_kernel(Id))
+
+
+@SETTINGS
+@given(pairs_or_any, st.data())
+def test_density_dictionary(G, data):
+    n = len(G.outcomes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    D = M @ M.conj().T / np.trace(M @ M.conj().T).real
+    phi = vectors(data.draw, len(G.elements))
+    for new_fn, old_fn, arg in (
+        (phi_from_density_unchecked, ref.phi_from_density_unchecked, M),
+        (density_from_phi_unchecked, ref.density_from_phi_unchecked, phi),
+    ):
+        (new_exc, new), (old_exc, old) = outcome(new_fn, arg, G), outcome(old_fn, arg, G)
+        assert new_exc is old_exc
+        if old_exc is None:
+            assert close(new, old)
+    (new_exc, new), (old_exc, old) = (outcome(c.state_from_density, D, G),
+                                      outcome(ref.state_from_density, D, G))
+    assert new_exc is old_exc
+    if old_exc is None:
+        assert close(new.phi, old.phi)
+        assert close(c.density_from_state(new).matrix, ref.density_from_state(old).matrix)
+
+
+@st.composite
+def kraus_cases(draw):
+    """Random Kraus families between a drawn pair of groupoids."""
+    G1, G2 = draw(pairs_or_any), draw(pairs_or_any)
+    n, m = len(G1.outcomes), len(G2.outcomes)
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.normal(size=(k * m, n)) + 1j * rng.normal(size=(k * m, n)))
+    if k * m < n:  # too few rows for an isometry: keep the shape, lose completeness
+        Q = rng.normal(size=(k * m, n)) + 0j
+    return G1, G2, [Q[i * m:(i + 1) * m] for i in range(k)]
+
+
+@SETTINGS
+@given(kraus_cases())
+def test_kraus_kernel_and_choi_matrix(case):
+    G1, G2, A = case
+    (new_exc, new), (old_exc, old) = (outcome(choi_to_kernel, A, G1, G2),
+                                      outcome(ref.choi_to_kernel, A, G1, G2))
+    assert new_exc is old_exc
+    if old_exc is not None:
+        return
+    assert close(new.pi, old.pi)
+    assert close(choi_matrix(new), ref.choi_matrix(old))
+
+
+@SETTINGS
+@given(pairs_or_any, pairs_or_any, st.data())
+def test_choi_matrix_guards(G1, G2, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (len(G1.elements), len(G2.elements))
+    Pi = c.QuantumKernel(G1, G2, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    (new_exc, new), (old_exc, old) = outcome(choi_matrix, Pi), outcome(ref.choi_matrix, Pi)
+    assert new_exc is old_exc
+    if old_exc is None:
+        assert close(new, old)
+
+
+# --- planted defects -------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(groupoids(), st.sampled_from(["compose", "inverse", "unit"]), st.data())
+def test_planted_defect_same_exception(G, table, data):
+    """One mutated table entry gets the same verdict from both validators."""
+    spec = spec_of(G)
+    new_value = data.draw(st.sampled_from(G.elements))
+    if table == "compose":
+        key = data.draw(st.sampled_from([(b, a) for b in G.elements for a in G.elements]))
+        compose = dict(spec.compose)
+        if key in compose and data.draw(st.booleans()):
+            del compose[key]
+        else:
+            compose[key] = new_value
+        spec = dataclasses.replace(spec, compose=compose)
+    elif table == "inverse":
+        key = data.draw(st.sampled_from(G.elements))
+        spec = dataclasses.replace(spec, inverse={**spec.inverse, key: new_value})
+    else:
+        key = data.draw(st.sampled_from(G.outcomes))
+        spec = dataclasses.replace(spec, units={**spec.units, key: new_value})
+    (new_exc, new), (old_exc, old) = outcome(validate, spec), outcome(ref.validate, spec)
+    assert new_exc is old_exc
+    assert new == old
+
+
+def test_planted_defect_classes_are_reached():
+    """Fixed mutations reach every structural violation class, each with the
+    reference's verdict."""
+    G = c.cyclic_group_groupoid(3)
+    spec = spec_of(G)
+    seen = set()
+    for table, key in [("compose", ("g1", "g1")), ("compose", ("g0", "g1")),
+                       ("compose", ("g1", "g2")), ("inverse", "g1"), ("unit", "*")]:
+        for value in G.elements:
+            if table == "compose":
+                mutated = dataclasses.replace(spec, compose={**spec.compose, key: value})
+            elif table == "inverse":
+                mutated = dataclasses.replace(spec, inverse={**spec.inverse, key: value})
+            else:
+                mutated = dataclasses.replace(spec, units={**spec.units, key: value})
+            exc, _ = outcome(validate, mutated)
+            assert exc is outcome(ref.validate, mutated)[0]
+            seen.add(exc)
+    pair = spec_of(c.pair_groupoid(2))
+    del pair.compose[("(1,2)", "(2,1)")]
+    exc, _ = outcome(validate, pair)
+    seen.add(exc)
+    # g2 is a left inverse of g1 but not a right one; the inverse table is no
+    # longer an involution, so only the right-inverse law catches it
+    lopsided = dataclasses.replace(
+        spec, compose={**spec.compose, ("g1", "g2"): "g1", ("g2", "g2"): "g0"},
+        inverse={**spec.inverse, "g2": "g2"})
+    exc, _ = outcome(validate, lopsided)
+    assert exc is outcome(ref.validate, lopsided)[0] is c.InverseViolation
+    assert {c.AssociativityViolation, c.InverseViolation, c.UnitViolation,
+            c.CoherenceViolation} <= seen
+
+
+@pytest.mark.parametrize("G", [
+    c.pair_groupoid(6),
+    c.pair_groupoid(5, P={"1": 0.1, "2": 0.15, "3": 0.2, "4": 0.25, "5": 0.3}),
+    c.product(c.pair_groupoid(3), c.cyclic_group_groupoid(3)),
+], ids=["pair6", "pair5-nonuniform", "pair3xZ3"])
+def test_larger_groupoids(G):
+    spec = spec_of(G)
+    assert validate(spec) == ref.validate(spec)
+    rng = np.random.default_rng(7)
+    n = len(G.elements)
+    a, b = (c.AlgebraElement(G, rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
+    assert close(c.convolve(a, b).coeff, ref.convolve(a, b).coeff)
+    assert close(c.left_regular_rep(a), ref.left_regular_rep(a))
+    rho = State(G, a.coeff)
+    assert close(c.gram_matrix(rho), ref.gram_matrix(rho))
