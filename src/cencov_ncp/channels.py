@@ -116,7 +116,7 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
             if M.size and np.abs(M - M.conj().T).max() > tol * (1 + np.abs(M).max()):
                 worst = -np.inf
                 continue
-            _, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL))
+            _, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
             worst = min(worst, lo)
         pos_min[x1] = float(worst)
         scale = 1.0 + float(np.abs(phi).max(initial=0.0))

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation failure, 2 I/O or schema error,
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -80,17 +79,6 @@ def _emit(ctx, data: dict) -> None:
             click.echo(f"{key}: {data[key]}")
 
 
-def _ref_for_output(input_file: str, ref: str, out: str) -> str:
-    """Re-target a groupoid reference from one referencing file to another."""
-    resolved = Path(ref)
-    if not resolved.is_absolute():
-        resolved = (Path(input_file).parent / resolved).resolve()
-    try:
-        return os.path.relpath(resolved, Path(out).resolve().parent)
-    except ValueError:
-        return str(resolved)
-
-
 @click.group()
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="Validation tolerance.")
@@ -100,7 +88,7 @@ def _ref_for_output(input_file: str, ref: str, out: str) -> str:
 @click.pass_context
 def main(ctx, tol, hstep, json_out):
     """Finite groupoid algebras, states, kernels, and Cramer-Rao reports."""
-    ctx.obj = {"tol": tol, "h": hstep, "json": json_out}
+    ctx.obj = {"tol": tol, "h": hstep, "json": json_out, "loaded": {}}
 
 
 @main.command()
@@ -109,14 +97,13 @@ def main(ctx, tol, hstep, json_out):
 def validate(ctx, file):
     """Validate a groupoid, state, kernel, or model file."""
     tol = ctx.obj["tol"]
-    kind = _guard(fileio.detect_kind, file)
+    kind, obj = _guard(fileio.load_file, file, ctx.obj["loaded"])
     data = {"file": file, "kind": kind}
 
     if kind == "groupoid":
-        G = _guard(fileio.load_groupoid, file)
-        data.update(outcomes=len(G.outcomes), elements=len(G.elements), passed=True)
+        data.update(outcomes=len(obj.outcomes), elements=len(obj.elements), passed=True)
     elif kind == "state":
-        G, phi, _ = _guard(fileio.load_state_file, file)
+        G, phi = obj
         report = _guard(check_state, phi, G, tol=tol)
         data.update(
             passed=report.passed,
@@ -125,8 +112,7 @@ def validate(ctx, file):
             min_fiber_eigenvalue=min(report.fiber_min_eigenvalue.values()),
         )
     elif kind == "kernel":
-        Pi = _guard(fileio.load_kernel, file)
-        report = _guard(validate_kernel, Pi, tol=tol)
+        report = _guard(validate_kernel, obj, tol=tol)
         data.update(
             passed=report.passed,
             normalization_deficit=report.normalization_deficit,
@@ -134,24 +120,21 @@ def validate(ctx, file):
             min_fiber_eigenvalue=min(report.positivity_min_eigenvalue.values()),
         )
     elif kind == "classical_kernel":
-        K = _guard(fileio.load_classical_kernel, file)
-        data.update(passed=True, shape=list(K.K.shape))
+        data.update(passed=True, shape=list(obj.K.shape))
     elif kind == "kraus":
-        ops = _guard(fileio.load_kraus, file)
-        dev = completeness_deficit(ops)
+        dev = completeness_deficit(obj)
         if dev > tol:
             _emit(ctx, {**data, "passed": False, "completeness_deficit": dev})
             _fail(EXIT_VALIDATION,
                   f"Kraus completeness sum deviates from identity by {dev:.3e}")
-        data.update(passed=True, completeness_deficit=dev, operators=len(ops))
+        data.update(passed=True, completeness_deficit=dev, operators=len(obj))
     elif kind == "model":
-        model, grid = _guard(fileio.load_model, file)
+        model, grid = obj
         for s in [model.s0, *grid]:
             _guard(model.at, s)
         data.update(passed=True, s0=model.s0, grid_points=len(grid))
     else:  # algebra
-        a = _guard(fileio.load_algebra_element, file)
-        data.update(passed=True, support=int(np.count_nonzero(a.coeff)))
+        data.update(passed=True, support=int(np.count_nonzero(obj.coeff)))
     _emit(ctx, data)
     if not data.get("passed", False):
         sys.exit(EXIT_VALIDATION)
@@ -164,8 +147,9 @@ def validate(ctx, file):
 @click.pass_context
 def compose(ctx, k1, k2, out):
     """Compose two kernel files (first applied first)."""
-    Pi12 = _guard(fileio.load_kernel, k1)
-    Pi23 = _guard(fileio.load_kernel, k2)
+    loaded = ctx.obj["loaded"]
+    Pi12 = _guard(fileio.load_kernel, k1, loaded)
+    Pi23 = _guard(fileio.load_kernel, k2, loaded)
     Pi = _guard(compose_kernels, Pi12, Pi23)
     report = _guard(validate_kernel, Pi, tol=ctx.obj["tol"])
     data = {
@@ -174,9 +158,8 @@ def compose(ctx, k1, k2, out):
         "hermiticity_deficit": report.hermiticity_deficit,
     }
     if out:
-        src = _ref_for_output(k1, json.load(open(k1))["source_groupoid"], out)
-        dst = _ref_for_output(k2, json.load(open(k2))["target_groupoid"], out)
-        _guard(fileio.save_kernel, Pi, out, src, dst)
+        _guard(fileio.save_kernel, Pi, out, fileio.groupoid_ref(Pi.g1, out, loaded),
+               fileio.groupoid_ref(Pi.g2, out, loaded))
         data["out"] = out
     _emit(ctx, data)
 
@@ -188,8 +171,9 @@ def compose(ctx, k1, k2, out):
 @click.pass_context
 def push(ctx, state, kernel, out):
     """Push a state forward through a kernel."""
-    rho = _guard(fileio.load_state, state)
-    Pi = _guard(fileio.load_kernel, kernel)
+    loaded = ctx.obj["loaded"]
+    rho = _guard(fileio.load_state, state, loaded)
+    Pi = _guard(fileio.load_kernel, kernel, loaded)
     pushed = _guard(push_state, rho, Pi)
     report = check_state(pushed.phi, pushed.groupoid, tol=ctx.obj["tol"])
     data = {
@@ -198,8 +182,8 @@ def push(ctx, state, kernel, out):
         "min_fiber_eigenvalue": min(report.fiber_min_eigenvalue.values()),
     }
     if out:
-        ref = _ref_for_output(kernel, json.load(open(kernel))["target_groupoid"], out)
-        _guard(fileio.save_state, pushed, out, ref)
+        _guard(fileio.save_state, pushed, out,
+               fileio.groupoid_ref(pushed.groupoid, out, loaded))
         data["out"] = out
     _emit(ctx, data)
 
@@ -211,13 +195,14 @@ def push(ctx, state, kernel, out):
 @click.pass_context
 def pull(ctx, kernel, observable, out):
     """Pull an observable back through a kernel."""
-    Pi = _guard(fileio.load_kernel, kernel)
-    f2 = _guard(fileio.load_algebra_element, observable)
+    loaded = ctx.obj["loaded"]
+    Pi = _guard(fileio.load_kernel, kernel, loaded)
+    f2 = _guard(fileio.load_algebra_element, observable, loaded)
     pulled = _guard(pull_observable, Pi, f2)
     data = {"support": int(np.count_nonzero(pulled.coeff))}
     if out:
-        ref = _ref_for_output(kernel, json.load(open(kernel))["source_groupoid"], out)
-        _guard(fileio.save_algebra_element, pulled, out, ref)
+        _guard(fileio.save_algebra_element, pulled, out,
+               fileio.groupoid_ref(pulled.groupoid, out, loaded))
         data["out"] = out
     _emit(ctx, data)
 
@@ -238,11 +223,11 @@ def pipeline(ctx, config, out):
         kernel_paths = [cfg_path.parent / k for k in cfg["kernels"]]
     except (KeyError, TypeError) as exc:
         _fail(EXIT_SCHEMA, f"{config}: malformed pipeline config: {exc}")
-    rho = _guard(fileio.load_state, state_path)
+    loaded = ctx.obj["loaded"]
+    rho = _guard(fileio.load_state, state_path, loaded)
     stages = []
-    last_kernel = None
     for kp in kernel_paths:
-        Pi = _guard(fileio.load_kernel, kp)
+        Pi = _guard(fileio.load_kernel, kp, loaded)
         rho = _guard(push_state, rho, Pi)
         report = check_state(rho.phi, rho.groupoid, tol=ctx.obj["tol"])
         stages.append({
@@ -250,16 +235,9 @@ def pipeline(ctx, config, out):
             "normalization_deficit": report.normalization_deficit,
             "min_fiber_eigenvalue": min(report.fiber_min_eigenvalue.values()),
         })
-        last_kernel = kp
     data = {"stages": stages, "passed": True}
     if out:
-        if last_kernel is None:
-            ref = json.load(open(state_path))["groupoid"]
-            ref = _ref_for_output(str(state_path), ref, out)
-        else:
-            ref = json.load(open(last_kernel))["target_groupoid"]
-            ref = _ref_for_output(str(last_kernel), ref, out)
-        _guard(fileio.save_state, rho, out, ref)
+        _guard(fileio.save_state, rho, out, fileio.groupoid_ref(rho.groupoid, out, loaded))
         data["out"] = out
     _emit(ctx, data)
 
@@ -269,7 +247,7 @@ def pipeline(ctx, config, out):
 @click.pass_context
 def gns(ctx, state):
     """Report the GNS dimension, ideal dimension, and Gram spectrum."""
-    rho = _guard(fileio.load_state, state)
+    rho = _guard(fileio.load_state, state, ctx.obj["loaded"])
     S = _guard(build_gns, rho)
     _emit(ctx, {
         "dim": S.dim,
@@ -283,7 +261,7 @@ def gns(ctx, state):
 @click.pass_context
 def fisher(ctx, model):
     """Fisher metric of a model; classical value when applicable."""
-    M, _ = _guard(fileio.load_model, model)
+    M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"])
     S = _guard(build_gns, _guard(M.at, M.s0))
     gf = _guard(fisher_metric, M, S, h=ctx.obj["h"])
     data = {"fisher": gf}
@@ -300,12 +278,12 @@ def fisher(ctx, model):
 @click.pass_context
 def crb(ctx, model, estimator):
     """Cramer-Rao bound; audit a self-adjoint estimator when given."""
-    M, _ = _guard(fileio.load_model, model)
+    M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"])
     S = _guard(build_gns, _guard(M.at, M.s0))
     bound = _guard(cramer_rao_bound, M, S, h=ctx.obj["h"])
     data = {"bound": bound}
     if estimator:
-        a = _guard(fileio.load_algebra_element, estimator)
+        a = _guard(fileio.load_algebra_element, estimator, ctx.obj["loaded"])
         A = _guard(Estimator, a)
         audit = _guard(cramer_rao_audit, M, A, S, h=ctx.obj["h"])
         data.update(
@@ -321,7 +299,7 @@ def crb(ctx, model, estimator):
 @click.pass_context
 def cp(ctx, kernel):
     """Choi complete-positivity verdict for a pair-groupoid kernel."""
-    Pi = _guard(fileio.load_kernel, kernel)
+    Pi = _guard(fileio.load_kernel, kernel, ctx.obj["loaded"])
     is_cp, min_eig = _guard(cp_verdict, Pi)
     _emit(ctx, {"is_cp": bool(is_cp), "min_choi_eigenvalue": float(min_eig)})
 

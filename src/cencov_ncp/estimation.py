@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import numkit
 from .algebra import AlgebraElement, convolve, star
 from .channels import ClassicalKernel
 from .errors import (
@@ -79,19 +78,21 @@ def derivative_vector(M: StatisticalModel, h: float = DEFAULT_H) -> np.ndarray:
 
 
 def riesz_representer(M: StatisticalModel, S: GnsSpace, h: float = DEFAULT_H,
-                      rank_tol: float = numkit.RANK_TOL,
                       folium_tol: float = FOLIUM_TOL):
     """Coordinate vector of the GNS representer of the derivative functional.
 
     Solves ``<l | delta_b> = v_b`` for all basis elements b, i.e.
     ``gram l = conj(v)`` with v the derivative vector; the minimum-norm
-    solution is taken on the range of the Gram matrix.  The residual measures
-    how far the derivative leaves the folium of the base state.
+    solution on the range of the Gram matrix is ``Q Q† conj(v)`` for the
+    Gram-orthonormal quotient basis Q of ``S``.  The residual measures how far
+    the derivative leaves the folium of the base state.
     """
     if S.groupoid != M.groupoid:
         raise GroupoidMismatch("GNS space built on a different groupoid")
     v = derivative_vector(M, h=h)
-    ell, residual, _ = numkit.min_norm_solve(S.gram, np.conj(v), rank_tol=rank_tol)
+    Q, b = S.quotient_basis, np.conj(v)
+    ell = Q @ (Q.conj().T @ b)
+    residual = float(np.linalg.norm(S.gram @ ell - b))
     scale = 1.0 + float(np.abs(v).max(initial=0.0))
     if residual > folium_tol * scale:
         raise FoliumViolation(

@@ -2,10 +2,16 @@
 
 Every file carries ``"fmt": "cencov-ncp/1"``; unknown versions are rejected.
 Paths inside a file are resolved relative to the directory containing it.
+
+Loaders take an optional ``loaded`` map, resolved path -> FiniteGroupoid.  The
+CLI passes one map per invocation, so each groupoid file is read and validated
+once, and :func:`groupoid_ref` finds the file a loaded groupoid came from for
+the references in files written with ``-o``.  Parsed JSON is never kept.
 """
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Optional
 
@@ -47,21 +53,10 @@ def _resolve(base: Path, ref: str) -> Path:
     return p if p.is_absolute() else (base.parent / p)
 
 
-def detect_kind(path: str | Path) -> str:
-    """Classify a file by its distinguishing fields."""
-    data = _read_json(Path(path))
-    for field, kind in (
-        ("compose", "groupoid"),
-        ("phi_re", "state"),
-        ("coeff_re", "algebra"),
-        ("pi_re", "kernel"),
-        ("kraus", "kraus"),
-        ("K", "classical_kernel"),
-        ("states", "model"),
-    ):
-        if field in data:
-            return kind
-    raise SchemaError(f"{path}: unrecognized file contents")
+def _load(path: str | Path, build, loaded: Optional[dict]):
+    """Parse ``path`` once and build its object with ``build(path, data, loaded)``."""
+    path = Path(path)
+    return build(path, _read_json(path), {} if loaded is None else loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +81,7 @@ def _number_map(value) -> dict[str, float]:
     return {k: float(v) for k, v in value.items()}
 
 
-def load_groupoid(path: str | Path) -> FiniteGroupoid:
-    path = Path(path)
-    data = _read_json(path)
+def _groupoid(path: Path, data: dict, loaded: dict) -> FiniteGroupoid:
     try:
         compose = {(b, a): g for b, a, g in map(_labels, data["compose"])}
         spec = GroupoidSpec(
@@ -108,6 +101,15 @@ def load_groupoid(path: str | Path) -> FiniteGroupoid:
     return validate(spec)
 
 
+def load_groupoid(path: str | Path, loaded: Optional[dict] = None) -> FiniteGroupoid:
+    """The validated groupoid in ``path``, read once per ``loaded`` map."""
+    loaded = {} if loaded is None else loaded
+    key = Path(path).resolve()
+    if key not in loaded:
+        loaded[key] = _load(path, _groupoid, loaded)
+    return loaded[key]
+
+
 def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
     _write_json(Path(path), {
         "outcomes": list(G.outcomes),
@@ -123,16 +125,20 @@ def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
 
 
 def _referenced_groupoid(path: Path, data: dict, key: str, loaded: dict) -> FiniteGroupoid:
-    """Load the groupoid that ``data[key]`` refers to, once per resolved file
-    for the lifetime of ``loaded``."""
     ref = data.get(key)
     if not isinstance(ref, str):
         raise SchemaError(f"{path}: missing {key} reference")
-    file = _resolve(path, ref)
-    resolved = file.resolve()
-    if resolved not in loaded:
-        loaded[resolved] = load_groupoid(file)
-    return loaded[resolved]
+    return load_groupoid(_resolve(path, ref), loaded)
+
+
+def groupoid_ref(G: FiniteGroupoid, out: str | Path, loaded: dict) -> str:
+    """Reference from a file written to ``out`` to the file that ``G`` was
+    loaded from, found by identity in ``loaded``."""
+    file = next(p for p, H in loaded.items() if H is G)
+    try:
+        return os.path.relpath(file, Path(out).resolve().parent)
+    except ValueError:  # no relative path, e.g. across drives
+        return str(file)
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +172,21 @@ def _split_tables(labels, values: np.ndarray) -> tuple[dict, dict]:
     return re, im
 
 
-_STATE_KEYS = ("phi_re", "phi_im")
-
-
-def _read_coefficient_file(path: str | Path, keys: tuple[str, str], loaded: dict):
-    path = Path(path)
-    data = _read_json(path)
+def _coefficient_file(path: Path, data: dict, loaded: dict,
+                      keys: tuple[str, str] = ("phi_re", "phi_im")):
+    """``(groupoid, coefficients)``; the keys default to those of a state."""
     G = _referenced_groupoid(path, data, "groupoid", loaded)
     v = np.zeros(len(G.elements), dtype=complex)
-    return G, _add_coefficients(v, data, keys, G.index.get, path), data["groupoid"]
+    return G, _add_coefficients(v, data, keys, G.index.get, path)
 
 
-def load_state_file(path: str | Path):
-    """Returns ``(groupoid, phi, groupoid_ref)`` without validating the state."""
-    return _read_coefficient_file(path, _STATE_KEYS, {})
+def load_state_file(path: str | Path, loaded: Optional[dict] = None):
+    """Returns ``(groupoid, phi)`` without validating the state."""
+    return _load(path, _coefficient_file, loaded)
 
 
-def load_state(path: str | Path) -> State:
-    G, phi, _ = load_state_file(path)
-    return make_state(G, phi)
+def load_state(path: str | Path, loaded: Optional[dict] = None) -> State:
+    return make_state(*load_state_file(path, loaded))
 
 
 def save_state(rho: State, path: str | Path, groupoid_ref: str) -> None:
@@ -192,9 +194,12 @@ def save_state(rho: State, path: str | Path, groupoid_ref: str) -> None:
     _write_json(Path(path), {"groupoid": groupoid_ref, "phi_re": re, "phi_im": im})
 
 
-def load_algebra_element(path: str | Path) -> AlgebraElement:
-    G, c, _ = _read_coefficient_file(path, ("coeff_re", "coeff_im"), {})
-    return AlgebraElement(G, c)
+def _algebra_element(path: Path, data: dict, loaded: dict) -> AlgebraElement:
+    return AlgebraElement(*_coefficient_file(path, data, loaded, ("coeff_re", "coeff_im")))
+
+
+def load_algebra_element(path: str | Path, loaded: Optional[dict] = None) -> AlgebraElement:
+    return _load(path, _algebra_element, loaded)
 
 
 def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str) -> None:
@@ -206,10 +211,7 @@ def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str)
 # kernels
 # ---------------------------------------------------------------------------
 
-def load_kernel(path: str | Path) -> QuantumKernel:
-    path = Path(path)
-    data = _read_json(path)
-    loaded: dict = {}
+def _kernel(path: Path, data: dict, loaded: dict) -> QuantumKernel:
     g1 = _referenced_groupoid(path, data, "source_groupoid", loaded)
     g2 = _referenced_groupoid(path, data, "target_groupoid", loaded)
 
@@ -222,6 +224,10 @@ def load_kernel(path: str | Path) -> QuantumKernel:
     pi = np.zeros((len(g1.elements), len(g2.elements)), dtype=complex)
     _add_coefficients(pi, data, ("pi_re", "pi_im"), locate, path)
     return QuantumKernel(g1, g2, pi)
+
+
+def load_kernel(path: str | Path, loaded: Optional[dict] = None) -> QuantumKernel:
+    return _load(path, _kernel, loaded)
 
 
 def save_kernel(Pi: QuantumKernel, path: str | Path,
@@ -238,20 +244,22 @@ def save_kernel(Pi: QuantumKernel, path: str | Path,
     })
 
 
-def load_classical_kernel(path: str | Path) -> ClassicalKernel:
-    data = _read_json(Path(path))
+def _classical_kernel(path: Path, data: dict, loaded: dict) -> ClassicalKernel:
     try:
         return ClassicalKernel(np.array(data["K"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed classical kernel: {exc}") from exc
 
 
+def load_classical_kernel(path: str | Path) -> ClassicalKernel:
+    return _load(path, _classical_kernel, None)
+
+
 def save_classical_kernel(K: ClassicalKernel, path: str | Path) -> None:
     _write_json(Path(path), {"K": K.K.tolist()})
 
 
-def load_kraus(path: str | Path) -> list[np.ndarray]:
-    data = _read_json(Path(path))
+def _kraus(path: Path, data: dict, loaded: dict) -> list[np.ndarray]:
     ops = []
     try:
         for entry in data["kraus"]:
@@ -267,6 +275,10 @@ def load_kraus(path: str | Path) -> list[np.ndarray]:
     return ops
 
 
+def load_kraus(path: str | Path) -> list[np.ndarray]:
+    return _load(path, _kraus, None)
+
+
 def save_kraus(ops, path: str | Path) -> None:
     _write_json(Path(path), {
         "kraus": [{"re": np.real(a).tolist(), "im": np.imag(a).tolist()} for a in ops]
@@ -277,13 +289,7 @@ def save_kraus(ops, path: str | Path) -> None:
 # statistical models
 # ---------------------------------------------------------------------------
 
-def load_model(path: str | Path):
-    """Returns ``(model, audit_grid)`` with piecewise-cubic phi interpolation.
-
-    Interpolated states are re-validated on every curve evaluation.
-    """
-    path = Path(path)
-    data = _read_json(path)
+def _model(path: Path, data: dict, loaded: dict):
     try:
         s0 = float(data["s0"])
         lo, hi = (float(x) for x in data["interval"])
@@ -296,9 +302,8 @@ def load_model(path: str | Path):
 
     G: Optional[FiniteGroupoid] = None
     svals, phis = [], []
-    loaded: dict = {}
     for s, ref in entries:
-        Gs, phi, _ = _read_coefficient_file(_resolve(path, ref), _STATE_KEYS, loaded)
+        Gs, phi = load_state_file(_resolve(path, ref), loaded)
         if G is None:
             G = Gs
         elif Gs != G:
@@ -316,3 +321,45 @@ def load_model(path: str | Path):
 
     model = StatisticalModel(groupoid=G, curve=curve, s0=s0, interval=(lo, hi))
     return model, grid
+
+
+def load_model(path: str | Path, loaded: Optional[dict] = None):
+    """Returns ``(model, audit_grid)`` with piecewise-cubic phi interpolation.
+
+    Interpolated states are re-validated on every curve evaluation.
+    """
+    return _load(path, _model, loaded)
+
+
+# files of any kind: the field that marks each kind, in order of precedence,
+# and the function that builds what the kind's ``load_*`` function returns
+_KINDS = (
+    ("compose", "groupoid", _groupoid),
+    ("phi_re", "state", _coefficient_file),
+    ("coeff_re", "algebra", _algebra_element),
+    ("pi_re", "kernel", _kernel),
+    ("kraus", "kraus", _kraus),
+    ("K", "classical_kernel", _classical_kernel),
+    ("states", "model", _model),
+)
+
+
+def _kind(path: Path, data: dict):
+    for field, kind, build in _KINDS:
+        if field in data:
+            return kind, build
+    raise SchemaError(f"{path}: unrecognized file contents")
+
+
+def detect_kind(path: str | Path) -> str:
+    """Classify a file by its distinguishing fields."""
+    return _kind(path, _read_json(Path(path)))[0]
+
+
+def load_file(path: str | Path, loaded: Optional[dict] = None):
+    """Returns ``(kind, object)`` from one parse of a file of any kind; the
+    object is what the kind's ``load_*`` function returns."""
+    path = Path(path)
+    data = _read_json(path)
+    kind, build = _kind(path, data)
+    return kind, build(path, data, {} if loaded is None else loaded)

@@ -1,8 +1,7 @@
 """Dense complex linear algebra used by every other module.
 
 Thin, tolerance-aware wrappers around LAPACK (via numpy) for Hermitian
-eigenproblems, positive-semidefiniteness verdicts, and minimum-norm
-least-squares solves through a spectral pseudoinverse.
+eigenproblems, positive-semidefiniteness verdicts, and numerical rank.
 """
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotSquare
+from .errors import NoConvergence, NotHermitian, NotSquare
 
 EIG_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -65,32 +64,6 @@ def psd_verdict(H, psd_tol: float = PSD_TOL, eig_tol: float = EIG_TOL):
     lo = float(res.eigenvalues[0])
     radius = float(np.abs(res.eigenvalues).max())
     return lo >= -psd_tol * (1.0 + radius), lo
-
-
-def min_norm_solve(G, v, rank_tol: float = RANK_TOL):
-    """Minimum-norm solution of ``G x = v`` restricted to the range of G.
-
-    G must be square Hermitian PSD.  Eigenvalues below ``rank_tol * lambda_max``
-    are treated as exactly zero.  Returns ``(x, residual, rank)`` with
-    ``residual = ||G x - v||``.
-    """
-    M = _as_matrix(G)
-    b = np.asarray(v, dtype=complex).reshape(-1)
-    if b.shape[0] != M.shape[0]:
-        raise DimensionMismatch(
-            f"vector length {b.shape[0]} does not match matrix size {M.shape[0]}"
-        )
-    res = hermitian_eigen(M)
-    w, V = res.eigenvalues, res.eigenvectors
-    lam_max = float(np.abs(w).max()) if w.size else 0.0
-    keep = w > rank_tol * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
-    rank = int(np.count_nonzero(keep))
-    coeffs = V.conj().T @ b
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    x = V @ (inv * coeffs)
-    residual = float(np.linalg.norm(M @ x - b))
-    return x, residual, rank
 
 
 def matrix_rank_hermitian(rows: np.ndarray, rank_tol: float = RANK_TOL) -> int:

@@ -70,7 +70,7 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
             psd_ok = False
             fiber_min[x] = float("-inf")
             continue
-        ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL))
+        ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
         fiber_min[x] = lo
         psd_ok = psd_ok and ok
 
@@ -129,7 +129,7 @@ def make_density(D, tol: float = NORM_TOL) -> DensityMatrix:
         raise InvalidDensity("density matrix must be square")
     if np.abs(M - M.conj().T).max() > tol * (1.0 + np.abs(M).max()):
         raise InvalidDensity("density matrix is not Hermitian")
-    ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL))
+    ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
     if not ok:
         raise InvalidDensity(f"density matrix has negative eigenvalue {lo:.3e}")
     if abs(np.trace(M).real - 1.0) > tol:

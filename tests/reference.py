@@ -4,7 +4,8 @@ These are the string-keyed, element-by-element versions of the library's
 array code: the groupoid axioms, the modular function, fiber Gram matrices,
 convolution, involution, the regular representation, the GNS Gram matrix,
 the kernel axioms, the density-matrix dictionary, Kraus kernels and the Choi
-matrix.  They use only the string accessors of ``FiniteGroupoid``, so the
+matrix; plus the spectral minimum-norm solve that the Riesz representer in
+``estimation`` replaced by its projection onto the GNS quotient basis.  They use only the string accessors of ``FiniteGroupoid``, so the
 property tests in ``test_reference.py`` compare two independent
 implementations of each formula.
 """
@@ -23,6 +24,7 @@ from cencov_ncp.errors import (
     BadMeasure,
     BadWeight,
     CoherenceViolation,
+    DimensionMismatch,
     GroupoidMismatch,
     HomomorphismViolation,
     InverseViolation,
@@ -366,7 +368,7 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
             if M.size and np.abs(M - M.conj().T).max() > tol * (1 + np.abs(M).max()):
                 worst = -np.inf
                 continue
-            _, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL))
+            _, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
             worst = min(worst, lo)
         pos_min[x1] = float(worst)
         scale = 1.0 + float(np.abs(Pi.pi[G1.index[u], :]).max(initial=0.0))
@@ -493,3 +495,33 @@ def choi_matrix(Pi: QuantumKernel) -> np.ndarray:
             block = phi_star(E)
             C[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
     return C
+
+
+# ---------------------------------------------------------------------------
+# minimum-norm solve (oracle for the Riesz representer)
+# ---------------------------------------------------------------------------
+
+def min_norm_solve(G, v, rank_tol: float = numkit.RANK_TOL):
+    """Minimum-norm solution of ``G x = v`` restricted to the range of G.
+
+    G must be square Hermitian PSD.  Eigenvalues below ``rank_tol * lambda_max``
+    are treated as exactly zero.  Returns ``(x, residual, rank)`` with
+    ``residual = ||G x - v||``.
+    """
+    M = np.asarray(G, dtype=complex)
+    b = np.asarray(v, dtype=complex).reshape(-1)
+    if b.shape[0] != M.shape[0]:
+        raise DimensionMismatch(
+            f"vector length {b.shape[0]} does not match matrix size {M.shape[0]}"
+        )
+    res = numkit.hermitian_eigen(M)
+    w, V = res.eigenvalues, res.eigenvectors
+    lam_max = float(np.abs(w).max()) if w.size else 0.0
+    keep = w > rank_tol * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
+    rank = int(np.count_nonzero(keep))
+    coeffs = V.conj().T @ b
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / w[keep]
+    x = V @ (inv * coeffs)
+    residual = float(np.linalg.norm(M @ x - b))
+    return x, residual, rank
