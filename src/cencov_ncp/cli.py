@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
@@ -216,13 +215,7 @@ def pipeline(ctx, config, out):
 
     Config file: {"fmt": ..., "initial_state": path, "kernels": [paths]}.
     """
-    cfg_path = Path(config)
-    cfg = _guard(fileio._read_json, cfg_path)
-    try:
-        state_path = cfg_path.parent / cfg["initial_state"]
-        kernel_paths = [cfg_path.parent / k for k in cfg["kernels"]]
-    except (KeyError, TypeError) as exc:
-        _fail(EXIT_SCHEMA, f"{config}: malformed pipeline config: {exc}")
+    state_path, kernel_paths = _guard(fileio.load_pipeline, config)
     loaded = ctx.obj["loaded"]
     rho = _guard(fileio.load_state, state_path, loaded)
     stages = []

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .algebra import AlgebraElement
 from .channels import ClassicalKernel, QuantumKernel
@@ -290,6 +289,7 @@ def save_kraus(ops, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _model(path: Path, data: dict, loaded: dict):
+    from scipy.interpolate import CubicSpline  # slow to import; only models need it
     try:
         s0 = float(data["s0"])
         lo, hi = (float(x) for x in data["interval"])
@@ -329,6 +329,18 @@ def load_model(path: str | Path, loaded: Optional[dict] = None):
     Interpolated states are re-validated on every curve evaluation.
     """
     return _load(path, _model, loaded)
+
+
+def load_pipeline(path: str | Path):
+    """``(initial state path, kernel paths)`` of a pipeline config, which is not a kind."""
+    path = Path(path)
+    data = _read_json(path)
+    state, kernels = data.get("initial_state"), data.get("kernels")
+    if not isinstance(state, str):
+        raise SchemaError(f"{path}: 'initial_state' must be a file name")
+    if not isinstance(kernels, list) or not all(isinstance(k, str) for k in kernels):
+        raise SchemaError(f"{path}: 'kernels' must be a list of file names")
+    return _resolve(path, state), [_resolve(path, k) for k in kernels]
 
 
 # files of any kind: the field that marks each kind, in order of precedence,

@@ -184,6 +184,20 @@ class FiniteGroupoid:
         return b, a, C[b, a].astype(np.intp)
 
     @cached_property
+    def fiber_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Target fibers by size s: the outcomes ``xs`` (k,) with fibers of s
+        elements, and ``T[i, k, l]`` = ``inv(a_k) o a_l`` over the fiber of
+        ``xs[i]`` in canonical order, so ``phi[T]`` stacks its fiber Grams."""
+        sizes = np.bincount(self.tgt)
+        blocks = []
+        for s in np.unique(sizes):
+            fibers = np.flatnonzero(sizes[self.tgt] == s)
+            F = fibers[np.argsort(self.tgt[fibers], kind="stable")].reshape(-1, s)
+            T = self.compose_ix[self.inv_ix[F][:, :, None], F[:, None, :]]
+            blocks.append((np.flatnonzero(sizes == s), T))
+        return tuple(blocks)
+
+    @cached_property
     def pair_grid(self) -> Optional[np.ndarray]:
         """``E[y, x]`` = index of the transition x -> y for a pair groupoid, else None."""
         n = len(self.outcomes)
@@ -499,15 +513,8 @@ def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
 
 
 # ---------------------------------------------------------------------------
-# pair-groupoid structure detection
+# uniform outcome measure (the matrix picture's condition)
 # ---------------------------------------------------------------------------
-
-def pair_structure(G: FiniteGroupoid) -> Optional[dict[tuple[str, str], str]]:
-    """Map ``(target, source) -> element`` when G is a pair groupoid, else None."""
-    if G.pair_grid is None:
-        return None
-    return {(G.target[a], G.source[a]): a for a in G.elements}
-
 
 def has_uniform_P(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
     return bool(np.all(np.abs(G.P_vec - 1.0 / len(G.outcomes)) <= tol))

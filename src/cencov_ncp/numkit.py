@@ -24,22 +24,17 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def _as_matrix(H) -> np.ndarray:
-    M = np.asarray(H, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NotHermitian("matrix contains non-finite entries")
-    return M
-
-
 def hermitian_eigen(H, eig_tol: float = EIG_TOL) -> EigenResult:
     """Eigendecompose a Hermitian matrix, ascending eigenvalues.
 
     Raises NotHermitian when the max asymmetry exceeds
     ``eig_tol * (1 + max|H|)``.
     """
-    M = _as_matrix(H)
+    M = np.asarray(H, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise NotHermitian("matrix contains non-finite entries")
     scale = 1.0 + (np.abs(M).max() if M.size else 0.0)
     asym = np.abs(M - M.conj().T).max() if M.size else 0.0
     if asym > eig_tol * scale:
@@ -48,8 +43,7 @@ def hermitian_eigen(H, eig_tol: float = EIG_TOL) -> EigenResult:
         w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(w, kind="stable")
-    return EigenResult(eigenvalues=w[order], eigenvectors=V[:, order])
+    return EigenResult(eigenvalues=w, eigenvectors=V)
 
 
 def psd_verdict(H, psd_tol: float = PSD_TOL, eig_tol: float = EIG_TOL):
@@ -66,6 +60,25 @@ def psd_verdict(H, psd_tol: float = PSD_TOL, eig_tol: float = EIG_TOL):
     return lo >= -psd_tol * (1.0 + radius), lo
 
 
+def psd_verdicts(H, tol: float, scale=None):
+    """:func:`psd_verdict` with ``eig_tol = tol``, ``psd_tol = max(tol, PSD_TOL)``
+    on each matrix of a (k, s, s) stack, by one eigensolve; a matrix past the
+    asymmetry bound gets ``(False, -inf)``, and ``scale`` if given replaces
+    each ``1 + spectral radius`` in the PSD bound."""
+    H = np.asarray(H, dtype=complex)
+    Ht = H.conj().swapaxes(1, 2)
+    herm = ~(np.abs(H - Ht).max(axis=(1, 2)) > tol * (1.0 + np.abs(H).max(axis=(1, 2))))
+    if not np.isfinite(H[herm]).all():
+        raise NotHermitian("matrix contains non-finite entries")
+    try:
+        w = np.linalg.eigvalsh((H[herm] + Ht[herm]) / 2.0)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
+        raise NoConvergence(str(exc)) from exc
+    lo, radius = np.full(len(H), -np.inf), np.zeros(len(H))
+    lo[herm], radius[herm] = w[:, 0], np.abs(w).max(axis=1)
+    return lo >= -max(tol, PSD_TOL) * (1.0 + radius if scale is None else scale), lo
+
+
 def matrix_rank_hermitian(rows: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     """Rank of a (possibly rectangular) stack of row vectors.
 
@@ -73,11 +86,5 @@ def matrix_rank_hermitian(rows: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     so it only relies on :func:`hermitian_eigen`.
     """
     A = np.asarray(rows, dtype=complex)
-    if A.size == 0:
-        return 0
-    gram = A @ A.conj().T
-    w = hermitian_eigen(gram).eigenvalues
-    lam_max = float(np.abs(w).max())
-    if lam_max == 0.0:
-        return 0
-    return int(np.count_nonzero(w > rank_tol * lam_max))
+    w = hermitian_eigen(A @ A.conj().T).eigenvalues
+    return int(np.count_nonzero(w > rank_tol * np.abs(w).max(initial=0.0)))

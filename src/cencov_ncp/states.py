@@ -54,33 +54,28 @@ def fiber_gram(G: FiniteGroupoid, phi: np.ndarray, x: str) -> np.ndarray:
     return np.asarray(phi, dtype=complex)[G.compose_ix[np.ix_(G.inv_ix[fiber], fiber)]]
 
 
+def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, scale=None):
+    """:func:`numkit.psd_verdicts` of the target-fiber Grams of the array phi,
+    in outcome order; one eigensolve per distinct fiber size."""
+    ok, lo = np.empty(len(G.outcomes), dtype=bool), np.empty(len(G.outcomes))
+    for xs, T in G.fiber_blocks:
+        ok[xs], lo[xs] = numkit.psd_verdicts(phi[T], tol, scale)
+    return ok, lo
+
+
 def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
     """Report positive definiteness, normalization, and hermitian symmetry."""
     v = np.asarray(phi, dtype=complex).reshape(-1)
     if v.shape[0] != len(G.elements):
         raise GroupoidMismatch("phi length does not match groupoid")
-
-    fiber_min: dict[str, float] = {}
-    psd_ok = True
-    for x in G.outcomes:
-        M = fiber_gram(G, v, x)
-        herm_dev = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
-        scale = 1.0 + (float(np.abs(M).max()) if M.size else 0.0)
-        if herm_dev > tol * scale:
-            psd_ok = False
-            fiber_min[x] = float("-inf")
-            continue
-        ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
-        fiber_min[x] = lo
-        psd_ok = psd_ok and ok
-
+    psd, fiber_min = fiber_psd_verdicts(G, v, tol)
     norm_deficit = abs(complex(v[G.unit_ix] @ G.P_vec) - 1.0)
     sym_deficit = float(np.abs(v[G.inv_ix] - np.conj(v)).max())
     return StateReport(
-        fiber_min_eigenvalue=fiber_min,
+        fiber_min_eigenvalue=dict(zip(G.outcomes, fiber_min.tolist())),
         normalization_deficit=float(norm_deficit),
         symmetry_deficit=sym_deficit,
-        psd_ok=psd_ok,
+        psd_ok=bool(psd.all()),
         normalization_ok=norm_deficit <= tol,
         symmetry_ok=sym_deficit <= max(tol, 1e-9),
     )
@@ -127,9 +122,9 @@ def make_density(D, tol: float = NORM_TOL) -> DensityMatrix:
     M = np.asarray(D, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidDensity("density matrix must be square")
-    if np.abs(M - M.conj().T).max() > tol * (1.0 + np.abs(M).max()):
+    (ok,), (lo,) = numkit.psd_verdicts(M[None], tol)
+    if lo == -np.inf:
         raise InvalidDensity("density matrix is not Hermitian")
-    ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
     if not ok:
         raise InvalidDensity(f"density matrix has negative eigenvalue {lo:.3e}")
     if abs(np.trace(M).real - 1.0) > tol:

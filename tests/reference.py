@@ -2,12 +2,14 @@
 
 These are the string-keyed, element-by-element versions of the library's
 array code: the groupoid axioms, the modular function, fiber Gram matrices,
-convolution, involution, the regular representation, the GNS Gram matrix,
-the kernel axioms, the density-matrix dictionary, Kraus kernels and the Choi
+the state check and the kernel axioms with one eigensolve per target fiber,
+the density check, convolution, involution, the regular representation, the
+GNS Gram matrix, the density-matrix dictionary, Kraus kernels and the Choi
 matrix; plus the spectral minimum-norm solve that the Riesz representer in
-``estimation`` replaced by its projection onto the GNS quotient basis.  They use only the string accessors of ``FiniteGroupoid``, so the
-property tests in ``test_reference.py`` compare two independent
-implementations of each formula.
+``estimation`` replaced by its projection onto the GNS quotient basis.  They
+use only the string accessors of ``FiniteGroupoid``, so the property tests in
+``test_reference.py`` compare two independent implementations of each
+formula.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from cencov_ncp.errors import (
     DimensionMismatch,
     GroupoidMismatch,
     HomomorphismViolation,
+    InvalidDensity,
     InverseViolation,
     NonTracePreserving,
     NonUniformP,
@@ -35,9 +38,10 @@ from cencov_ncp.errors import (
     UnitViolation,
 )
 from cencov_ncp.groupoid import MEASURE_TOL, FiniteGroupoid, GroupoidSpec
-from cencov_ncp.states import DensityMatrix, State, make_density, make_state
+from cencov_ncp.states import DensityMatrix, State, StateReport, make_state
 
 KERNEL_TOL = 1e-9
+NORM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,51 @@ def fiber_gram(G: FiniteGroupoid, phi: np.ndarray, x: str) -> np.ndarray:
     return M
 
 
+def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
+    """Report positive definiteness, normalization, and hermitian symmetry,
+    deciding one target fiber at a time."""
+    v = np.asarray(phi, dtype=complex).reshape(-1)
+    if v.shape[0] != len(G.elements):
+        raise GroupoidMismatch("phi length does not match groupoid")
+
+    fiber_min: dict[str, float] = {}
+    psd_ok = True
+    for x in G.outcomes:
+        M = fiber_gram(G, v, x)
+        herm_dev = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
+        scale = 1.0 + (float(np.abs(M).max()) if M.size else 0.0)
+        if herm_dev > tol * scale:
+            psd_ok = False
+            fiber_min[x] = float("-inf")
+            continue
+        ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
+        fiber_min[x] = lo
+        psd_ok = psd_ok and ok
+
+    norm_deficit = abs(sum(v[G.index[G.unit_of[x]]] * G.P[x] for x in G.outcomes) - 1.0)
+    sym_deficit = max(abs(v[G.index[G.inv(a)]] - np.conj(v[G.index[a]])) for a in G.elements)
+    return StateReport(
+        fiber_min_eigenvalue=fiber_min,
+        normalization_deficit=float(norm_deficit),
+        symmetry_deficit=float(sym_deficit),
+        psd_ok=psd_ok,
+        normalization_ok=norm_deficit <= tol,
+        symmetry_ok=sym_deficit <= max(tol, 1e-9),
+    )
+
+
+def make_density(D, tol: float = NORM_TOL) -> DensityMatrix:
+    M = np.asarray(D, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InvalidDensity("density matrix must be square")
+    if np.abs(M - M.conj().T).max() > tol * (1.0 + np.abs(M).max()):
+        raise InvalidDensity("density matrix is not Hermitian")
+    ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
+    if not ok:
+        raise InvalidDensity(f"density matrix has negative eigenvalue {lo:.3e}")
+    if abs(np.trace(M).real - 1.0) > tol:
+        raise InvalidDensity(f"density matrix trace is {np.trace(M).real}")
+    return DensityMatrix(M.copy())
 
 
 def _same_groupoid(a: AlgebraElement, b: AlgebraElement) -> FiniteGroupoid:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -160,6 +163,24 @@ def test_pipeline(runner, fixture_dir):
     assert len(data["stages"]) == 2
     assert all(s["normalization_deficit"] < 1e-9 for s in data["stages"])
     fileio.load_state(out)  # output is a valid state file
+
+
+def test_pipeline_stage_kernels_are_config_relative_paths(runner, fixture_dir):
+    cfg = fixture_dir / "pipe.json"
+    r = invoke(runner, "--json", "pipeline", cfg)
+    kernels = json.loads(cfg.read_text())["kernels"]
+    assert [s["kernel"] for s in jout(r, "pipeline")["stages"]] == [
+        str(fixture_dir / k) for k in kernels]
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    """Only model files need scipy.interpolate, whose import dominates the
+    package's import time."""
+    src = str(Path(c.__file__).resolve().parents[1])
+    code = "import sys, cencov_ncp.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "False"
 
 
 def test_gns_command(runner, fixture_dir):

@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from cencov_ncp import fileio
 from cencov_ncp.cli import main
 
 
@@ -33,3 +34,21 @@ def test_malformed_file_exits_2(fixture_dir, case):
     # an exception other than the exit propagates out of invoke and fails the test
     result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
     assert result.exit_code == 2
+
+
+PIPELINES = {
+    "missing-kernels": {"initial_state": "rho.json"},
+    "string-kernels": {"initial_state": "rho.json", "kernels": "idk.json"},
+    "non-string-kernel": {"initial_state": "rho.json", "kernels": ["idk.json", 3]},
+    "non-string-state": {"initial_state": ["rho.json"], "kernels": ["idk.json"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINES))
+def test_malformed_pipeline_config_exits_2(fixture_dir, case):
+    cfg = fixture_dir / "bad-pipeline.json"
+    cfg.write_text(json.dumps({"fmt": fileio.FMT, **PIPELINES[case]}))
+    result = CliRunner().invoke(main, ["pipeline", str(cfg)], catch_exceptions=False)
+    assert result.exit_code == 2
+    key = "initial_state" if case == "non-string-state" else "kernels"
+    assert f"{cfg}: '{key}' must be" in result.output

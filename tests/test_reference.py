@@ -114,29 +114,146 @@ def test_fiber_gram_and_gram_matrix(G, data):
     phi = vectors(data.draw, len(G.elements))
     for x in G.outcomes:
         assert close(c.fiber_gram(G, phi, x), ref.fiber_gram(G, phi, x))
+    for xs, T in G.fiber_blocks:
+        for i, M in zip(xs, phi[T]):
+            assert close(M, ref.fiber_gram(G, phi, G.outcomes[i]))
+    assert sorted(np.concatenate([xs for xs, _ in G.fiber_blocks])) == list(range(len(G.outcomes)))
     rho = State(G, phi)
     assert close(c.gram_matrix(rho), ref.gram_matrix(rho))
+
+
+def same_minima(new: dict, old: dict):
+    """Same outcome keys in the same order, -inf at the same outcomes, and the
+    finite minima within ``close``."""
+    assert list(new) == list(old)
+    a, b = np.array(list(new.values())), np.array(list(old.values()))
+    assert (np.isneginf(a) == np.isneginf(b)).all()
+    assert close(a[~np.isneginf(b)], b[~np.isneginf(b)])
 
 
 def same_report(new, old):
     assert close(new.normalization_deficit, old.normalization_deficit)
     assert close(new.hermiticity_deficit, old.hermiticity_deficit)
-    assert list(new.positivity_min_eigenvalue) == list(old.positivity_min_eigenvalue)
-    for x, lo in old.positivity_min_eigenvalue.items():
-        assert new.positivity_min_eigenvalue[x] == lo or close(new.positivity_min_eigenvalue[x], lo)
+    same_minima(new.positivity_min_eigenvalue, old.positivity_min_eigenvalue)
     assert (new.normalization_ok, new.positivity_ok, new.hermiticity_ok) == (
         old.normalization_ok, old.positivity_ok, old.hermiticity_ok)
 
 
+def same_state_report(new, old):
+    same_minima(new.fiber_min_eigenvalue, old.fiber_min_eigenvalue)
+    assert close(new.normalization_deficit, old.normalization_deficit)
+    assert close(new.symmetry_deficit, old.symmetry_deficit)
+    assert (new.psd_ok, new.normalization_ok, new.symmetry_ok) == (
+        old.psd_ok, old.normalization_ok, old.symmetry_ok)
+
+
+def hermitian_rows(G, rows):
+    """Project each row onto the phi with ``phi(inv(a)) = conj(phi(a))``, whose
+    fiber Grams are Hermitian."""
+    return (rows + np.conj(rows[..., G.inv_ix])) / 2.0
+
+
+tols = st.sampled_from([1e-12, 1e-9, 1e-6])
+
+
 @SETTINGS
-@given(groupoids(), groupoids(), st.data())
-def test_kernel_axioms(G1, G2, data):
+@given(groupoids(), st.sampled_from(["complex", "hermitian", "near", "shifted"]), tols,
+       st.data())
+def test_check_state(G, kind, tol, data):
+    """Arbitrary complex phi (non-Hermitian fibers report -inf), Hermitian phi
+    (rarely PSD), Hermitian phi with asymmetry noise below the tolerance (the
+    fibers are symmetrized before the eigensolve), and Hermitian phi plus c on
+    the units, which adds c I to every fiber Gram (PSD once c passes the most
+    negative eigenvalue)."""
+    phi = vectors(data.draw, len(G.elements))
+    if kind != "complex":
+        phi = hermitian_rows(G, phi)
+    if kind == "near":
+        phi += 1e-3 * tol * vectors(data.draw, len(G.elements))
+    if kind == "shifted":
+        phi[G.unit_ix] += data.draw(st.floats(0.0, 8.0))
+    same_state_report(c.check_state(phi, G, tol), ref.check_state(phi, G, tol))
+
+
+@pytest.mark.parametrize("kind, phi, tol, verdict", [
+    # a fiber Gram [-5e-9] next to a fiber [100]: below -PSD_TOL * (1 + its
+    # spectral radius), so not PSD in a state, but above -PSD_TOL * (1 +
+    # max|phi|), so a positive kernel row
+    ("state", [100.0, -5e-9], 1e-9, False),
+    ("kernel", [100.0, -5e-9], 1e-9, True),
+    # below -tol but above -PSD_TOL: the PSD bound never drops under PSD_TOL
+    ("state", [1.0, -5e-10], 1e-12, True),
+    ("kernel", [1.0, -5e-10], 1e-12, True),
+])
+def test_psd_bound_scale_and_floor(kind, phi, tol, verdict):
+    G = c.trivial_groupoid(2)
+    phi = np.array(phi, dtype=complex)
+    if kind == "state":
+        new, old = c.check_state(phi, G, tol), ref.check_state(phi, G, tol)
+        same_state_report(new, old)
+        assert new.psd_ok is verdict
+        assert min(new.fiber_min_eigenvalue.values()) == phi[1].real
+    else:
+        Pi = c.QuantumKernel(c.trivial_groupoid(1), G, phi[None, :])
+        new, old = c.validate_kernel(Pi, tol), ref.validate_kernel(Pi, tol)
+        same_report(new, old)
+        assert new.positivity_ok is verdict
+        assert new.positivity_min_eigenvalue["1"] == phi[1].real
+
+
+def test_non_finite_phi_raises_like_the_reference():
+    G = c.disjoint_union(c.pair_groupoid(2), c.cyclic_group_groupoid(3), 0.5)
+    phi = np.ones(len(G.elements), dtype=complex)
+    for bad in (np.nan, np.inf):
+        phi[-1] = bad
+        assert outcome(c.check_state, phi, G)[0] is outcome(ref.check_state, phi, G)[0] \
+            is c.NotHermitian
+
+
+def density_outcome(fn, M):
+    """``(message without its trailing number, None)`` or ``(None, result)``."""
+    try:
+        return None, fn(M)
+    except c.InvalidDensity as exc:
+        return str(exc).rsplit(" ", 1)[0], None
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.sampled_from(["density", "hermitian", "complex", "shifted"]),
+       st.data())
+def test_make_density(n, kind, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "density":
+        M = M @ M.conj().T / np.trace(M @ M.conj().T).real
+    elif kind != "complex":
+        M = (M + M.conj().T) / 2.0
+        if kind == "shifted":  # unit trace, PSD only for a large enough shift
+            M += np.eye(n) * data.draw(st.floats(0.0, 4.0))
+            M += np.eye(n) * (1.0 - np.trace(M).real) / n
+    (new_msg, new), (old_msg, old) = density_outcome(c.make_density, M), \
+        density_outcome(ref.make_density, M)
+    assert new_msg == old_msg
+    if old_msg is None:
+        assert close(new.matrix, old.matrix)
+
+
+@SETTINGS
+@given(groupoids(), groupoids(), tols, st.data())
+def test_kernel_axioms(G1, G2, tol, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shape = (len(G1.elements), len(G2.elements))
     Pi = c.QuantumKernel(G1, G2, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    same_report(c.validate_kernel(Pi), ref.validate_kernel(Pi))
+    same_report(c.validate_kernel(Pi, tol), ref.validate_kernel(Pi, tol))
     Id = c.identity_kernel(G1)
-    same_report(c.validate_kernel(Id), ref.validate_kernel(Id))
+    same_report(c.validate_kernel(Id, tol), ref.validate_kernel(Id, tol))
+    # unit rows Hermitian but not always PSD: the identity plus a Hermitian
+    # perturbation, small enough for the row tolerance or not
+    n = len(G1.elements)
+    H = hermitian_rows(G1, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    eps = data.draw(st.sampled_from([1e-13, 1e-11, 1e-6, 1e-2, 1.0]))
+    Pert = c.QuantumKernel(G1, G1, Id.pi + eps * H)
+    same_report(c.validate_kernel(Pert, tol), ref.validate_kernel(Pert, tol))
 
 
 @SETTINGS

@@ -117,3 +117,19 @@ def test_random_classical_states(ps):
     rho = classical_state(G, p)
     dist = outcome_distribution(rho)
     assert np.abs(np.array([dist[x] for x in G.outcomes]) - p).max() < 1e-12
+
+
+def test_one_eigensolve_per_fiber_size(monkeypatch):
+    """check_state makes one eigvalsh call per distinct fiber size, and
+    validate_kernel that many per unit of the source groupoid."""
+    G = c.disjoint_union(c.pair_groupoid(2), c.cyclic_group_groupoid(3), 0.5)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: calls.append(H.shape) or eigvalsh(H))
+    phi = np.zeros(len(G.elements), dtype=complex)
+    phi[G.unit_ix] = 1.0  # every fiber Gram is the identity
+    assert check_state(phi, G).psd_ok
+    assert sorted(calls) == [(1, 3, 3), (2, 2, 2)]
+    calls.clear()
+    assert c.validate_kernel(c.identity_kernel(G)).positivity_ok
+    assert len(calls) == len(G.outcomes) * 2
