@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -144,23 +145,43 @@ def groupoid_ref(G: FiniteGroupoid, out: str | Path, loaded: dict) -> str:
 # coefficient functions (states and observables)
 # ---------------------------------------------------------------------------
 
-def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], locate,
+def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indices,
                       path: Path) -> np.ndarray:
     """Add the real and imaginary tables ``data[keys[0]]``, ``data[keys[1]]``
-    into ``out``; ``locate`` maps a label to an index of ``out``, or None."""
+    into ``out``; ``indices(labels)`` maps a collection of labels to an index
+    of ``out`` and raises KeyError if one of them names no entry."""
     for key, factor in zip(keys, (1.0, 1j)):
         table = data.get(key, {})
         if not isinstance(table, dict):
             raise SchemaError(f"{path}: {key} must be an object")
-        for label, val in table.items():
-            i = locate(label)
-            if i is None:
-                raise SchemaError(f"{path}: unknown {key} key {label!r}")
-            try:
-                out[i] += factor * float(val)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}: {key}[{label!r}] is not a number") from exc
+        if not table:
+            continue
+        try:
+            # float, unlike np.array, rejects null instead of reading it as NaN
+            out[indices(table)] += factor * np.array(list(map(float, table.values())))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            _raise_first_bad_entry(table, key, indices, path)
+            raise
     return out
+
+
+def _raise_first_bad_entry(table: dict, key: str, indices, path: Path) -> None:
+    """Name the first entry of ``table`` with an unknown label or a value that
+    is not a number."""
+    for label, val in table.items():
+        try:
+            indices((label,))
+        except KeyError:
+            raise SchemaError(f"{path}: unknown {key} key {label!r}") from None
+        try:
+            float(val)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{path}: {key}[{label!r}] is not a number") from exc
+
+
+def _lookup(index: dict):
+    """Labels -> list of their indices in ``index``; KeyError on an unknown label."""
+    return lambda labels: list(map(index.__getitem__, labels))
 
 
 def _split_tables(labels, values: np.ndarray) -> tuple[dict, dict]:
@@ -176,7 +197,7 @@ def _coefficient_file(path: Path, data: dict, loaded: dict,
     """``(groupoid, coefficients)``; the keys default to those of a state."""
     G = _referenced_groupoid(path, data, "groupoid", loaded)
     v = np.zeros(len(G.elements), dtype=complex)
-    return G, _add_coefficients(v, data, keys, G.index.get, path)
+    return G, _add_coefficients(v, data, keys, _lookup(G.index), path)
 
 
 def load_state_file(path: str | Path, loaded: Optional[dict] = None):
@@ -214,14 +235,18 @@ def _kernel(path: Path, data: dict, loaded: dict) -> QuantumKernel:
     g1 = _referenced_groupoid(path, data, "source_groupoid", loaded)
     g2 = _referenced_groupoid(path, data, "target_groupoid", loaded)
 
-    def locate(key: str):
-        parts = key.split("|")
-        if len(parts) == 2 and parts[0] in g1.index and parts[1] in g2.index:
-            return g1.index[parts[0]], g2.index[parts[1]]
-        return None
+    rows, cols = _lookup(g1.index), _lookup(g2.index)
+
+    def indices(labels):
+        """``a|b`` labels -> (rows, cols).  Each label holds exactly one bar iff
+        each holds at least one and their join splits into twice as many parts."""
+        parts = "|".join(labels).split("|")
+        if len(parts) != 2 * len(labels) or not all(map(str.__contains__, labels, repeat("|"))):
+            raise KeyError("|")
+        return rows(parts[0::2]), cols(parts[1::2])
 
     pi = np.zeros((len(g1.elements), len(g2.elements)), dtype=complex)
-    _add_coefficients(pi, data, ("pi_re", "pi_im"), locate, path)
+    _add_coefficients(pi, data, ("pi_re", "pi_im"), indices, path)
     return QuantumKernel(g1, g2, pi)
 
 
@@ -288,8 +313,40 @@ def save_kraus(ops, path: str | Path) -> None:
 # statistical models
 # ---------------------------------------------------------------------------
 
+def _cubic(x: np.ndarray, y: np.ndarray):
+    """Piecewise-cubic interpolant of the rows of ``y`` (K, n) at the strictly
+    increasing knots ``x`` (K,): natural ends below four knots, not-a-knot ends
+    from four up (de Boor, *A Practical Guide to Splines*, ch. IV).  Outside
+    the knots it continues the end cubics."""
+    K, h = len(x), np.diff(x)
+    slope = np.diff(y, axis=0) / h[:, None]
+    # second derivatives M at the knots: continuity of the first derivative
+    # at the interior knots, plus one end condition at each end
+    A = np.zeros((K, K))
+    i = np.arange(1, K - 1)
+    A[i, i - 1], A[i, i], A[i, i + 1] = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
+    if K < 4:  # natural: M = 0 at both ends
+        A[0, 0] = A[-1, -1] = 1.0
+    else:  # not-a-knot: one cubic across x[1] and one across x[-2]
+        A[0, :3] = h[1], -(h[0] + h[1]), h[0]
+        A[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
+    rhs = np.zeros_like(y)
+    rhs[1:-1] = 6.0 * np.diff(slope, axis=0)
+    M = np.linalg.solve(A, rhs)
+    # on [x_j, x_j+1] with t = s - x_j: y_j + t (c1 + t (c2 + t c3))
+    c1 = slope - h[:, None] * (2.0 * M[:-1] + M[1:]) / 6.0
+    c2 = M[:-1] / 2.0
+    c3 = np.diff(M, axis=0) / (6.0 * h[:, None])
+
+    def at(s: float) -> np.ndarray:
+        j = min(max(int(np.searchsorted(x, s, side="right")) - 1, 0), K - 2)
+        t = s - x[j]
+        return y[j] + t * (c1[j] + t * (c2[j] + t * c3[j]))
+
+    return at
+
+
 def _model(path: Path, data: dict, loaded: dict):
-    from scipy.interpolate import CubicSpline  # slow to import; only models need it
     try:
         s0 = float(data["s0"])
         lo, hi = (float(x) for x in data["interval"])
@@ -299,25 +356,23 @@ def _model(path: Path, data: dict, loaded: dict):
         raise SchemaError(f"{path}: malformed model file: {exc}") from exc
     if len(entries) < 2:
         raise SchemaError(f"{path}: need at least two grid states")
+    svals = np.array([s for s, _ in entries])
+    if not (np.isfinite(svals).all() and (np.diff(svals) > 0).all()):
+        raise SchemaError(f"{path}: grid parameters must be finite and distinct")
 
     G: Optional[FiniteGroupoid] = None
-    svals, phis = [], []
-    for s, ref in entries:
+    phis = []
+    for _, ref in entries:
         Gs, phi = load_state_file(_resolve(path, ref), loaded)
         if G is None:
             G = Gs
         elif Gs != G:
             raise SchemaError(f"{path}: grid states live on different groupoids")
-        svals.append(s)
         phis.append(phi)
-    svals = np.array(svals)
-    phis = np.array(phis)
-    bc = "natural" if len(svals) < 4 else "not-a-knot"
-    spline_re = CubicSpline(svals, phis.real, axis=0, bc_type=bc)
-    spline_im = CubicSpline(svals, phis.imag, axis=0, bc_type=bc)
+    phi_at = _cubic(svals, np.array(phis))
 
     def curve(s: float) -> State:
-        return make_state(G, spline_re(s) + 1j * spline_im(s))
+        return make_state(G, phi_at(s))
 
     model = StatisticalModel(groupoid=G, curve=curve, s0=s0, interval=(lo, hi))
     return model, grid

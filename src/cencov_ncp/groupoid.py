@@ -190,7 +190,8 @@ class FiniteGroupoid:
         ``xs[i]`` in canonical order, so ``phi[T]`` stacks its fiber Grams."""
         sizes = np.bincount(self.tgt)
         blocks = []
-        for s in np.unique(sizes):
+        # the distinct sizes, ascending; np.unique would import numpy.ma
+        for s in np.flatnonzero(np.bincount(sizes)):
             fibers = np.flatnonzero(sizes[self.tgt] == s)
             F = fibers[np.argsort(self.tgt[fibers], kind="stable")].reshape(-1, s)
             T = self.compose_ix[self.inv_ix[F][:, :, None], F[:, None, :]]

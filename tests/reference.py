@@ -5,9 +5,11 @@ array code: the groupoid axioms, the modular function, fiber Gram matrices,
 the state check and the kernel axioms with one eigensolve per target fiber,
 the density check, convolution, involution, the regular representation, the
 GNS Gram matrix, the density-matrix dictionary, Kraus kernels and the Choi
-matrix; plus the spectral minimum-norm solve that the Riesz representer in
-``estimation`` replaced by its projection onto the GNS quotient basis.  They
-use only the string accessors of ``FiniteGroupoid``, so the property tests in
+matrix; the spectral minimum-norm solve that the Riesz representer in
+``estimation`` replaced by its projection onto the GNS quotient basis; and
+the two scipy ``CubicSpline`` fits that model files were interpolated with
+before ``fileio`` had its own cubic.  The groupoid oracles use only the
+string accessors of ``FiniteGroupoid``, so the property tests in
 ``test_reference.py`` compare two independent implementations of each
 formula.
 """
@@ -17,6 +19,7 @@ import math
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from cencov_ncp import numkit
 from cencov_ncp.algebra import AlgebraElement
@@ -574,3 +577,17 @@ def min_norm_solve(G, v, rank_tol: float = numkit.RANK_TOL):
     x = V @ (inv * coeffs)
     residual = float(np.linalg.norm(M @ x - b))
     return x, residual, rank
+
+
+# ---------------------------------------------------------------------------
+# model interpolation (oracle for fileio's cubic interpolant)
+# ---------------------------------------------------------------------------
+
+def cubic_interpolant(x: np.ndarray, y: np.ndarray) -> Callable[[float], np.ndarray]:
+    """Interpolant of the complex rows ``y`` (K, n) at the knots ``x``: one
+    scipy spline for the real parts and one for the imaginary parts, natural
+    below four knots and not-a-knot from four up."""
+    bc = "natural" if len(x) < 4 else "not-a-knot"
+    re = CubicSpline(x, y.real, axis=0, bc_type=bc)
+    im = CubicSpline(x, y.imag, axis=0, bc_type=bc)
+    return lambda s: re(s) + 1j * im(s)

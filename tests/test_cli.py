@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -173,14 +174,33 @@ def test_pipeline_stage_kernels_are_config_relative_paths(runner, fixture_dir):
         str(fixture_dir / k) for k in kernels]
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    """Only model files need scipy.interpolate, whose import dominates the
-    package's import time."""
+def test_commands_run_without_scipy_or_numpy_ma(fixture_dir):
+    """No command needs scipy, and none pays for the lazy numpy.ma import."""
     src = str(Path(c.__file__).resolve().parents[1])
-    code = "import sys, cencov_ncp.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, cwd=src)
-    assert out.stdout.strip() == "False"
+    code = textwrap.dedent("""
+        import json, sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
+        from cencov_ncp.cli import main
+        codes = []
+        for args in json.loads(sys.argv[1]):
+            try:
+                main(args)
+            except SystemExit as exc:
+                codes.append(exc.code)
+        print(json.dumps([codes, [m for m in ("scipy", "numpy.ma") if sys.modules.get(m)]]))
+    """)
+    d = fixture_dir
+    commands = [["--json", "validate", str(d / "rho.json")],
+                ["--json", "validate", str(d / "coin_model.json")],
+                ["--json", "fisher", str(d / "coin_model.json")],
+                ["--json", "crb", str(d / "coin_model.json"),
+                 "--estimator", str(d / "pm_half.json")]]
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, cwd=src)
+    assert out.returncode == 0, out.stderr
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands), out.stderr
+    assert loaded == []
 
 
 def test_gns_command(runner, fixture_dir):

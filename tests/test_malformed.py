@@ -17,7 +17,17 @@ CASES = {
         "pair2.json", lambda d: {**d, "compose": [[b, a, [g]] for b, a, g in d["compose"]]}),
     "state-phi-list": ("rho.json", lambda d: {**d, "phi_re": [1.0, 0.0]}),
     "state-phi-not-a-number": ("rho.json", lambda d: {**d, "phi_re": {"(1,1)": "abc"}}),
+    "state-phi-null": ("rho.json", lambda d: {**d, "phi_re": {**d["phi_re"], "(1,1)": None}}),
     "kernel-pi-list": ("idk.json", lambda d: {**d, "pi_re": [1.0]}),
+    "kernel-pi-null": (
+        "idk.json", lambda d: {**d, "pi_re": {**d["pi_re"], "(1,1)|(1,1)": None}}),
+    "model-duplicate-parameter": (
+        "coin_model.json",
+        lambda d: {**d, "states": {**d["states"], "0.00": d["states"]["0.0"]}}),
+    "model-nan-parameter": (
+        "coin_model.json", lambda d: {**d, "states": {**d["states"], "nan": d["states"]["0.0"]}}),
+    "model-inf-parameter": (
+        "coin_model.json", lambda d: {**d, "states": {**d["states"], "inf": d["states"]["0.0"]}}),
     "kraus-mixed-shapes": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
         {"re": [[1.0, 0.0], [0.0, 1.0]]}, {"re": [[0.0]]}]}),
 }
@@ -34,6 +44,32 @@ def test_malformed_file_exits_2(fixture_dir, case):
     # an exception other than the exit propagates out of invoke and fails the test
     result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
     assert result.exit_code == 2
+
+
+# the first bad entry of a table is named, in table order
+TABLES = {
+    "state-unknown-key": ("rho.json", "phi_re", {"(1,1)": 0.5, "(3,3)": 1.0, "(2,2)": None},
+                          "unknown phi_re key '(3,3)'"),
+    "state-null-value": ("rho.json", "phi_re", {"(1,1)": 0.5, "(2,2)": None, "(3,3)": 1.0},
+                         "phi_re['(2,2)'] is not a number"),
+    "kernel-huge-value": ("idk.json", "pi_re", {"(1,1)|(1,1)": 10 ** 400},
+                          "pi_re['(1,1)|(1,1)'] is not a number"),
+    # as many bars as keys, but not one in each key
+    "kernel-misaligned-bars": ("idk.json", "pi_re", {"(1,1)|(1,1)|(1,2)": 1.0, "(2,2)": 1.0},
+                               "unknown pi_re key '(1,1)|(1,1)|(1,2)'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLES))
+def test_first_bad_table_entry_is_named(fixture_dir, case):
+    name, key, table, message = TABLES[case]
+    with open(fixture_dir / name) as fh:
+        data = json.load(fh)
+    bad = fixture_dir / f"bad-{name}"
+    bad.write_text(json.dumps({**data, key: table}))
+    result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert f"{bad}: {message}" in result.output
 
 
 PIPELINES = {

@@ -3,9 +3,11 @@
 Every formula is compared on random inputs over pair groupoids with uniform
 and with non-uniform P (delta != 1), trivial groupoids, cyclic groups,
 products and disjoint unions; values must agree to 1e-12 relative, and
-every raised exception must be of the same class.
+every raised exception must be of the same class.  The model interpolant is
+compared with scipy's splines on random knots.
 """
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import cencov_ncp as c
 import reference as ref
+from cencov_ncp import fileio
 from cencov_ncp.channels import (
     choi_matrix,
     choi_to_kernel,
@@ -21,8 +24,9 @@ from cencov_ncp.channels import (
     phi_from_density_unchecked,
 )
 from cencov_ncp.errors import CencovNcpError
+from cencov_ncp.estimation import StatisticalModel, cramer_rao_bound, fisher_metric
 from cencov_ncp.groupoid import GroupoidSpec, validate
-from cencov_ncp.states import State
+from cencov_ncp.states import State, make_state
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -393,3 +397,51 @@ def test_larger_groupoids(G):
     assert close(c.left_regular_rep(a), ref.left_regular_rep(a))
     rho = State(G, a.coeff)
     assert close(c.gram_matrix(rho), ref.gram_matrix(rho))
+
+
+@SETTINGS
+@given(st.integers(2, 8), st.data())
+def test_cubic_interpolant(K, data):
+    """At the knots, between them and past both ends; spacings within a
+    factor 5 of each other, on a random scale."""
+    h = np.array(data.draw(st.lists(st.floats(1.0, 5.0), min_size=K - 1, max_size=K - 1)))
+    h *= data.draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    x = data.draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(h)])
+    y = np.array(vectors(data.draw, 3, K))
+    new, old = fileio._cubic(x, y), ref.cubic_interpolant(x, y)
+    span = x[-1] - x[0]
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    points = np.concatenate([x, x[:-1] + u[0] * h, x[0] - span * u[1:3], x[-1] + span * u[2:]])
+    for s in points:
+        assert close(new(s), old(s))
+
+
+def test_load_model_matches_oracle_curve(tmp_path):
+    """A pair(3) model file on uneven knots gives the Fisher metric and the
+    Cramer-Rao bound of the same states interpolated by the oracle."""
+    G = c.pair_groupoid(3)
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    D0 = 0.5 * A @ A.conj().T / np.trace(A @ A.conj().T).real + np.eye(3) / 6.0
+    H1, H2 = ((B + B.conj().T) / 20.0 for B in (rng.normal(size=(3, 3)) + 0j for _ in range(2)))
+    H1, H2 = (H - np.trace(H) * np.eye(3) / 3.0 for H in (H1, H2))
+    fileio.save_groupoid(G, tmp_path / "g.json")
+    knots = [-0.3, -0.2, 0.0, 0.05, 0.3]
+    states = {}
+    for k, s in enumerate(knots):
+        states[repr(s)] = f"s{k}.json"
+        D = D0 + np.sin(3.0 * s) * H1 + s * s * H2
+        fileio.save_state(c.state_from_density(D, G), tmp_path / states[repr(s)], "g.json")
+    (tmp_path / "model.json").write_text(json.dumps({
+        "fmt": fileio.FMT, "groupoid": "g.json", "s0": 0.1, "interval": [-0.4, 0.4],
+        "states": states}))
+    M, _ = fileio.load_model(tmp_path / "model.json")
+    phis = np.array([fileio.load_state_file(tmp_path / f)[1] for f in states.values()])
+    at = ref.cubic_interpolant(np.array(knots), phis)
+    O = StatisticalModel(groupoid=M.groupoid, curve=lambda s: make_state(M.groupoid, at(s)),
+                         s0=M.s0, interval=M.interval)
+    for s in (-0.35, -0.2, 0.1, 0.37):
+        assert close(M.at(s).phi, O.at(s).phi)
+    S = c.build_gns(M.at(M.s0))
+    assert fisher_metric(M, S) == pytest.approx(fisher_metric(O, S), rel=1e-8)
+    assert cramer_rao_bound(M, S) == pytest.approx(cramer_rao_bound(O, S), rel=1e-8)
