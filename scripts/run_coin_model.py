@@ -23,7 +23,7 @@ def main():
         closed = 1.0 / (0.25 - s0 * s0)
         bound = c.cramer_rao_bound(M, S, h=args.h)
         A = c.Estimator(c.element_from_dict(M.groupoid, {"1_1": 0.5, "1_2": -0.5}))
-        audit = c.cramer_rao_audit(M, A, S, h=args.h)
+        audit = c.cramer_rao_audit(M, A, bound)
         print(f"{s0:8.3f} {gf:12.6f} {closed:20.6f} {bound:12.6f} {audit.slack:12.3e}")
 
 

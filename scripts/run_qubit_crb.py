@@ -27,8 +27,8 @@ def main():
         bound = c.cramer_rao_bound(M, S, h=args.h)
         a1 = c.Estimator(c.element_from_matrix(M.groupoid, sz))
         a2 = c.Estimator(c.element_from_matrix(M.groupoid, sz_sx))
-        s1 = c.cramer_rao_audit(M, a1, S, h=args.h).slack
-        s2 = c.cramer_rao_audit(M, a2, S, h=args.h).slack
+        s1 = c.cramer_rao_audit(M, a1, bound).slack
+        s2 = c.cramer_rao_audit(M, a2, bound).slack
         print(f"{s0:6.2f} {gf:12.6f} {1.0 / (1.0 - s0 * s0):12.6f} "
               f"{bound:10.6f} {s1:12.3e} {s2:13.6f}")
 

@@ -138,10 +138,15 @@ def push_phi(phi1: np.ndarray, Pi: QuantumKernel) -> np.ndarray:
 
 def push_state(phi1: State, Pi: QuantumKernel) -> State:
     """Transport a state forward; fails loudly when the result is not a state."""
+    return push_state_report(phi1, Pi)[0]
+
+
+def push_state_report(phi1: State, Pi: QuantumKernel, tol: float = KERNEL_TOL):
+    """:func:`push_state` and the report of its one state check, at ``tol``."""
     if phi1.groupoid != Pi.g1:
         raise GroupoidMismatch("state groupoid does not match kernel source")
     phi2 = push_phi(phi1.phi, Pi)
-    report = check_state(phi2, Pi.g2, tol=KERNEL_TOL)
+    report = check_state(phi2, Pi.g2, tol=tol)
     if not report.psd_ok or not report.symmetry_ok:
         bad = min(report.fiber_min_eigenvalue, key=report.fiber_min_eigenvalue.get)
         raise PositivityLost(
@@ -152,7 +157,7 @@ def push_state(phi1: State, Pi: QuantumKernel) -> State:
         raise NormalizationLost(
             f"pushed state normalization deficit {report.normalization_deficit:.3e}"
         )
-    return State(Pi.g2, phi2)
+    return State(Pi.g2, phi2), report
 
 
 def pull_observable(Pi: QuantumKernel, f2: AlgebraElement) -> AlgebraElement:

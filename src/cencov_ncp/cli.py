@@ -18,7 +18,7 @@ from .channels import (
     compose as compose_kernels,
     cp_verdict,
     pull_observable,
-    push_state,
+    push_state_report,
     validate_kernel,
 )
 from .errors import (
@@ -96,7 +96,7 @@ def main(ctx, tol, hstep, json_out):
 def validate(ctx, file):
     """Validate a groupoid, state, kernel, or model file."""
     tol = ctx.obj["tol"]
-    kind, obj = _guard(fileio.load_file, file, ctx.obj["loaded"])
+    kind, obj = _guard(fileio.load_file, file, ctx.obj["loaded"], tol=tol)
     data = {"file": file, "kind": kind}
 
     if kind == "groupoid":
@@ -170,11 +170,10 @@ def compose(ctx, k1, k2, out):
 @click.pass_context
 def push(ctx, state, kernel, out):
     """Push a state forward through a kernel."""
-    loaded = ctx.obj["loaded"]
-    rho = _guard(fileio.load_state, state, loaded)
+    loaded, tol = ctx.obj["loaded"], ctx.obj["tol"]
+    rho = _guard(fileio.load_state, state, loaded, tol=tol)
     Pi = _guard(fileio.load_kernel, kernel, loaded)
-    pushed = _guard(push_state, rho, Pi)
-    report = check_state(pushed.phi, pushed.groupoid, tol=ctx.obj["tol"])
+    pushed, report = _guard(push_state_report, rho, Pi, tol=tol)
     data = {
         "passed": report.passed,
         "normalization_deficit": report.normalization_deficit,
@@ -216,13 +215,12 @@ def pipeline(ctx, config, out):
     Config file: {"fmt": ..., "initial_state": path, "kernels": [paths]}.
     """
     state_path, kernel_paths = _guard(fileio.load_pipeline, config)
-    loaded = ctx.obj["loaded"]
-    rho = _guard(fileio.load_state, state_path, loaded)
+    loaded, tol = ctx.obj["loaded"], ctx.obj["tol"]
+    rho = _guard(fileio.load_state, state_path, loaded, tol=tol)
     stages = []
     for kp in kernel_paths:
         Pi = _guard(fileio.load_kernel, kp, loaded)
-        rho = _guard(push_state, rho, Pi)
-        report = check_state(rho.phi, rho.groupoid, tol=ctx.obj["tol"])
+        rho, report = _guard(push_state_report, rho, Pi, tol=tol)
         stages.append({
             "kernel": str(kp),
             "normalization_deficit": report.normalization_deficit,
@@ -240,7 +238,7 @@ def pipeline(ctx, config, out):
 @click.pass_context
 def gns(ctx, state):
     """Report the GNS dimension, ideal dimension, and Gram spectrum."""
-    rho = _guard(fileio.load_state, state, ctx.obj["loaded"])
+    rho = _guard(fileio.load_state, state, ctx.obj["loaded"], tol=ctx.obj["tol"])
     S = _guard(build_gns, rho)
     _emit(ctx, {
         "dim": S.dim,
@@ -254,7 +252,7 @@ def gns(ctx, state):
 @click.pass_context
 def fisher(ctx, model):
     """Fisher metric of a model; classical value when applicable."""
-    M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"])
+    M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"], tol=ctx.obj["tol"])
     S = _guard(build_gns, _guard(M.at, M.s0))
     gf = _guard(fisher_metric, M, S, h=ctx.obj["h"])
     data = {"fisher": gf}
@@ -271,14 +269,14 @@ def fisher(ctx, model):
 @click.pass_context
 def crb(ctx, model, estimator):
     """Cramer-Rao bound; audit a self-adjoint estimator when given."""
-    M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"])
+    M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"], tol=ctx.obj["tol"])
     S = _guard(build_gns, _guard(M.at, M.s0))
     bound = _guard(cramer_rao_bound, M, S, h=ctx.obj["h"])
     data = {"bound": bound}
     if estimator:
         a = _guard(fileio.load_algebra_element, estimator, ctx.obj["loaded"])
         A = _guard(Estimator, a)
-        audit = _guard(cramer_rao_audit, M, A, S, h=ctx.obj["h"])
+        audit = _guard(cramer_rao_audit, M, A, bound)
         data.update(
             second_moment=audit.second_moment,
             slack=audit.slack,

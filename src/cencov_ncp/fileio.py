@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Optional
@@ -23,7 +24,7 @@ from .channels import ClassicalKernel, QuantumKernel
 from .errors import SchemaError
 from .estimation import StatisticalModel
 from .groupoid import FiniteGroupoid, GroupoidSpec, validate
-from .states import State, make_state
+from .states import NORM_TOL, State, make_state
 
 FMT = "cencov-ncp/1"
 
@@ -205,8 +206,8 @@ def load_state_file(path: str | Path, loaded: Optional[dict] = None):
     return _load(path, _coefficient_file, loaded)
 
 
-def load_state(path: str | Path, loaded: Optional[dict] = None) -> State:
-    return make_state(*load_state_file(path, loaded))
+def load_state(path: str | Path, loaded: Optional[dict] = None, tol: float = NORM_TOL) -> State:
+    return make_state(*load_state_file(path, loaded), tol=tol)
 
 
 def save_state(rho: State, path: str | Path, groupoid_ref: str) -> None:
@@ -346,7 +347,7 @@ def _cubic(x: np.ndarray, y: np.ndarray):
     return at
 
 
-def _model(path: Path, data: dict, loaded: dict):
+def _model(path: Path, data: dict, loaded: dict, tol: float = NORM_TOL):
     try:
         s0 = float(data["s0"])
         lo, hi = (float(x) for x in data["interval"])
@@ -372,18 +373,18 @@ def _model(path: Path, data: dict, loaded: dict):
     phi_at = _cubic(svals, np.array(phis))
 
     def curve(s: float) -> State:
-        return make_state(G, phi_at(s))
+        return make_state(G, phi_at(s), tol=tol)
 
     model = StatisticalModel(groupoid=G, curve=curve, s0=s0, interval=(lo, hi))
     return model, grid
 
 
-def load_model(path: str | Path, loaded: Optional[dict] = None):
+def load_model(path: str | Path, loaded: Optional[dict] = None, tol: float = NORM_TOL):
     """Returns ``(model, audit_grid)`` with piecewise-cubic phi interpolation.
 
-    Interpolated states are re-validated on every curve evaluation.
+    Interpolated states are re-validated at ``tol`` on every curve evaluation.
     """
-    return _load(path, _model, loaded)
+    return _load(path, partial(_model, tol=tol), loaded)
 
 
 def load_pipeline(path: str | Path):
@@ -423,10 +424,11 @@ def detect_kind(path: str | Path) -> str:
     return _kind(path, _read_json(Path(path)))[0]
 
 
-def load_file(path: str | Path, loaded: Optional[dict] = None):
+def load_file(path: str | Path, loaded: Optional[dict] = None, tol: float = NORM_TOL):
     """Returns ``(kind, object)`` from one parse of a file of any kind; the
-    object is what the kind's ``load_*`` function returns."""
+    object is what the kind's ``load_*`` function returns (with ``tol``)."""
     path = Path(path)
     data = _read_json(path)
     kind, build = _kind(path, data)
+    build = partial(_model, tol=tol) if build is _model else build
     return kind, build(path, data, {} if loaded is None else loaded)

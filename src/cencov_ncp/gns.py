@@ -50,7 +50,8 @@ def build_gns(rho0: State, rank_tol: float = numkit.RANK_TOL) -> GnsSpace:
     """Assemble the Gram matrix and split it spectrally at ``rank_tol * lam_max``."""
     G = rho0.groupoid
     gram = gram_matrix(rho0)
-    res = numkit.hermitian_eigen(gram)
+    # the state check has decided symmetry; eigendecompose the Hermitian part
+    res = numkit.hermitian_eigen(gram, eig_tol=np.inf)
     w, V = res.eigenvalues, res.eigenvectors
     lam_max = float(np.abs(w).max()) if w.size else 0.0
     if lam_max <= 0.0:

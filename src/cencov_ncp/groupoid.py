@@ -6,22 +6,24 @@ strictly positive probability vector P, each target fiber carries a positive
 weight function (counting measure by default), and the total measure
 disintegrates as ``nu(alpha) = w(alpha) * P(t(alpha))``.
 
-String labels stay at the edge: the dataclass fields hold the tables as read
-from a file or built by a construction, and the string accessors (``compose``,
-``inv``, ``nu``, ...) read them one element at a time.  Every computation
-works on integer index arrays instead, derived from those tables once per
-groupoid as cached properties (so a copy made with ``dataclasses.replace``
-derives its own).  Elements are numbered in ``elements`` order and outcomes
-in ``outcomes`` order.  ``compose_ix[b, a]`` is the index of ``b o a``, or
-``-1`` where the pair does not compose; ``C[-1]`` silently reads the last row,
-so mask the sentinel before gathering through it, or use ``triples``, which
-lists only the composable pairs.
+A groupoid is stored as integer index arrays, elements numbered in
+``elements`` order and outcomes in ``outcomes`` order, and every computation
+reads them.  ``compose_ix[b, a]`` is the index of ``b o a``, or ``-1`` where
+the pair does not compose; ``C[-1]`` silently reads the last row, so mask the
+sentinel before gathering through it, or use ``triples``, which lists only
+the composable pairs.  String labels stay at the edge: :func:`validate` maps
+the tables of a :class:`GroupoidSpec` to arrays once, the constructions build
+arrays directly, and the string tables (``source``, ``compose_table``, ``P``,
+...) are read-only views of the arrays, built on first use.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -59,19 +61,54 @@ class GroupoidSpec:
     fiber_weight: Optional[Mapping[str, float]] = None
 
 
-@dataclass(frozen=True)
+def _names(labels: Sequence[str], ix: np.ndarray) -> list[str]:
+    """``labels[i]`` for every index in ``ix``."""
+    return list(map(labels.__getitem__, ix.tolist()))
+
+
+def _view(keys, values) -> Mapping:
+    return MappingProxyType(dict(zip(keys, values)))
+
+
+def _table(keys: str, labels: str, ix: str) -> cached_property:
+    """The string table ``keys[i] -> labels[ix[i]]`` of a groupoid, as a
+    read-only view built on first use."""
+    return cached_property(
+        lambda G: _view(getattr(G, keys), _names(getattr(G, labels), getattr(G, ix))))
+
+
+# the stored arrays of a groupoid and their dtypes
+_ARRAYS = {"src": np.intp, "tgt": np.intp, "inv_ix": np.intp, "unit_ix": np.intp,
+           "compose_ix": np.int32, "P_vec": float, "weight_vec": float}
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
-    """A validated finite groupoid; immutable after construction."""
+    """A finite groupoid, immutable, its arrays read-only; :func:`validate` and
+    the constructions build one and check the axioms."""
 
     elements: tuple[str, ...]
     outcomes: tuple[str, ...]
-    source: Mapping[str, str]
-    target: Mapping[str, str]
-    inverse_map: Mapping[str, str]
-    compose_table: Mapping[tuple[str, str], str]
-    unit_of: Mapping[str, str]
-    P: Mapping[str, float]
-    fiber_weight: Mapping[str, float]
+    src: np.ndarray         # outcome index of the source of each element
+    tgt: np.ndarray         # outcome index of the target of each element
+    inv_ix: np.ndarray      # element index of the inverse of each element
+    unit_ix: np.ndarray     # element index of the unit of each outcome
+    compose_ix: np.ndarray  # C[b, a] = index of b o a, -1 where undefined
+    P_vec: np.ndarray       # P of each outcome
+    weight_vec: np.ndarray  # fiber weight w of each element
+
+    def __post_init__(self):
+        for name, dtype in _ARRAYS.items():
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteGroupoid):
+            return NotImplemented
+        return self is other or (
+            self.elements == other.elements and self.outcomes == other.outcomes
+            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAYS))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -110,9 +147,7 @@ class FiniteGroupoid:
     @cached_property
     def composable_pairs(self) -> tuple[tuple[str, str, str], ...]:
         """All triples ``(beta, alpha, beta o alpha)`` in canonical order."""
-        e = self.elements
-        b, a, g = (ix.tolist() for ix in self.triples)
-        return tuple((e[i], e[j], e[k]) for i, j, k in zip(b, a, g))
+        return tuple(zip(*(_names(self.elements, ix) for ix in self.triples)))
 
     def target_fiber(self, x: str) -> tuple[str, ...]:
         """Elements with target x, in canonical element order."""
@@ -130,50 +165,34 @@ class FiniteGroupoid:
             raise UnknownOutcome(f"unknown outcome {x!r}")
         return self.outcome_index[x]
 
-    # -- index arrays --------------------------------------------------------
+    # -- string tables: read-only views of the arrays, built on first use -----
+
+    source = _table("elements", "outcomes", "src")
+    target = _table("elements", "outcomes", "tgt")
+    inverse_map = _table("elements", "elements", "inv_ix")
+    unit_of = _table("outcomes", "elements", "unit_ix")
 
     @cached_property
-    def src(self) -> np.ndarray:
-        """Outcome index of the source of each element."""
-        return _lookup(self.elements, self.source, self.outcome_index)
+    def compose_table(self) -> Mapping[tuple[str, str], str]:
+        return MappingProxyType({(b, a): g for b, a, g in self.composable_pairs})
 
     @cached_property
-    def tgt(self) -> np.ndarray:
-        """Outcome index of the target of each element."""
-        return _lookup(self.elements, self.target, self.outcome_index)
+    def P(self) -> Mapping[str, float]:
+        return _view(self.outcomes, self.P_vec.tolist())
 
     @cached_property
-    def inv_ix(self) -> np.ndarray:
-        """Element index of the inverse of each element."""
-        return _lookup(self.elements, self.inverse_map, self.index)
+    def fiber_weight(self) -> Mapping[str, float]:
+        return _view(self.elements, self.weight_vec.tolist())
 
-    @cached_property
-    def unit_ix(self) -> np.ndarray:
-        """Element index of the unit of each outcome."""
-        return _lookup(self.outcomes, self.unit_of, self.index)
-
-    @cached_property
-    def P_vec(self) -> np.ndarray:
-        return np.array([self.P[x] for x in self.outcomes], dtype=float)
+    # -- derived arrays --------------------------------------------------------
 
     @cached_property
     def nu_vec(self) -> np.ndarray:
-        w = np.array([self.fiber_weight[a] for a in self.elements], dtype=float)
-        return w * self.P_vec[self.tgt]
+        return self.weight_vec * self.P_vec[self.tgt]
 
     @cached_property
     def delta_vec(self) -> np.ndarray:
         return self.nu_vec[self.inv_ix] / self.nu_vec
-
-    @cached_property
-    def compose_ix(self) -> np.ndarray:
-        """``C[b, a]`` = index of ``b o a``, -1 where undefined (int32)."""
-        n, idx = len(self.elements), self.index
-        C = np.full((n, n), -1, dtype=np.int32)
-        bag = np.array([(idx[b], idx[a], idx[g]) for (b, a), g in self.compose_table.items()],
-                       dtype=np.intp).reshape(-1, 3)
-        C[bag[:, 0], bag[:, 1]] = bag[:, 2]
-        return C
 
     @cached_property
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,16 +238,17 @@ class FiniteGroupoid:
         return self.pair_grid
 
 
-def _lookup(keys: Sequence[str], table: Mapping[str, str], index: Mapping[str, int]):
-    """``index[table[k]]`` for every key, as an index array."""
-    return np.array([index[table[k]] for k in keys], dtype=np.intp)
+def has_uniform_P(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
+    """Uniform outcome measure, the matrix picture's condition."""
+    return bool(np.all(np.abs(G.P_vec - 1.0 / len(G.outcomes)) <= tol))
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
-def _check_measure(outcomes: Sequence[str], P: Mapping[str, float]) -> None:
+def _measure(outcomes: Sequence[str], P: Mapping[str, float]) -> np.ndarray:
+    """P in outcome order, once it is strictly positive and sums to 1."""
     for x in outcomes:
         if x not in P:
             raise BadMeasure(f"P missing outcome {x!r}")
@@ -237,6 +257,7 @@ def _check_measure(outcomes: Sequence[str], P: Mapping[str, float]) -> None:
     total = sum(P[x] for x in outcomes)
     if abs(total - 1.0) > MEASURE_TOL:
         raise BadMeasure(f"P sums to {total}, expected 1")
+    return np.array([P[x] for x in outcomes], dtype=float)
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -245,58 +266,73 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def validate(spec: GroupoidSpec) -> FiniteGroupoid:
-    """Check every groupoid axiom on the raw tables and return the groupoid.
+def _ix(labels, index: Mapping[str, int]) -> np.ndarray:
+    """``index[label]`` for every label; KeyError on an unknown label."""
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.intp)
 
-    Raises the violation class matching the first defect found; the check
-    order is measure, table well-formedness, units, coherence, inverses,
-    associativity, fiber weights.
-    """
-    outcomes = tuple(spec.outcomes)
-    elements = tuple(spec.elements)
-    _check_measure(outcomes, spec.P)
 
-    oset, eset = set(outcomes), set(elements)
-    if len(oset) != len(outcomes) or len(eset) != len(elements):
-        raise SchemaError("duplicate outcome or element ids")
-    for a in elements:
-        for table, name, domain in (
-            (spec.source, "source", oset),
-            (spec.target, "target", oset),
-            (spec.inverse, "inverse", eset),
-        ):
+def _schema_defect(spec: GroupoidSpec, oix: dict, eix: dict) -> None:
+    """Raise SchemaError for the first ill-formed entry: the source, target
+    and inverse of each element in turn, then compose, then units."""
+    for a in spec.elements:
+        for table, name, domain in ((spec.source, "source", oix),
+                                    (spec.target, "target", oix),
+                                    (spec.inverse, "inverse", eix)):
             if a not in table:
                 raise SchemaError(f"{name} table missing element {a!r}")
             if table[a] not in domain:
                 raise SchemaError(f"{name}[{a!r}] references undeclared id")
     for (b, a), g in spec.compose.items():
-        if b not in eset or a not in eset or g not in eset:
+        if b not in eix or a not in eix or g not in eix:
             raise SchemaError(f"compose entry ({b!r},{a!r}) references undeclared id")
-    for x in outcomes:
-        if x not in spec.units or spec.units[x] not in eset:
+    for x in spec.outcomes:
+        if x not in spec.units or spec.units[x] not in eix:
             raise SchemaError(f"units table missing outcome {x!r}")
 
-    G = FiniteGroupoid(
-        elements=elements,
-        outcomes=outcomes,
-        source=dict(spec.source),
-        target=dict(spec.target),
-        inverse_map=dict(spec.inverse),
-        compose_table=dict(spec.compose),
-        unit_of=dict(spec.units),
-        P=dict(spec.P),
-        fiber_weight=dict(spec.fiber_weight) if spec.fiber_weight
-        else {a: 1.0 for a in elements},
-    )
+
+def validate(spec: GroupoidSpec) -> FiniteGroupoid:
+    """Check every groupoid axiom on the raw tables and return the groupoid.
+
+    The tables are mapped to index arrays in bulk, and the axioms are checked
+    on the arrays.  Raises the violation class matching the first defect
+    found; the check order is measure, table well-formedness, units,
+    coherence, inverses, associativity, fiber weights.
+    """
+    outcomes, elements = tuple(spec.outcomes), tuple(spec.elements)
+    P = _measure(outcomes, spec.P)
+    oix = {x: i for i, x in enumerate(outcomes)}
+    eix = {a: i for i, a in enumerate(elements)}
+    if len(oix) != len(outcomes) or len(eix) != len(elements):
+        raise SchemaError("duplicate outcome or element ids")
+    try:
+        src, tgt = (_ix(map(table.__getitem__, elements), oix)
+                    for table in (spec.source, spec.target))
+        inv = _ix(map(spec.inverse.__getitem__, elements), eix)
+        b, a = (_ix(map(itemgetter(k), spec.compose), eix) for k in (0, 1))
+        g = _ix(spec.compose.values(), eix)
+        unit = _ix(map(spec.units.__getitem__, outcomes), eix)
+    except (KeyError, TypeError):
+        _schema_defect(spec, oix, eix)
+        raise
+    C = np.full((len(elements),) * 2, -1, dtype=np.int32)
+    C[b, a] = g
+    fw = spec.fiber_weight or dict.fromkeys(elements, 1.0)
+    w = np.array([fw.get(e, np.nan) for e in elements], dtype=float)
+    return _checked(FiniteGroupoid(elements, outcomes, src, tgt, inv, unit, C, P, w))
+
+
+def _checked(G: FiniteGroupoid) -> FiniteGroupoid:
+    """G, once its arrays pass the unit, coherence, inverse, associativity and
+    fiber-weight checks, in that order."""
     s, t, inv, u, C = G.src, G.tgt, G.inv_ix, G.unit_ix, G.compose_ix
     beta, alpha, gamma = G.triples
-    e, ar, ox = elements, np.arange(len(elements)), np.arange(len(outcomes))
+    e, ar, ox = G.elements, np.arange(len(G.elements)), np.arange(len(G.outcomes))
 
     # units act as identities on both sides
     x = _first((s[u] != ox) | (t[u] != ox))
     if x is not None:
         raise UnitViolation(
-            f"unit {e[u[x]]!r} of {outcomes[x]!r} is not an endo-transition")
+            f"unit {e[u[x]]!r} of {G.outcomes[x]!r} is not an endo-transition")
     k = _first((C[ar, u[s]] != ar) | (C[u[t], ar] != ar))
     if k is not None:
         raise UnitViolation(f"a unit does not act as an identity on {e[k]!r}")
@@ -328,7 +364,7 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
             raise AssociativityViolation(
                 f"(({c!r} o {e[b]!r}) o {a!r}) != ({c!r} o ({e[b]!r} o {a!r}))")
 
-    w = np.array([G.fiber_weight.get(a, np.nan) for a in elements], dtype=float)
+    w = G.weight_vec
     k = _first(~(w > 0.0) | ~np.isfinite(w))
     if k is not None:
         raise BadWeight(f"fiber weight of {e[k]!r} must be a positive number")
@@ -357,51 +393,38 @@ def modular_function(G: FiniteGroupoid) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# standard constructions
+# standard constructions: index arrays built directly, labels as strings
 # ---------------------------------------------------------------------------
 
-def _uniform(outcomes: Sequence[str]) -> dict[str, float]:
-    n = len(outcomes)
-    return {x: 1.0 / n for x in outcomes}
+def _numbered(n: int, P: Optional[Mapping[str, float]]):
+    """Outcomes ``1 .. n``, and P in their order, uniform unless given."""
+    if n < 1:
+        raise BadMeasure("need at least one outcome")
+    outcomes = tuple(str(i + 1) for i in range(n))
+    return outcomes, _measure(outcomes, P) if P else np.full(n, 1.0 / n)
 
 
 def pair_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGroupoid:
     """The pair groupoid on n outcomes: element ``(y,x)`` is the transition x -> y."""
-    if n < 1:
-        raise BadMeasure("need at least one outcome")
-    outcomes = [str(i + 1) for i in range(n)]
-    elements = [f"({y},{x})" for y in outcomes for x in outcomes]
-    source = {f"({y},{x})": x for y in outcomes for x in outcomes}
-    target = {f"({y},{x})": y for y in outcomes for x in outcomes}
-    inverse = {f"({y},{x})": f"({x},{y})" for y in outcomes for x in outcomes}
-    compose = {}
-    for z in outcomes:
-        for y in outcomes:
-            for x in outcomes:
-                compose[(f"({z},{y})", f"({y},{x})")] = f"({z},{x})"
-    units = {x: f"({x},{x})" for x in outcomes}
-    return validate(GroupoidSpec(
-        outcomes=outcomes, elements=elements, source=source, target=target,
-        inverse=inverse, compose=compose, units=units,
-        P=dict(P) if P else _uniform(outcomes),
-    ))
+    outcomes, P_vec = _numbered(n, P)
+    y, x = np.divmod(np.arange(n * n), n)
+    k = np.arange(n)
+    C = np.full((n,) * 4, -1, dtype=np.int32)
+    C[:, k, k, :] = (k[:, None] * n + k)[:, None, :]  # (z,y) o (y,x) = (z,x)
+    return _checked(FiniteGroupoid(
+        elements=tuple(f"({b},{a})" for b in outcomes for a in outcomes),
+        outcomes=outcomes, src=x, tgt=y, inv_ix=x * n + y, unit_ix=k * (n + 1),
+        compose_ix=C.reshape(n * n, n * n), P_vec=P_vec, weight_vec=np.ones(n * n)))
 
 
 def trivial_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGroupoid:
     """The trivial groupoid on n outcomes: units only (classical probability)."""
-    if n < 1:
-        raise BadMeasure("need at least one outcome")
-    outcomes = [str(i + 1) for i in range(n)]
-    elements = [f"1_{x}" for x in outcomes]
-    return validate(GroupoidSpec(
-        outcomes=outcomes, elements=elements,
-        source={f"1_{x}": x for x in outcomes},
-        target={f"1_{x}": x for x in outcomes},
-        inverse={f"1_{x}": f"1_{x}" for x in outcomes},
-        compose={(f"1_{x}", f"1_{x}"): f"1_{x}" for x in outcomes},
-        units={x: f"1_{x}" for x in outcomes},
-        P=dict(P) if P else _uniform(outcomes),
-    ))
+    outcomes, P_vec = _numbered(n, P)
+    k = np.arange(n)
+    return _checked(FiniteGroupoid(
+        elements=tuple(f"1_{x}" for x in outcomes), outcomes=outcomes,
+        src=k, tgt=k, inv_ix=k, unit_ix=k, compose_ix=np.where(np.eye(n, dtype=bool), k, -1),
+        P_vec=P_vec, weight_vec=np.ones(n)))
 
 
 def group_groupoid(table: Mapping[tuple[str, str], str],
@@ -411,111 +434,82 @@ def group_groupoid(table: Mapping[tuple[str, str], str],
     ``table[(g, h)]`` is the product g*h.  Raises NotAGroup when the table
     is not a group multiplication table.
     """
-    labels = list(labels)
-    lset = set(labels)
-    for g in labels:
-        for h in labels:
-            if table.get((g, h)) not in lset:
-                raise NotAGroup(f"product of {g!r} and {h!r} missing or out of range")
-    identity = None
-    for e in labels:
-        if all(table[(e, g)] == g and table[(g, e)] == g for g in labels):
-            identity = e
-            break
-    if identity is None:
+    labels = tuple(labels)
+    ix = {g: i for i, g in enumerate(labels)}
+    if len(ix) != len(labels):
+        raise SchemaError("duplicate outcome or element ids")
+    products = map(table.get, itertools.product(labels, repeat=2))
+    M = np.fromiter(map(ix.get, products, itertools.repeat(-1)), dtype=np.intp)
+    return _group(labels, M.reshape(len(labels), len(labels)))
+
+
+def _group(labels: tuple[str, ...], M: np.ndarray) -> FiniteGroupoid:
+    """The group of the table ``M[g, h]`` = index of g*h, or -1 where the
+    product is missing; raises NotAGroup unless M is a group table."""
+    k = _first(M.ravel() < 0)
+    if k is not None:
+        g, h = divmod(k, len(labels))
+        raise NotAGroup(f"product of {labels[g]!r} and {labels[h]!r} missing or out of range")
+    ar = np.arange(len(labels))
+    e = _first((M == ar).all(axis=1) & (M == ar[:, None]).all(axis=0))
+    if e is None:
         raise NotAGroup("no identity element")
-    inverse = {}
-    for g in labels:
-        invs = [h for h in labels if table[(g, h)] == identity and table[(h, g)] == identity]
-        if not invs:
-            raise NotAGroup(f"{g!r} has no inverse")
-        inverse[g] = invs[0]
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                    raise NotAGroup("multiplication table is not associative")
-    o = "*"
-    return validate(GroupoidSpec(
-        outcomes=[o], elements=labels,
-        source={g: o for g in labels}, target={g: o for g in labels},
-        inverse=inverse, compose=dict(table), units={o: identity},
-        P={o: 1.0},
-    ))
+    inverse = (M == e) & (M.T == e)  # inverse[g, h]: g*h = h*g = e
+    g = _first(~inverse.any(axis=1))
+    if g is not None:
+        raise NotAGroup(f"{labels[g]!r} has no inverse")
+    if not np.array_equal(M[M], M[ar[:, None, None], M]):  # (ab)c = a(bc)
+        raise NotAGroup("multiplication table is not associative")
+    star = np.zeros(len(labels), dtype=np.intp)
+    return _checked(FiniteGroupoid(
+        elements=labels, outcomes=("*",), src=star, tgt=star,
+        inv_ix=inverse.argmax(axis=1), unit_ix=[e], compose_ix=M, P_vec=[1.0],
+        weight_vec=np.ones(len(labels))))
 
 
 def cyclic_group_groupoid(n: int) -> FiniteGroupoid:
     """Z_n as a one-outcome groupoid with elements ``g0 .. g{n-1}``."""
-    labels = [f"g{i}" for i in range(n)]
-    table = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
-    return group_groupoid(table, labels)
+    k = np.arange(n)
+    return _group(tuple(f"g{i}" for i in range(n)), (k[:, None] + k) % n)
 
 
 def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid, w: float) -> FiniteGroupoid:
     """Disjoint union, with P re-normalized by the mixing weight w in (0,1)."""
     if not (0.0 < w < 1.0):
         raise BadWeight(f"mixing weight {w} not in (0,1)")
-
-    def l(x: str) -> str:
-        return f"1:{x}"
-
-    def r(x: str) -> str:
-        return f"2:{x}"
-
-    outcomes = [l(x) for x in G1.outcomes] + [r(x) for x in G2.outcomes]
-    elements = [l(a) for a in G1.elements] + [r(a) for a in G2.elements]
-    source = {l(a): l(G1.source[a]) for a in G1.elements}
-    source.update({r(a): r(G2.source[a]) for a in G2.elements})
-    target = {l(a): l(G1.target[a]) for a in G1.elements}
-    target.update({r(a): r(G2.target[a]) for a in G2.elements})
-    inverse = {l(a): l(G1.inverse_map[a]) for a in G1.elements}
-    inverse.update({r(a): r(G2.inverse_map[a]) for a in G2.elements})
-    compose = {(l(b), l(a)): l(g) for (b, a), g in G1.compose_table.items()}
-    compose.update({(r(b), r(a)): r(g) for (b, a), g in G2.compose_table.items()})
-    units = {l(x): l(G1.unit_of[x]) for x in G1.outcomes}
-    units.update({r(x): r(G2.unit_of[x]) for x in G2.outcomes})
-    P = {l(x): w * G1.P[x] for x in G1.outcomes}
-    P.update({r(x): (1.0 - w) * G2.P[x] for x in G2.outcomes})
-    weights = {l(a): G1.fiber_weight[a] for a in G1.elements}
-    weights.update({r(a): G2.fiber_weight[a] for a in G2.elements})
-    return validate(GroupoidSpec(
-        outcomes=outcomes, elements=elements, source=source, target=target,
-        inverse=inverse, compose=compose, units=units, P=P, fiber_weight=weights,
-    ))
+    n1, o1 = len(G1.elements), len(G1.outcomes)
+    n = n1 + len(G2.elements)
+    C = np.full((n, n), -1, dtype=np.int32)
+    C[:n1, :n1] = G1.compose_ix
+    C[n1:, n1:] = np.where(G2.compose_ix >= 0, G2.compose_ix + n1, -1)
+    return _checked(FiniteGroupoid(
+        elements=tuple(f"1:{a}" for a in G1.elements) + tuple(f"2:{a}" for a in G2.elements),
+        outcomes=tuple(f"1:{x}" for x in G1.outcomes) + tuple(f"2:{x}" for x in G2.outcomes),
+        src=np.concatenate([G1.src, G2.src + o1]),
+        tgt=np.concatenate([G1.tgt, G2.tgt + o1]),
+        inv_ix=np.concatenate([G1.inv_ix, G2.inv_ix + n1]),
+        unit_ix=np.concatenate([G1.unit_ix, G2.unit_ix + n1]),
+        compose_ix=C,
+        P_vec=np.concatenate([w * G1.P_vec, (1.0 - w) * G2.P_vec]),
+        weight_vec=np.concatenate([G1.weight_vec, G2.weight_vec])))
 
 
 def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
-    """Componentwise product groupoid with P = P1 (x) P2."""
-
-    def po(x: str, y: str) -> str:
-        return f"{x}*{y}"
-
-    outcomes = [po(x, y) for x in G1.outcomes for y in G2.outcomes]
-    elements = [po(a, b) for a in G1.elements for b in G2.elements]
-    source = {po(a, b): po(G1.source[a], G2.source[b])
-              for a in G1.elements for b in G2.elements}
-    target = {po(a, b): po(G1.target[a], G2.target[b])
-              for a in G1.elements for b in G2.elements}
-    inverse = {po(a, b): po(G1.inverse_map[a], G2.inverse_map[b])
-               for a in G1.elements for b in G2.elements}
-    compose = {}
-    for (b1, a1), g1 in G1.compose_table.items():
-        for (b2, a2), g2 in G2.compose_table.items():
-            compose[(po(b1, b2), po(a1, a2))] = po(g1, g2)
-    units = {po(x, y): po(G1.unit_of[x], G2.unit_of[y])
-             for x in G1.outcomes for y in G2.outcomes}
-    P = {po(x, y): G1.P[x] * G2.P[y] for x in G1.outcomes for y in G2.outcomes}
-    weights = {po(a, b): G1.fiber_weight[a] * G2.fiber_weight[b]
-               for a in G1.elements for b in G2.elements}
-    return validate(GroupoidSpec(
-        outcomes=outcomes, elements=elements, source=source, target=target,
-        inverse=inverse, compose=compose, units=units, P=P, fiber_weight=weights,
-    ))
-
-
-# ---------------------------------------------------------------------------
-# uniform outcome measure (the matrix picture's condition)
-# ---------------------------------------------------------------------------
-
-def has_uniform_P(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
-    return bool(np.all(np.abs(G.P_vec - 1.0 / len(G.outcomes)) <= tol))
+    """Componentwise product groupoid with P = P1 (x) P2; the pair (i, j) has
+    index ``i * |factor 2| + j``."""
+    n1, n2, o2 = len(G1.elements), len(G2.elements), len(G2.outcomes)
+    elements = tuple(f"{a}*{b}" for a in G1.elements for b in G2.elements)
+    outcomes = tuple(f"{x}*{y}" for x in G1.outcomes for y in G2.outcomes)
+    if len(set(elements)) < len(elements) or len(set(outcomes)) < len(outcomes):
+        raise SchemaError("duplicate outcome or element ids")
+    C1, C2 = G1.compose_ix[:, None, :, None], G2.compose_ix[None, :, None, :]
+    C = np.where((C1 >= 0) & (C2 >= 0), C1 * n2 + C2, -1)  # C[b1, b2, a1, a2]
+    return _checked(FiniteGroupoid(
+        elements=elements, outcomes=outcomes,
+        src=(G1.src[:, None] * o2 + G2.src).ravel(),
+        tgt=(G1.tgt[:, None] * o2 + G2.tgt).ravel(),
+        inv_ix=(G1.inv_ix[:, None] * n2 + G2.inv_ix).ravel(),
+        unit_ix=(G1.unit_ix[:, None] * n2 + G2.unit_ix).ravel(),
+        compose_ix=C.reshape(n1 * n2, n1 * n2),
+        P_vec=np.outer(G1.P_vec, G2.P_vec).ravel(),
+        weight_vec=np.outer(G1.weight_vec, G2.weight_vec).ravel()))

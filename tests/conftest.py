@@ -5,6 +5,7 @@ import pytest
 
 import cencov_ncp as c
 from cencov_ncp import fileio
+from cencov_ncp.groupoid import GroupoidSpec
 
 
 def random_density(rng, n):
@@ -25,6 +26,17 @@ def random_kraus(rng, n, m, k=3):
     w, V = np.linalg.eigh(S)
     S_inv_half = V @ np.diag(1.0 / np.sqrt(w)) @ V.conj().T
     return [b @ S_inv_half for b in B]
+
+
+def spec_of(G):
+    """The string tables of a groupoid, as raw input to ``validate``."""
+    return GroupoidSpec(
+        outcomes=list(G.outcomes), elements=list(G.elements),
+        source=dict(G.source), target=dict(G.target),
+        inverse=dict(G.inverse_map), compose=dict(G.compose_table),
+        units=dict(G.unit_of), P=dict(G.P),
+        fiber_weight=dict(G.fiber_weight),
+    )
 
 
 def random_stochastic(rng, n, m):

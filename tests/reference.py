@@ -1,16 +1,19 @@
 """Loop implementations of the groupoid formulas, kept as test oracles.
 
 These are the string-keyed, element-by-element versions of the library's
-array code: the groupoid axioms, the modular function, fiber Gram matrices,
-the state check and the kernel axioms with one eigensolve per target fiber,
-the density check, convolution, involution, the regular representation, the
-GNS Gram matrix, the density-matrix dictionary, Kraus kernels and the Choi
-matrix; the spectral minimum-norm solve that the Riesz representer in
-``estimation`` replaced by its projection onto the GNS quotient basis; and
-the two scipy ``CubicSpline`` fits that model files were interpolated with
-before ``fileio`` had its own cubic.  The groupoid oracles use only the
-string accessors of ``FiniteGroupoid``, so the property tests in
-``test_reference.py`` compare two independent implementations of each
+array code: the groupoid axioms, the modular function, the standard
+constructions built as string tables (pair, trivial, group, disjoint union
+and product groupoids), fiber Gram matrices, the state check and the kernel
+axioms with one eigensolve per target fiber, the density check,
+convolution, involution, the regular representation, the GNS Gram matrix,
+the density-matrix dictionary, Kraus kernels and the Choi matrix; the
+spectral minimum-norm solve that the Riesz representer in ``estimation``
+replaced by its projection onto the GNS quotient basis; and the two scipy
+``CubicSpline`` fits that model files were interpolated with before
+``fileio`` had its own cubic.  The groupoid oracles read a ``FiniteGroupoid``
+only through its string tables and accessors (``validate`` fills in the
+index arrays by loops, only to construct its result), so the property tests
+in ``test_reference.py`` compare two independent implementations of each
 formula.
 """
 from __future__ import annotations
@@ -36,6 +39,7 @@ from cencov_ncp.errors import (
     InverseViolation,
     NonTracePreserving,
     NonUniformP,
+    NotAGroup,
     NotPairGroupoid,
     SchemaError,
     UnitViolation,
@@ -154,16 +158,21 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
                 f"fiber weights are not left-invariant at compose({b!r},{a!r})"
             )
 
+    oix = {x: i for i, x in enumerate(outcomes)}
+    eix = {a: i for i, a in enumerate(elements)}
+    C = np.full((len(elements), len(elements)), -1, dtype=np.int32)
+    for (b, a), g in comp.items():
+        C[eix[b], eix[a]] = eix[g]
     return FiniteGroupoid(
         elements=elements,
         outcomes=outcomes,
-        source=dict(s),
-        target=dict(t),
-        inverse_map=dict(inv),
-        compose_table=comp,
-        unit_of=dict(units),
-        P=dict(spec.P),
-        fiber_weight=weights,
+        src=np.array([oix[s[a]] for a in elements], dtype=np.intp),
+        tgt=np.array([oix[t[a]] for a in elements], dtype=np.intp),
+        inv_ix=np.array([eix[inv[a]] for a in elements], dtype=np.intp),
+        unit_ix=np.array([eix[units[x]] for x in outcomes], dtype=np.intp),
+        compose_ix=C,
+        P_vec=np.array([spec.P[x] for x in outcomes], dtype=float),
+        weight_vec=np.array([weights[a] for a in elements], dtype=float),
     )
 
 
@@ -199,6 +208,153 @@ def pair_structure(G: FiniteGroupoid) -> Optional[dict[tuple[str, str], str]]:
 def has_uniform_P(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
     n = len(G.outcomes)
     return all(abs(G.P[x] - 1.0 / n) <= tol for x in G.outcomes)
+
+
+# ---------------------------------------------------------------------------
+# standard constructions, built as string tables and checked by ``validate``
+# ---------------------------------------------------------------------------
+
+def _uniform(outcomes: Sequence[str]) -> dict[str, float]:
+    n = len(outcomes)
+    return {x: 1.0 / n for x in outcomes}
+
+
+def pair_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGroupoid:
+    """The pair groupoid on n outcomes: element ``(y,x)`` is the transition x -> y."""
+    if n < 1:
+        raise BadMeasure("need at least one outcome")
+    outcomes = [str(i + 1) for i in range(n)]
+    elements = [f"({y},{x})" for y in outcomes for x in outcomes]
+    source = {f"({y},{x})": x for y in outcomes for x in outcomes}
+    target = {f"({y},{x})": y for y in outcomes for x in outcomes}
+    inverse = {f"({y},{x})": f"({x},{y})" for y in outcomes for x in outcomes}
+    compose = {}
+    for z in outcomes:
+        for y in outcomes:
+            for x in outcomes:
+                compose[(f"({z},{y})", f"({y},{x})")] = f"({z},{x})"
+    units = {x: f"({x},{x})" for x in outcomes}
+    return validate(GroupoidSpec(
+        outcomes=outcomes, elements=elements, source=source, target=target,
+        inverse=inverse, compose=compose, units=units,
+        P=dict(P) if P else _uniform(outcomes),
+    ))
+
+
+def trivial_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGroupoid:
+    """The trivial groupoid on n outcomes: units only (classical probability)."""
+    if n < 1:
+        raise BadMeasure("need at least one outcome")
+    outcomes = [str(i + 1) for i in range(n)]
+    elements = [f"1_{x}" for x in outcomes]
+    return validate(GroupoidSpec(
+        outcomes=outcomes, elements=elements,
+        source={f"1_{x}": x for x in outcomes},
+        target={f"1_{x}": x for x in outcomes},
+        inverse={f"1_{x}": f"1_{x}" for x in outcomes},
+        compose={(f"1_{x}", f"1_{x}"): f"1_{x}" for x in outcomes},
+        units={x: f"1_{x}" for x in outcomes},
+        P=dict(P) if P else _uniform(outcomes),
+    ))
+
+
+def group_groupoid(table: Mapping[tuple[str, str], str],
+                   labels: Sequence[str]) -> FiniteGroupoid:
+    """A finite group viewed as a one-outcome groupoid; NotAGroup when the
+    table is not a group multiplication table."""
+    labels = list(labels)
+    lset = set(labels)
+    for g in labels:
+        for h in labels:
+            if table.get((g, h)) not in lset:
+                raise NotAGroup(f"product of {g!r} and {h!r} missing or out of range")
+    identity = None
+    for e in labels:
+        if all(table[(e, g)] == g and table[(g, e)] == g for g in labels):
+            identity = e
+            break
+    if identity is None:
+        raise NotAGroup("no identity element")
+    inverse = {}
+    for g in labels:
+        invs = [h for h in labels if table[(g, h)] == identity and table[(h, g)] == identity]
+        if not invs:
+            raise NotAGroup(f"{g!r} has no inverse")
+        inverse[g] = invs[0]
+    for a in labels:
+        for b in labels:
+            for c in labels:
+                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                    raise NotAGroup("multiplication table is not associative")
+    o = "*"
+    return validate(GroupoidSpec(
+        outcomes=[o], elements=labels,
+        source={g: o for g in labels}, target={g: o for g in labels},
+        inverse=inverse, compose=dict(table), units={o: identity},
+        P={o: 1.0},
+    ))
+
+
+def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid, w: float) -> FiniteGroupoid:
+    """Disjoint union, with P re-normalized by the mixing weight w in (0,1)."""
+    if not (0.0 < w < 1.0):
+        raise BadWeight(f"mixing weight {w} not in (0,1)")
+
+    def l(x: str) -> str:
+        return f"1:{x}"
+
+    def r(x: str) -> str:
+        return f"2:{x}"
+
+    outcomes = [l(x) for x in G1.outcomes] + [r(x) for x in G2.outcomes]
+    elements = [l(a) for a in G1.elements] + [r(a) for a in G2.elements]
+    source = {l(a): l(G1.source[a]) for a in G1.elements}
+    source.update({r(a): r(G2.source[a]) for a in G2.elements})
+    target = {l(a): l(G1.target[a]) for a in G1.elements}
+    target.update({r(a): r(G2.target[a]) for a in G2.elements})
+    inverse = {l(a): l(G1.inverse_map[a]) for a in G1.elements}
+    inverse.update({r(a): r(G2.inverse_map[a]) for a in G2.elements})
+    compose = {(l(b), l(a)): l(g) for (b, a), g in G1.compose_table.items()}
+    compose.update({(r(b), r(a)): r(g) for (b, a), g in G2.compose_table.items()})
+    units = {l(x): l(G1.unit_of[x]) for x in G1.outcomes}
+    units.update({r(x): r(G2.unit_of[x]) for x in G2.outcomes})
+    P = {l(x): w * G1.P[x] for x in G1.outcomes}
+    P.update({r(x): (1.0 - w) * G2.P[x] for x in G2.outcomes})
+    weights = {l(a): G1.fiber_weight[a] for a in G1.elements}
+    weights.update({r(a): G2.fiber_weight[a] for a in G2.elements})
+    return validate(GroupoidSpec(
+        outcomes=outcomes, elements=elements, source=source, target=target,
+        inverse=inverse, compose=compose, units=units, P=P, fiber_weight=weights,
+    ))
+
+
+def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
+    """Componentwise product groupoid with P = P1 (x) P2."""
+
+    def po(x: str, y: str) -> str:
+        return f"{x}*{y}"
+
+    outcomes = [po(x, y) for x in G1.outcomes for y in G2.outcomes]
+    elements = [po(a, b) for a in G1.elements for b in G2.elements]
+    source = {po(a, b): po(G1.source[a], G2.source[b])
+              for a in G1.elements for b in G2.elements}
+    target = {po(a, b): po(G1.target[a], G2.target[b])
+              for a in G1.elements for b in G2.elements}
+    inverse = {po(a, b): po(G1.inverse_map[a], G2.inverse_map[b])
+               for a in G1.elements for b in G2.elements}
+    compose = {}
+    for (b1, a1), g1 in G1.compose_table.items():
+        for (b2, a2), g2 in G2.compose_table.items():
+            compose[(po(b1, b2), po(a1, a2))] = po(g1, g2)
+    units = {po(x, y): po(G1.unit_of[x], G2.unit_of[y])
+             for x in G1.outcomes for y in G2.outcomes}
+    P = {po(x, y): G1.P[x] * G2.P[y] for x in G1.outcomes for y in G2.outcomes}
+    weights = {po(a, b): G1.fiber_weight[a] * G2.fiber_weight[b]
+               for a in G1.elements for b in G2.elements}
+    return validate(GroupoidSpec(
+        outcomes=outcomes, elements=elements, source=source, target=target,
+        inverse=inverse, compose=compose, units=units, P=P, fiber_weight=weights,
+    ))
 
 
 # ---------------------------------------------------------------------------

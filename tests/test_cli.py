@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import cencov_ncp as c
-from cencov_ncp import fileio
+from cencov_ncp import channels, cli, estimation, fileio, states
 from cencov_ncp.cli import main
 
 # machine-readable output contracts for the --json flag, by subcommand
@@ -238,16 +238,62 @@ def test_cp_command(runner, fixture_dir):
     assert r.exit_code == 0 and jout(r)["is_cp"] is True
 
 
-def test_crb_zero_information_exit_3(runner, fixture_dir):
-    # constant model: same state at every grid point
-    states = {s: "coin_0.0.json" for s in ("-0.2", "-0.1", "0.0", "0.1", "0.2")}
-    flat = fixture_dir / "flat_model.json"
+def write_flat_model(d):
+    """A constant model: the same state at every grid point."""
+    grid = {s: "coin_0.0.json" for s in ("-0.2", "-0.1", "0.0", "0.1", "0.2")}
+    flat = d / "flat_model.json"
     flat.write_text(json.dumps({
         "fmt": fileio.FMT, "groupoid": "triv2.json", "s0": 0.0,
-        "interval": [-0.2, 0.2], "grid": [0.0], "states": states,
+        "interval": [-0.2, 0.2], "grid": [0.0], "states": grid,
     }))
-    r = invoke(runner, "crb", flat)
+    return flat
+
+
+def test_crb_zero_information_exit_3(runner, fixture_dir):
+    r = invoke(runner, "crb", write_flat_model(fixture_dir))
     assert r.exit_code == 3
+
+
+def test_crb_zero_information_precedes_missing_estimator(runner, fixture_dir):
+    r = invoke(runner, "crb", write_flat_model(fixture_dir),
+               "--estimator", fixture_dir / "missing.json")
+    assert r.exit_code == 3
+
+
+def test_crb_with_estimator_computes_fisher_metric_once(runner, fixture_dir, monkeypatch):
+    calls = []
+    fisher_metric = estimation.fisher_metric
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fisher_metric(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "fisher_metric", counting)
+    r = invoke(runner, "--json", "crb", fixture_dir / "coin_model.json",
+               "--estimator", fixture_dir / "pm_half.json")
+    assert r.exit_code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args, stages", [
+    (["push", "rho.json", "idk.json"], 1),
+    (["pipeline", "pipe.json"], 2),
+], ids=["push", "pipeline"])
+def test_each_state_checked_once_at_tol(runner, fixture_dir, monkeypatch, args, stages):
+    """One check of the loaded state and one per pushed stage, all at --tol."""
+    tols = []
+    check_state = states.check_state
+
+    def counting(phi, G, tol=states.NORM_TOL):
+        tols.append(tol)
+        return check_state(phi, G, tol=tol)
+
+    for module in (states, channels, cli):
+        monkeypatch.setattr(module, "check_state", counting)
+    monkeypatch.chdir(fixture_dir)
+    r = invoke(runner, "--json", "--tol", "1e-8", *args)
+    assert r.exit_code == 0, r.output
+    assert tols == [1e-8] * (1 + stages)
 
 
 def test_json_output_deterministic(runner, fixture_dir):

@@ -53,7 +53,7 @@ def test_coin_bound_and_saturation(triv2):
     A = Estimator(c.element_from_dict(triv2, {"1_1": 0.5, "1_2": -0.5}))
     rep = check_unbiased(M, A, [-0.1, 0.0, 0.1])
     assert rep.passed
-    audit = cramer_rao_audit(M, A, S)
+    audit = cramer_rao_audit(M, A, cramer_rao_bound(M, S))
     assert audit.second_moment == pytest.approx(0.25, abs=1e-12)
     assert audit.saturated
 
@@ -102,7 +102,7 @@ def test_qubit_sigma_z_saturates():
     S = gns_at_base(M)
     A = Estimator(c.element_from_matrix(M.groupoid, np.diag([1.0, -1.0])))
     assert check_unbiased(M, A, [-0.2, 0.0, 0.2]).passed
-    audit = cramer_rao_audit(M, A, S)
+    audit = cramer_rao_audit(M, A, cramer_rao_bound(M, S))
     assert audit.slack <= 1e-4
     assert audit.saturated
 
@@ -113,7 +113,7 @@ def test_qubit_sigma_z_plus_x_slack_one():
     sz_sx = np.array([[1.0, 1.0], [1.0, -1.0]])
     A = Estimator(c.element_from_matrix(M.groupoid, sz_sx))
     assert check_unbiased(M, A, [-0.2, 0.0, 0.2]).passed
-    audit = cramer_rao_audit(M, A, S)
+    audit = cramer_rao_audit(M, A, cramer_rao_bound(M, S))
     assert audit.slack == pytest.approx(1.0, abs=1e-3)
     assert not audit.saturated
 
@@ -240,7 +240,7 @@ def test_random_unbiased_estimators_respect_bound(seed):
     base = c.element_from_dict(M.groupoid, {"1_1": 0.5, "1_2": -0.5})
     raw = c.AlgebraElement(M.groupoid, rng.normal(size=2).astype(complex))
     A = unbiased_projection(M, raw, base)
-    assert cramer_rao_audit(M, A, S).slack >= -1e-8
+    assert cramer_rao_audit(M, A, cramer_rao_bound(M, S)).slack >= -1e-8
 
     # qubit model with the sigma_z reference estimator
     Q = qubit_z_model(0.0)
@@ -249,7 +249,7 @@ def test_random_unbiased_estimators_respect_bound(seed):
     raw = c.element_from_matrix(Q.groupoid, (H + H.conj().T) / 2.0)
     base = c.element_from_matrix(Q.groupoid, np.diag([1.0, -1.0]))
     A = unbiased_projection(Q, raw, base)
-    assert cramer_rao_audit(Q, A, SQ).slack >= -1e-8
+    assert cramer_rao_audit(Q, A, cramer_rao_bound(Q, SQ)).slack >= -1e-8
 
 
 def test_congruence_permutation():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cencov_ncp as c
+from cencov_ncp import fileio
 from cencov_ncp.errors import (
     AssociativityViolation,
     BadMeasure,
@@ -14,20 +15,12 @@ from cencov_ncp.errors import (
     HomomorphismViolation,
     InverseViolation,
     NotAGroup,
+    SchemaError,
     UnitViolation,
     UnknownOutcome,
 )
-from cencov_ncp.groupoid import GroupoidSpec, has_uniform_P, validate
-
-
-def spec_of(G):
-    return GroupoidSpec(
-        outcomes=list(G.outcomes), elements=list(G.elements),
-        source=dict(G.source), target=dict(G.target),
-        inverse=dict(G.inverse_map), compose=dict(G.compose_table),
-        units=dict(G.unit_of), P=dict(G.P),
-        fiber_weight=dict(G.fiber_weight),
-    )
+from cencov_ncp.groupoid import has_uniform_P, validate
+from conftest import spec_of
 
 
 def test_standard_constructions_validate():
@@ -72,6 +65,41 @@ def test_group_groupoid_rejects_non_group():
     table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}
     with pytest.raises(NotAGroup):
         c.group_groupoid(table, labels)
+
+
+def test_group_groupoid_rejects_duplicate_labels():
+    table = {(g, h): "e" for g in "ee" for h in "ee"}
+    with pytest.raises(SchemaError):
+        c.group_groupoid(table, ["e", "e"])
+
+
+def test_product_rejects_colliding_labels():
+    def z2(e, g):
+        return c.group_groupoid({(e, e): e, (e, g): g, (g, e): g, (g, g): e}, [e, g])
+
+    # ("x", "*y") and ("x*", "y") are both labelled "x**y"
+    with pytest.raises(SchemaError):
+        c.product(z2("x", "x*"), z2("*y", "y"))
+
+
+VIEWS = ("source", "target", "inverse_map", "compose_table", "unit_of", "P", "fiber_weight")
+
+
+def test_string_tables_are_read_only_views_built_on_first_use(tmp_path):
+    G = c.pair_groupoid(8)
+    fileio.save_groupoid(G, tmp_path / "g.json")
+    assert set(VIEWS) <= set(G.__dict__)
+    built = [c.pair_groupoid(8),
+             c.product(c.pair_groupoid(2), c.cyclic_group_groupoid(3)),
+             c.disjoint_union(c.pair_groupoid(2), c.trivial_groupoid(2), 0.3),
+             fileio.load_groupoid(tmp_path / "g.json")]
+    for H in built:
+        assert not set(VIEWS) & set(H.__dict__)
+    assert built[-1] == G and built[-1] is not G
+    with pytest.raises(TypeError):
+        G.source["(1,1)"] = "2"
+    with pytest.raises(ValueError):
+        G.compose_ix[0, 0] = 1
 
 
 def test_disjoint_union_measure():
@@ -156,7 +184,9 @@ def test_modular_homomorphism_guard():
     # hand-build a groupoid object with inconsistent weights to trip the check;
     # needs isotropy: on Z_3, w(g1) != w(g2) makes delta non-multiplicative
     G = c.cyclic_group_groupoid(3)
-    broken = dataclasses.replace(G, fiber_weight={**G.fiber_weight, "g1": 2.0})
+    w = G.weight_vec.copy()
+    w[G.index["g1"]] = 2.0
+    broken = dataclasses.replace(G, weight_vec=w)
     with pytest.raises(HomomorphismViolation):
         c.modular_function(broken)
 

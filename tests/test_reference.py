@@ -3,8 +3,10 @@
 Every formula is compared on random inputs over pair groupoids with uniform
 and with non-uniform P (delta != 1), trivial groupoids, cyclic groups,
 products and disjoint unions; values must agree to 1e-12 relative, and
-every raised exception must be of the same class.  The model interpolant is
-compared with scipy's splines on random knots.
+every raised exception must be of the same class.  The constructions must
+build equal groupoids, and ill-formed tables and group tables must get the
+same error message.  The model interpolant is compared with scipy's splines
+on random knots.
 """
 import dataclasses
 import json
@@ -25,20 +27,11 @@ from cencov_ncp.channels import (
 )
 from cencov_ncp.errors import CencovNcpError
 from cencov_ncp.estimation import StatisticalModel, cramer_rao_bound, fisher_metric
-from cencov_ncp.groupoid import GroupoidSpec, validate
+from cencov_ncp.groupoid import validate
 from cencov_ncp.states import State, make_state
+from conftest import spec_of
 
 SETTINGS = settings(max_examples=40, deadline=None)
-
-
-def spec_of(G):
-    return GroupoidSpec(
-        outcomes=list(G.outcomes), elements=list(G.elements),
-        source=dict(G.source), target=dict(G.target),
-        inverse=dict(G.inverse_map), compose=dict(G.compose_table),
-        units=dict(G.unit_of), P=dict(G.P),
-        fiber_weight=dict(G.fiber_weight),
-    )
 
 
 def close(x, y):
@@ -81,6 +74,19 @@ def groupoids(draw):
     return c.disjoint_union(c.pair_groupoid(2, P=random_P(draw, 2)),
                             c.cyclic_group_groupoid(3),
                             draw(st.floats(0.1, 0.9)))
+
+
+@st.composite
+def weighted_groupoids(draw):
+    """``groupoids()`` with a random P and random fiber weights; left
+    invariance makes a weight a function of the source."""
+    G = draw(groupoids())
+    n = len(G.outcomes)
+    ps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    ws = dict(zip(G.outcomes, draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))))
+    return validate(dataclasses.replace(
+        spec_of(G), P={x: p / sum(ps) for x, p in zip(G.outcomes, ps)},
+        fiber_weight={a: ws[G.s(a)] for a in G.elements}))
 
 
 uniform_pairs = st.integers(1, 5).map(c.pair_groupoid)
@@ -347,6 +353,73 @@ def test_planted_defect_same_exception(G, table, data):
     (new_exc, new), (old_exc, old) = outcome(validate, spec), outcome(ref.validate, spec)
     assert new_exc is old_exc
     assert new == old
+
+
+def verdict(fn, *args):
+    """The result of a call, or the class and message of its library error."""
+    try:
+        return fn(*args)
+    except CencovNcpError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(groupoids(), st.lists(st.tuples(
+    st.sampled_from(["source", "target", "inverse", "compose", "units", "P", "fiber_weight"]),
+    st.booleans()), min_size=1, max_size=3), st.data())
+def test_ill_formed_tables_same_first_defect(G, defects, data):
+    """Entries dropped or pointed at an undeclared id, in one or more tables:
+    both validators raise the same class with the same message.  P and the
+    fiber weights only lose entries; compose entries only change value."""
+    spec = spec_of(G)
+    for table, drop in defects:
+        entries = dict(getattr(spec, table))
+        if not entries:
+            continue
+        key = data.draw(st.sampled_from(sorted(entries)))
+        if table in ("P", "fiber_weight") or (drop and table != "compose"):
+            del entries[key]
+        else:
+            entries[key] = "undeclared"
+        spec = dataclasses.replace(spec, **{table: entries})
+    new = verdict(validate, spec)
+    assert new == verdict(ref.validate, spec)
+    if not isinstance(new, c.FiniteGroupoid):  # an emptied weight table is counting measure
+        assert new[0] in (c.SchemaError, c.BadMeasure, c.BadWeight)
+
+
+@SETTINGS
+@given(weighted_groupoids(), weighted_groupoids(), st.floats(0.05, 0.95))
+def test_union_and_product_match_oracles(G1, G2, w):
+    assert c.disjoint_union(G1, G2, w) == ref.disjoint_union(G1, G2, w)
+    if len(G1.elements) * len(G2.elements) <= 64:  # the oracle is O(|G|^2 |G|^2)
+        assert c.product(G1, G2) == ref.product(G1, G2)
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_pair_and_trivial_match_oracles(n, uniform, data):
+    P = None if uniform else random_P(data.draw, n)
+    assert c.pair_groupoid(n, P) == ref.pair_groupoid(n, P)
+    assert c.trivial_groupoid(n, P) == ref.trivial_groupoid(n, P)
+
+
+@SETTINGS
+@given(st.integers(0, 5), st.lists(st.tuples(st.integers(0, 24), st.integers(0, 5)),
+                                   max_size=2))
+def test_group_groupoid_matches_oracle(n, changes):
+    """Cyclic tables with up to two products changed (to another element, or
+    to a missing one): the same groupoid, or the same NotAGroup message."""
+    labels = [f"g{i}" for i in range(n)]
+    table = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
+    keys = sorted(table)
+    for k, v in changes:
+        if keys:
+            table[keys[k % len(keys)]] = f"g{v}"  # g{v} is undeclared when v >= n
+    new = verdict(c.group_groupoid, table, labels)
+    assert new == verdict(ref.group_groupoid, table, labels)
+    if not changes:
+        assert new == verdict(c.cyclic_group_groupoid, n)
 
 
 def test_planted_defect_classes_are_reached():
