@@ -281,4 +281,6 @@ def cp_verdict(Pi: QuantumKernel, psd_tol: float = numkit.PSD_TOL):
     """``(is_cp, min_choi_eigenvalue)`` via the Choi criterion."""
     # the Choi matrix of a hermiticity-respecting kernel is Hermitian only up
     # to numerical noise, so no asymmetry bound; the eigensolve symmetrizes
-    return numkit.psd_verdict(choi_matrix(Pi), psd_tol=psd_tol, eig_tol=np.inf)
+    w = numkit.hermitian_spectra(choi_matrix(Pi))
+    lo = float(w[0])
+    return lo >= -psd_tol * (1.0 + float(np.abs(w).max())), lo

@@ -78,10 +78,18 @@ def _emit(ctx, data: dict) -> None:
             click.echo(f"{key}: {data[key]}")
 
 
+def _finite(ctx, param, value):
+    """Option callback: a finite ``--tol`` >= 0, or a finite ``--h`` > 0."""
+    strict = param.name == "hstep"
+    if not np.isfinite(value) or value < 0 or (strict and value == 0):
+        raise click.BadParameter(f"must be finite and {'>' if strict else '>='} 0")
+    return value
+
+
 @click.group()
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_finite,
               help="Validation tolerance.")
-@click.option("--h", "hstep", type=float, default=1e-5, show_default=True,
+@click.option("--h", "hstep", type=float, default=1e-5, show_default=True, callback=_finite,
               help="Finite-difference step for model derivatives.")
 @click.option("--json", "json_out", is_flag=True, help="Machine-readable output.")
 @click.pass_context

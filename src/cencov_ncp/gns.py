@@ -1,13 +1,16 @@
 """Finite-dimensional GNS construction for a state on a groupoid algebra.
 
-The spanning set is the delta basis of the convolution algebra, the inner
-product is ``<A|B> = rho(A* B)``, and the Gelfand ideal is the numerical null
-space of the resulting Gram matrix.  The quotient Hilbert space is spanned by
-the Gram eigenvectors above the rank threshold, rescaled to unit Gram norm.
+The spanning set is the delta basis of the convolution algebra and the inner
+product ``<A|B> = rho(A* B)`` vanishes unless ``t(a) = t(b)``, so the Gram
+matrix is block diagonal over the target fibers.  The Gelfand ideal is
+spanned by the block eigenvectors at or below one global rank threshold, the
+quotient Hilbert space by those above it, rescaled to unit Gram norm.  The
+dense forms are read-only and built on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,15 +23,61 @@ from .states import State
 
 @dataclass(frozen=True)
 class GnsSpace:
-    """Gram matrix, Gelfand-ideal basis, and quotient basis for a state."""
+    """Per-fiber Gram blocks and their spectral split for a state."""
 
     groupoid: FiniteGroupoid
     base_state: State
-    gram: np.ndarray            # |Gamma| x |Gamma|, Hermitian PSD
-    gram_eigenvalues: np.ndarray
-    ideal_basis: np.ndarray     # |Gamma| x (|Gamma| - dim), columns
-    quotient_basis: np.ndarray  # |Gamma| x dim, columns, Gram-orthonormal
+    # per fiber size s, (F, gram, w, V, keep) over its k fibers: element indices
+    # (k, s), Gram blocks (k, s, s), ascending eigenvalues, eigenvectors, kept mask
+    blocks: tuple[tuple[np.ndarray, ...], ...]
+    gram_eigenvalues: np.ndarray  # all block eigenvalues, ascending, length |Gamma|
     dim: int
+
+    def apply(self, u) -> np.ndarray:
+        """``gram @ u`` for a vector or matrix u of |Gamma| rows."""
+        u = np.asarray(u, dtype=complex)
+        out = np.zeros_like(u)
+        for F, B, *_ in self.blocks:
+            out[F] = np.einsum("kij,kj...->ki...", B, u[F])
+        return out
+
+    def solve(self, v) -> np.ndarray:
+        """``Q Q† v``, the minimum-norm solution of ``gram x = v`` on the range
+        of the Gram matrix: ``V diag(1/w) V† v_F`` on the kept block spectra."""
+        x = np.zeros(len(v), dtype=complex)
+        for F, _, w, V, keep in self.blocks:
+            c = np.einsum("kji,kj->ki", V.conj(), v[F])
+            x[F] = np.einsum("kij,kj->ki", V, np.divide(c, w, out=np.zeros_like(c), where=keep))
+        return x
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """|Gamma| x |Gamma| Gram matrix, Hermitian PSD: the blocks in place."""
+        M = gram_matrix(self.base_state)
+        M.flags.writeable = False
+        return M
+
+    @cached_property
+    def quotient_basis(self) -> np.ndarray:
+        """|Gamma| x dim, columns, Gram-orthonormal."""
+        return self._columns(kept=True)
+
+    @cached_property
+    def ideal_basis(self) -> np.ndarray:
+        """|Gamma| x (|Gamma| - dim), columns."""
+        return self._columns(kept=False)
+
+    def _columns(self, kept: bool) -> np.ndarray:
+        n, cols = len(self.groupoid.elements), []
+        for F, _, w, V, keep in self.blocks:
+            i, j = np.nonzero(keep == kept)
+            scale = np.sqrt(w[i, j])[:, None] if kept else 1.0
+            C = np.zeros((n, len(i)), dtype=complex)
+            C[F[i], np.arange(len(i))[:, None]] = V[i, :, j] / scale
+            cols.append(C)
+        M = np.hstack(cols)
+        M.flags.writeable = False
+        return M
 
 
 def gram_matrix(rho: State) -> np.ndarray:
@@ -47,37 +96,32 @@ def gram_matrix(rho: State) -> np.ndarray:
 
 
 def build_gns(rho0: State, rank_tol: float = numkit.RANK_TOL) -> GnsSpace:
-    """Assemble the Gram matrix and split it spectrally at ``rank_tol * lam_max``."""
+    """Eigendecompose the Gram block of every target fiber and split the
+    spectra at ``rank_tol * lam_max``, ``lam_max`` over all blocks."""
     G = rho0.groupoid
-    gram = gram_matrix(rho0)
-    # the state check has decided symmetry; eigendecompose the Hermitian part
-    res = numkit.hermitian_eigen(gram, eig_tol=np.inf)
-    w, V = res.eigenvalues, res.eigenvectors
-    lam_max = float(np.abs(w).max()) if w.size else 0.0
+    eig = []
+    for _, F, T in G.fiber_blocks:
+        B = rho0.phi[T] * G.nu_vec[T] / G.delta_vec[F][:, :, None]
+        # the state check has decided symmetry; eigendecompose the Hermitian part
+        eig.append((F, B, *numkit.hermitian_spectra(B, vectors=True)))
+    spectrum = np.sort(np.concatenate([w.ravel() for _, _, w, _ in eig]))
+    lam_max = float(np.abs(spectrum).max())
     if lam_max <= 0.0:
         raise DegenerateState("Gram matrix is numerically zero")
-    keep = w > rank_tol * lam_max
-    quotient = V[:, keep] / np.sqrt(w[keep])
-    ideal = V[:, ~keep]
-    return GnsSpace(
-        groupoid=G,
-        base_state=rho0,
-        gram=gram,
-        gram_eigenvalues=w,
-        ideal_basis=ideal,
-        quotient_basis=quotient,
-        dim=int(np.count_nonzero(keep)),
-    )
+    cut = rank_tol * lam_max
+    blocks = tuple((F, B, w, V, w > cut) for F, B, w, V in eig)
+    return GnsSpace(groupoid=G, base_state=rho0, blocks=blocks, gram_eigenvalues=spectrum,
+                    dim=int(np.count_nonzero(spectrum > cut)))
 
 
 def gns_inner(S: GnsSpace, u, v) -> complex:
     """``<u|v> = u† gram v`` on spanning-set coordinate vectors."""
     uu = np.asarray(u, dtype=complex).reshape(-1)
     vv = np.asarray(v, dtype=complex).reshape(-1)
-    n = S.gram.shape[0]
+    n = len(S.groupoid.elements)
     if uu.shape[0] != n or vv.shape[0] != n:
         raise DimensionMismatch("coordinate vectors must have length |Gamma|")
-    return complex(uu.conj() @ S.gram @ vv)
+    return complex(uu.conj() @ S.apply(vv))
 
 
 def gns_represent(S: GnsSpace, a: AlgebraElement) -> np.ndarray:
@@ -92,10 +136,10 @@ def gns_represent(S: GnsSpace, a: AlgebraElement) -> np.ndarray:
     L = np.zeros((n, n), dtype=complex)
     L[gamma, alpha] = a.coeff[beta]
     Q = S.quotient_basis
-    return Q.conj().T @ S.gram @ (L @ Q)
+    return Q.conj().T @ S.apply(L @ Q)
 
 
 def cyclic_vector(S: GnsSpace) -> np.ndarray:
     """Quotient coordinates of the class of the algebra unit."""
     u = unit_element(S.groupoid).coeff
-    return S.quotient_basis.conj().T @ S.gram @ u
+    return S.quotient_basis.conj().T @ S.apply(u)

@@ -203,10 +203,11 @@ class FiniteGroupoid:
         return b, a, C[b, a].astype(np.intp)
 
     @cached_property
-    def fiber_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def fiber_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Target fibers by size s: the outcomes ``xs`` (k,) with fibers of s
-        elements, and ``T[i, k, l]`` = ``inv(a_k) o a_l`` over the fiber of
-        ``xs[i]`` in canonical order, so ``phi[T]`` stacks its fiber Grams."""
+        elements, their elements ``F[i, k]`` = ``a_k`` (k, s) over the fiber of
+        ``xs[i]`` in canonical order, and ``T[i, k, l]`` = ``inv(a_k) o a_l``,
+        so ``phi[T]`` stacks their fiber Grams."""
         sizes = np.bincount(self.tgt)
         blocks = []
         # the distinct sizes, ascending; np.unique would import numpy.ma
@@ -214,7 +215,7 @@ class FiniteGroupoid:
             fibers = np.flatnonzero(sizes[self.tgt] == s)
             F = fibers[np.argsort(self.tgt[fibers], kind="stable")].reshape(-1, s)
             T = self.compose_ix[self.inv_ix[F][:, :, None], F[:, None, :]]
-            blocks.append((np.flatnonzero(sizes == s), T))
+            blocks.append((np.flatnonzero(sizes == s), F, T))
         return tuple(blocks)
 
     @cached_property

@@ -58,7 +58,7 @@ def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, scale=Non
     """:func:`numkit.psd_verdicts` of the target-fiber Grams of the array phi,
     in outcome order; one eigensolve per distinct fiber size."""
     ok, lo = np.empty(len(G.outcomes), dtype=bool), np.empty(len(G.outcomes))
-    for xs, T in G.fiber_blocks:
+    for xs, _, T in G.fiber_blocks:
         ok[xs], lo[xs] = numkit.psd_verdicts(phi[T], tol, scale)
     return ok, lo
 

@@ -6,7 +6,10 @@ constructions built as string tables (pair, trivial, group, disjoint union
 and product groupoids), fiber Gram matrices, the state check and the kernel
 axioms with one eigensolve per target fiber, the density check,
 convolution, involution, the regular representation, the GNS Gram matrix,
-the density-matrix dictionary, Kraus kernels and the Choi matrix; the
+the density-matrix dictionary, Kraus kernels and the Choi matrix; the dense
+GNS construction (one eigensolve of the whole Gram matrix) and its Fisher
+metric and Cramer-Rao bound, which ``gns`` replaced by per-fiber blocks; the
+single-matrix Hermitian eigensolver, PSD verdict and numerical rank; the
 spectral minimum-norm solve that the Riesz representer in ``estimation``
 replaced by its projection onto the GNS quotient basis; and the two scipy
 ``CubicSpline`` fits that model files were interpolated with before
@@ -19,6 +22,7 @@ formula.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -32,18 +36,25 @@ from cencov_ncp.errors import (
     BadMeasure,
     BadWeight,
     CoherenceViolation,
+    DegenerateState,
     DimensionMismatch,
+    FoliumViolation,
     GroupoidMismatch,
     HomomorphismViolation,
     InvalidDensity,
     InverseViolation,
     NonTracePreserving,
+    NoConvergence,
     NonUniformP,
     NotAGroup,
+    NotHermitian,
     NotPairGroupoid,
+    NotSquare,
     SchemaError,
     UnitViolation,
+    ZeroInformation,
 )
+from cencov_ncp.estimation import BOUND_TOL, DEFAULT_H, FOLIUM_TOL
 from cencov_ncp.groupoid import MEASURE_TOL, FiniteGroupoid, GroupoidSpec
 from cencov_ncp.states import DensityMatrix, State, StateReport, make_state
 
@@ -390,7 +401,7 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
             psd_ok = False
             fiber_min[x] = float("-inf")
             continue
-        ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
+        ok, lo = psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
         fiber_min[x] = lo
         psd_ok = psd_ok and ok
 
@@ -412,7 +423,7 @@ def make_density(D, tol: float = NORM_TOL) -> DensityMatrix:
         raise InvalidDensity("density matrix must be square")
     if np.abs(M - M.conj().T).max() > tol * (1.0 + np.abs(M).max()):
         raise InvalidDensity("density matrix is not Hermitian")
-    ok, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
+    ok, lo = psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
     if not ok:
         raise InvalidDensity(f"density matrix has negative eigenvalue {lo:.3e}")
     if abs(np.trace(M).real - 1.0) > tol:
@@ -486,6 +497,56 @@ def gram_matrix(rho: State) -> np.ndarray:
     return M
 
 
+
+
+@dataclass(frozen=True)
+class DenseGns:
+    """Gram matrix, Gelfand-ideal basis, and quotient basis for a state."""
+
+    gram: np.ndarray            # |Gamma| x |Gamma|, Hermitian PSD
+    gram_eigenvalues: np.ndarray
+    ideal_basis: np.ndarray     # |Gamma| x (|Gamma| - dim), columns
+    quotient_basis: np.ndarray  # |Gamma| x dim, columns, Gram-orthonormal
+    dim: int
+
+
+def build_gns(rho0: State, rank_tol: float = numkit.RANK_TOL) -> DenseGns:
+    """Assemble the dense Gram matrix, eigendecompose it in one piece and split
+    it spectrally at ``rank_tol * lam_max``."""
+    gram = gram_matrix(rho0)
+    res = hermitian_eigen(gram, eig_tol=np.inf)
+    w, V = res.eigenvalues, res.eigenvectors
+    lam_max = float(np.abs(w).max()) if w.size else 0.0
+    if lam_max <= 0.0:
+        raise DegenerateState("Gram matrix is numerically zero")
+    keep = w > rank_tol * lam_max
+    return DenseGns(gram=gram, gram_eigenvalues=w, ideal_basis=V[:, ~keep],
+                    quotient_basis=V[:, keep] / np.sqrt(w[keep]),
+                    dim=int(np.count_nonzero(keep)))
+
+
+def fisher_metric(M, S: DenseGns, h: float = DEFAULT_H) -> float:
+    """``<l|l>`` for the dense Riesz representer ``l = Q Q† conj(v)``, v the
+    central difference of ``phi_s nu``; FoliumViolation past the folium
+    residual bound or for a non-negligible imaginary part."""
+    nu = M.groupoid.nu_vec
+    v = (M.at(M.s0 + h).phi * nu - M.at(M.s0 - h).phi * nu) / (2.0 * h)
+    Q, b = S.quotient_basis, np.conj(v)
+    ell = Q @ (Q.conj().T @ b)
+    residual = float(np.linalg.norm(S.gram @ ell - b))
+    if residual > FOLIUM_TOL * (1.0 + float(np.abs(v).max(initial=0.0))):
+        raise FoliumViolation(f"derivative leaves the folium (residual {residual:.3e})")
+    val = complex(ell.conj() @ S.gram @ ell)
+    if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
+        raise FoliumViolation(f"Fisher metric has imaginary part {val.imag:.3e}")
+    return float(val.real)
+
+
+def cramer_rao_bound(M, S: DenseGns, h: float = DEFAULT_H) -> float:
+    gf = fisher_metric(M, S, h)
+    if gf <= BOUND_TOL:
+        raise ZeroInformation(f"Fisher metric {gf:.3e} is numerically zero")
+    return 1.0 / gf
 
 
 def _pair_dictionary(G: FiniteGroupoid):
@@ -576,7 +637,7 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
             if M.size and np.abs(M - M.conj().T).max() > tol * (1 + np.abs(M).max()):
                 worst = -np.inf
                 continue
-            _, lo = numkit.psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
+            _, lo = psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
             worst = min(worst, lo)
         pos_min[x1] = float(worst)
         scale = 1.0 + float(np.abs(Pi.pi[G1.index[u], :]).max(initial=0.0))
@@ -706,6 +767,68 @@ def choi_matrix(Pi: QuantumKernel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Hermitian eigensolver, PSD verdict and numerical rank, one matrix at a time
+# ---------------------------------------------------------------------------
+
+EIG_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class EigenResult:
+    """Full spectrum (ascending) and orthonormal eigenbasis (columns)."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def hermitian_eigen(H, eig_tol: float = EIG_TOL) -> EigenResult:
+    """Eigendecompose a Hermitian matrix, ascending eigenvalues.
+
+    Raises NotHermitian when the max asymmetry exceeds
+    ``eig_tol * (1 + max|H|)``.
+    """
+    M = np.asarray(H, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise NotHermitian("matrix contains non-finite entries")
+    scale = 1.0 + (np.abs(M).max() if M.size else 0.0)
+    asym = np.abs(M - M.conj().T).max() if M.size else 0.0
+    if asym > eig_tol * scale:
+        raise NotHermitian(f"max asymmetry {asym:.3e} exceeds tolerance")
+    try:
+        w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
+        raise NoConvergence(str(exc)) from exc
+    return EigenResult(eigenvalues=w, eigenvectors=V)
+
+
+def psd_verdict(H, psd_tol: float = numkit.PSD_TOL, eig_tol: float = EIG_TOL):
+    """Return ``(is_psd, min_eigenvalue)`` for a Hermitian matrix.
+
+    PSD means the minimum eigenvalue is at least
+    ``-psd_tol * (1 + spectral radius)``.
+    """
+    res = hermitian_eigen(H, eig_tol=eig_tol)
+    if res.eigenvalues.size == 0:
+        return True, 0.0
+    lo = float(res.eigenvalues[0])
+    radius = float(np.abs(res.eigenvalues).max())
+    return lo >= -psd_tol * (1.0 + radius), lo
+
+
+def matrix_rank_hermitian(rows: np.ndarray, rank_tol: float = numkit.RANK_TOL) -> int:
+    """Rank of a (possibly rectangular) stack of row vectors.
+
+    Computed from the spectrum of the Hermitian Gram matrix ``rows rows†``,
+    so it only relies on :func:`hermitian_eigen`.
+    """
+    A = np.asarray(rows, dtype=complex)
+    w = hermitian_eigen(A @ A.conj().T).eigenvalues
+    return int(np.count_nonzero(w > rank_tol * np.abs(w).max(initial=0.0)))
+
+
+# ---------------------------------------------------------------------------
 # minimum-norm solve (oracle for the Riesz representer)
 # ---------------------------------------------------------------------------
 
@@ -722,7 +845,7 @@ def min_norm_solve(G, v, rank_tol: float = numkit.RANK_TOL):
         raise DimensionMismatch(
             f"vector length {b.shape[0]} does not match matrix size {M.shape[0]}"
         )
-    res = numkit.hermitian_eigen(M)
+    res = hermitian_eigen(M)
     w, V = res.eigenvalues, res.eigenvectors
     lam_max = float(np.abs(w).max()) if w.size else 0.0
     keep = w > rank_tol * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)

@@ -53,7 +53,7 @@ from cencov_ncp.estimation import (
 )
 from cencov_ncp.gns import build_gns, cyclic_vector, gns_represent
 from cencov_ncp.groupoid import validate
-from cencov_ncp.numkit import matrix_rank_hermitian
+from reference import matrix_rank_hermitian
 
 from conftest import random_density, random_hermitian, random_kraus, random_stochastic, spec_of
 

@@ -16,7 +16,7 @@ from cencov_ncp.algebra import (
     unit_element,
 )
 from cencov_ncp.errors import GroupoidMismatch, NonUniformP, NotPairGroupoid
-from cencov_ncp.numkit import matrix_rank_hermitian
+from reference import matrix_rank_hermitian
 
 
 def random_element(G, rng):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import cencov_ncp as c
 from cencov_ncp import channels, cli, estimation, fileio, states
 from cencov_ncp.cli import main
+from cencov_ncp.gns import build_gns
 
 # machine-readable output contracts for the --json flag, by subcommand
 SCHEMAS = {
@@ -300,3 +301,52 @@ def test_json_output_deterministic(runner, fixture_dir):
     r1 = invoke(runner, "--json", "gns", fixture_dir / "rho.json")
     r2 = invoke(runner, "--json", "gns", fixture_dir / "rho.json")
     assert r1.output == r2.output
+
+
+@pytest.mark.parametrize("option, value, args", [
+    ("--h", "0", ["fisher", "coin_model.json"]),
+    ("--h", "0", ["crb", "coin_model.json", "--estimator", "pm_half.json"]),
+    ("--h", "-1e-5", ["fisher", "coin_model.json"]),
+    ("--h", "nan", ["fisher", "coin_model.json"]),
+    ("--h", "inf", ["crb", "coin_model.json"]),
+    ("--tol", "nan", ["gns", "rho.json"]),
+    ("--tol", "-1", ["gns", "rho.json"]),
+    ("--tol", "inf", ["validate", "rho.json"]),
+])
+def test_non_finite_or_out_of_range_step_and_tol_exit_2(runner, fixture_dir, monkeypatch,
+                                                       option, value, args):
+    """A --h that is not finite and > 0, or a --tol that is not finite and >= 0,
+    is a usage error: exit 2 and nothing on stdout (``--h 0`` once printed
+    ``{"fisher": NaN}``, which is not JSON, and exited 0)."""
+    monkeypatch.chdir(fixture_dir)
+    r = runner.invoke(main, ["--json", option, value, *args])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == "" and f"Invalid value for '{option}'" in r.stderr
+
+
+def test_zero_tol_is_accepted(runner, fixture_dir):
+    r = invoke(runner, "--json", "--tol", "0", "fisher", fixture_dir / "coin_model.json")
+    assert r.exit_code == 0, r.output
+    assert jout(r, "fisher")["fisher"] == pytest.approx(4.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("args", [
+    ["gns", "rho.json"],
+    ["fisher", "coin_model.json"],
+    ["crb", "coin_model.json", "--estimator", "pm_half.json"],
+])
+def test_gns_commands_build_no_dense_gram(runner, fixture_dir, monkeypatch, args):
+    """``gns``, ``fisher`` and ``crb`` work on the Gram blocks alone: the dense
+    views ``gram``, ``quotient_basis`` and ``ideal_basis`` are never built."""
+    spaces = []
+
+    def recording(rho0):
+        spaces.append(build_gns(rho0))
+        return spaces[-1]
+
+    monkeypatch.setattr(cli, "build_gns", recording)
+    monkeypatch.chdir(fixture_dir)
+    r = invoke(runner, "--json", *args)
+    assert r.exit_code == 0, r.output
+    (S,) = spaces
+    assert not {"gram", "quotient_basis", "ideal_basis"} & set(vars(S))

@@ -7,6 +7,7 @@ import cencov_ncp as c
 from cencov_ncp.errors import (
     FoliumViolation,
     IntervalExceeded,
+    NoConvergence,
     NotCongruent,
     NotSelfAdjoint,
     SupportBoundary,
@@ -23,6 +24,7 @@ from cencov_ncp.estimation import (
     cramer_rao_bound,
     fisher_metric,
     qubit_z_model,
+    riesz_representer,
 )
 from cencov_ncp.gns import build_gns
 
@@ -287,3 +289,13 @@ def test_folium_violation():
     assert S.dim == 2
     with pytest.raises(FoliumViolation):
         fisher_metric(M, S)
+
+
+def test_non_finite_derivative_raises_no_convergence():
+    """A zero step makes the central difference 0/0: a numerical failure, not
+    a NaN Fisher metric or bound."""
+    M = qubit_z_model(0.0)
+    S = gns_at_base(M)
+    for fn in (riesz_representer, fisher_metric, cramer_rao_bound):
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
+            fn(M, S, h=0.0)

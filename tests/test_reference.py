@@ -6,7 +6,9 @@ products and disjoint unions; values must agree to 1e-12 relative, and
 every raised exception must be of the same class.  The constructions must
 build equal groupoids, and ill-formed tables and group tables must get the
 same error message.  The model interpolant is compared with scipy's splines
-on random knots.
+on random knots.  The per-fiber GNS blocks are compared with the dense
+one-eigensolve construction: spectrum, rank, dense views, Fisher metric and
+Cramer-Rao bound, on full-rank and rank-deficient states.
 """
 import dataclasses
 import json
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import cencov_ncp as c
 import reference as ref
-from cencov_ncp import fileio
+from cencov_ncp import fileio, numkit
 from cencov_ncp.channels import (
     choi_matrix,
     choi_to_kernel,
@@ -124,10 +126,11 @@ def test_fiber_gram_and_gram_matrix(G, data):
     phi = vectors(data.draw, len(G.elements))
     for x in G.outcomes:
         assert close(c.fiber_gram(G, phi, x), ref.fiber_gram(G, phi, x))
-    for xs, T in G.fiber_blocks:
-        for i, M in zip(xs, phi[T]):
+    for xs, F, T in G.fiber_blocks:
+        for i, f, M in zip(xs, F, phi[T]):
             assert close(M, ref.fiber_gram(G, phi, G.outcomes[i]))
-    assert sorted(np.concatenate([xs for xs, _ in G.fiber_blocks])) == list(range(len(G.outcomes)))
+            assert f.tolist() == G.fiber_ix(G.outcomes[i]).tolist()
+    assert sorted(np.concatenate([xs for xs, _, _ in G.fiber_blocks])) == list(range(len(G.outcomes)))
     rho = State(G, phi)
     assert close(c.gram_matrix(rho), ref.gram_matrix(rho))
 
@@ -518,3 +521,85 @@ def test_load_model_matches_oracle_curve(tmp_path):
     S = c.build_gns(M.at(M.s0))
     assert fisher_metric(M, S) == pytest.approx(fisher_metric(O, S), rel=1e-8)
     assert cramer_rao_bound(M, S) == pytest.approx(cramer_rao_bound(O, S), rel=1e-8)
+
+
+# --- block-diagonal GNS against the dense oracle -------------------------------
+
+def vector_phi(G, xi):
+    """``phi(g) = sum_{t(h) = s(g)} conj(xi(g o h)) xi(h)``, normalized: the
+    fiber Gram of x is ``sum_c eta_c eta_c†`` over c in the fiber, with
+    ``eta_c[k] = xi(inv(a_k) o c)``, so phi is a state whose fiber ranks are at
+    most the number of c with ``xi`` nonzero on their source."""
+    b, a, g = G.triples
+    terms = np.conj(xi[g]) * xi[a]
+    n = len(G.elements)
+    phi = np.bincount(b, terms.real, n) + 1j * np.bincount(b, terms.imag, n)
+    return phi / (phi[G.unit_ix] @ G.P_vec).real
+
+
+@st.composite
+def gns_models(draw):
+    """A model ``s -> vector_phi(xi + s zeta)`` at s0 = 0 on a groupoid from
+    ``groupoids()``.  xi lives on the elements whose source is in a drawn set
+    Y of outcomes, so the base state is rank-deficient when Y misses
+    outcomes.  ``zeta = xi . c`` with c on transitions inside Y keeps the
+    curve in the folium of the base state; a zeta drawn freely may leave it."""
+    G = draw(groupoids())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = len(G.outcomes), len(G.elements)
+    Y = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    on_y = np.isin(G.src, list(Y))
+    xi = on_y * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    zeta = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if draw(st.booleans()):
+        inside = zeta * (on_y & np.isin(G.tgt, list(Y)))
+        zeta = c.convolve(c.AlgebraElement(G, xi), c.AlgebraElement(G, inside)).coeff
+    return StatisticalModel(G, lambda s: make_state(G, vector_phi(G, xi + s * zeta)),
+                            s0=0.0, interval=(-1e-3, 1e-3))
+
+
+def same_spectrum_and_views(S, D):
+    lam = np.abs(D.gram_eigenvalues).max()
+    assert np.abs(S.gram_eigenvalues - D.gram_eigenvalues).max() <= 1e-12 * lam
+    assert S.dim == D.dim == S.quotient_basis.shape[1]
+    assert S.ideal_basis.shape == D.ideal_basis.shape
+    assert close(S.gram, D.gram)
+    Q = S.quotient_basis
+    assert np.abs(Q.conj().T @ S.gram @ Q - np.eye(S.dim)).max() <= 1e-9
+
+
+@SETTINGS
+@given(gns_models())
+def test_block_gns_matches_dense_oracle(M):
+    """Spectrum, rank, views, Fisher metric and Cramer-Rao bound of the
+    per-fiber blocks equal those of one dense eigensolve, or both raise the
+    same error."""
+    rho = M.at(M.s0)
+    S, D = c.build_gns(rho), ref.build_gns(rho)
+    (new_exc, new), (old_exc, old) = (outcome(fisher_metric, M, S),
+                                      outcome(ref.fisher_metric, M, D))
+    assert new_exc is old_exc
+    if old_exc is None:
+        assert close(new, old)
+        (new_exc, new), (old_exc, old) = (outcome(cramer_rao_bound, M, S),
+                                          outcome(ref.cramer_rao_bound, M, D))
+        assert new_exc is old_exc
+        assert old_exc is not None or close(new, old)
+    same_spectrum_and_views(S, D)
+
+
+def test_rank_threshold_is_global_over_blocks():
+    """The Z3 fibers of ``pair(2) + Z3`` carry a Gram block whose largest
+    eigenvalue is positive but below RANK_TOL times the pair block's: a
+    per-block threshold would keep it, the global one drops it."""
+    G = c.disjoint_union(c.pair_groupoid(2, P={"1": 0.3, "2": 0.7}),
+                         c.cyclic_group_groupoid(3), 0.4)
+    rng = np.random.default_rng(11)
+    xi = rng.normal(size=7) + 1j * rng.normal(size=7)
+    xi[4:] *= 1e-6  # the Z3 elements: their Gram block scales by 1e-12
+    rho = make_state(G, vector_phi(G, xi))
+    S, D = c.build_gns(rho), ref.build_gns(rho)
+    top = {F.shape[1]: w.max() for F, _, w, _, _ in S.blocks}  # by fiber size
+    assert 0.0 < top[3] < numkit.RANK_TOL * top[2]
+    assert S.dim == D.dim == 4
+    same_spectrum_and_views(S, D)
