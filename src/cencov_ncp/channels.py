@@ -53,6 +53,8 @@ class ClassicalKernel:
         M = np.asarray(self.K, dtype=float)
         if M.ndim != 2:
             raise RowSumViolation("classical kernel must be a matrix")
+        if not np.isfinite(M).all():
+            raise RowSumViolation("classical kernel has non-finite entries")
         if np.any(M < -1e-12):
             raise RowSumViolation("classical kernel has negative entries")
         rows = M.sum(axis=1)

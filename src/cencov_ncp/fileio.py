@@ -10,11 +10,14 @@ the references in files written with ``-o``.  Parsed JSON is never kept.
 """
 from __future__ import annotations
 
+import errno
 import json
+import math
 import os
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
+from stat import S_IMODE, S_ISREG
 from typing import Optional
 
 import numpy as np
@@ -29,11 +32,16 @@ from .states import NORM_TOL, State, make_state
 FMT = "cencov-ncp/1"
 
 
+def _reject_constant(name: str):
+    """``parse_constant`` of ``json.load``: NaN and Infinity are not JSON numbers."""
+    raise ValueError(f"{name} is not a number")
+
+
 def _read_json(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
@@ -43,10 +51,69 @@ def _read_json(path: Path) -> dict:
 
 
 def _write_json(path: Path, data: dict) -> None:
+    """Write ``{"fmt": FMT, **data}`` to ``path`` as the one line that
+    ``json.dumps(..., sort_keys=True)`` makes of it, with strict numbers.
+
+    The top-level values are encoded in key order, each by one call of the C
+    encoder, and written before the next is made.  A value may be a function
+    of no arguments, called at its turn, so that only one large table exists
+    at a time.  A new file, or a regular file in a directory we may write, is
+    written under a temporary name in its directory and renamed over ``path``
+    (or the file a link at ``path`` names) at the end, with the old file's
+    mode, so a failure leaves it as it was.  Anything else (a device, a FIFO,
+    a pipe, a file in a read-only directory) is opened and written in place.
+    """
     data = {"fmt": FMT, **data}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    target = path.resolve()
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (_names_regular_file(target, old)
+                                and os.access(target.parent, os.W_OK | os.X_OK)):
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_values(fh, path, data)
+        return
+    if old is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:  # a stale one is a dead writer's
+            _write_values(fh, path, data)
+        if old is not None:
+            os.chmod(tmp, S_IMODE(old.st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _names_regular_file(target: Path, st: os.stat_result) -> bool:
+    """Whether ``st`` is a regular file and ``target`` is a name of it (on a
+    pipe, ``/dev/stdout`` resolves to a name that does not exist)."""
+    try:
+        return S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(target))
+    except OSError:
+        return False
+
+
+def _write_values(fh, path: Path, data: dict) -> None:
+    sep = "{"
+    for key in sorted(data):
+        fh.write(f"{sep}{json.dumps(key)}: ")
+        fh.write(_encode(path, key, data[key]))
+        sep = ", "
+    fh.write("}\n")
+
+
+def _encode(path: Path, key: str, value) -> str:
+    """The JSON text of ``value``, or of ``value()`` if it is callable; the
+    value is dropped before the text is written."""
+    try:
+        return json.dumps(value() if callable(value) else value,
+                          sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: cannot write {key}: {exc}") from exc
 
 
 def _resolve(base: Path, ref: str) -> Path:
@@ -158,39 +225,59 @@ def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indice
         if not table:
             continue
         try:
-            # float, unlike np.array, rejects null instead of reading it as NaN
-            out[indices(table)] += factor * np.array(list(map(float, table.values())))
+            # one statement, so that no array of this table is alive while the
+            # next table's labels are split
+            out[indices(table)] += factor * _numbers(table)
         except (KeyError, TypeError, ValueError, OverflowError):
             _raise_first_bad_entry(table, key, indices, path)
             raise
     return out
 
 
+def _numbers(table: dict) -> np.ndarray:
+    """The values of ``table``; ValueError unless all are finite numbers.
+    ``float``, unlike ``np.array``, rejects null instead of reading it as NaN."""
+    values = np.fromiter(map(float, table.values()), float, len(table))
+    if not np.isfinite(values).all():
+        raise ValueError("not a finite number")
+    return values
+
+
 def _raise_first_bad_entry(table: dict, key: str, indices, path: Path) -> None:
     """Name the first entry of ``table`` with an unknown label or a value that
-    is not a number."""
+    is not a finite number."""
     for label, val in table.items():
         try:
             indices((label,))
         except KeyError:
             raise SchemaError(f"{path}: unknown {key} key {label!r}") from None
         try:
-            float(val)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{path}: {key}[{label!r}] is not a number") from exc
+            finite = math.isfinite(float(val))
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise SchemaError(f"{path}: {key}[{label!r}] is not a number")
 
 
 def _lookup(index: dict):
-    """Labels -> list of their indices in ``index``; KeyError on an unknown label."""
-    return lambda labels: list(map(index.__getitem__, labels))
+    """Labels -> array of their indices in ``index``; KeyError on an unknown label."""
+    return lambda labels: np.fromiter(map(index.__getitem__, labels), np.intp)
 
 
-def _split_tables(labels, values: np.ndarray) -> tuple[dict, dict]:
-    """Nonzero real and imaginary parts of ``values``, keyed by label."""
-    values = values.tolist()
-    re = {k: z.real for k, z in zip(labels, values) if z.real != 0.0}
-    im = {k: z.imag for k, z in zip(labels, values) if z.imag != 0.0}
-    return re, im
+def _tables(keys: tuple[str, str], v: np.ndarray, label) -> dict:
+    """The tables ``keys[0]``, ``keys[1]`` of the real and imaginary parts of
+    ``v`` for :func:`_write_json`, each built at its turn: the nonzero entries,
+    keyed by ``label(*their index lists)``."""
+    def table(part: np.ndarray) -> dict:
+        ix = np.nonzero(part)
+        return dict(zip(label(*(i.tolist() for i in ix)), part[ix].tolist()))
+
+    return {key: partial(table, part) for key, part in zip(keys, (v.real, v.imag))}
+
+
+def _element_labels(elements):
+    """Index list -> the labels of those ``elements``."""
+    return lambda ix: map(elements.__getitem__, ix)
 
 
 def _coefficient_file(path: Path, data: dict, loaded: dict,
@@ -211,8 +298,10 @@ def load_state(path: str | Path, loaded: Optional[dict] = None, tol: float = NOR
 
 
 def save_state(rho: State, path: str | Path, groupoid_ref: str) -> None:
-    re, im = _split_tables(rho.groupoid.elements, rho.phi)
-    _write_json(Path(path), {"groupoid": groupoid_ref, "phi_re": re, "phi_im": im})
+    _write_json(Path(path), {
+        "groupoid": groupoid_ref,
+        **_tables(("phi_re", "phi_im"), rho.phi, _element_labels(rho.groupoid.elements)),
+    })
 
 
 def _algebra_element(path: Path, data: dict, loaded: dict) -> AlgebraElement:
@@ -224,8 +313,10 @@ def load_algebra_element(path: str | Path, loaded: Optional[dict] = None) -> Alg
 
 
 def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str) -> None:
-    re, im = _split_tables(a.groupoid.elements, a.coeff)
-    _write_json(Path(path), {"groupoid": groupoid_ref, "coeff_re": re, "coeff_im": im})
+    _write_json(Path(path), {
+        "groupoid": groupoid_ref,
+        **_tables(("coeff_re", "coeff_im"), a.coeff, _element_labels(a.groupoid.elements)),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +335,7 @@ def _kernel(path: Path, data: dict, loaded: dict) -> QuantumKernel:
         parts = "|".join(labels).split("|")
         if len(parts) != 2 * len(labels) or not all(map(str.__contains__, labels, repeat("|"))):
             raise KeyError("|")
-        return rows(parts[0::2]), cols(parts[1::2])
+        return rows(islice(parts, 0, None, 2)), cols(islice(parts, 1, None, 2))
 
     pi = np.zeros((len(g1.elements), len(g2.elements)), dtype=complex)
     _add_coefficients(pi, data, ("pi_re", "pi_im"), indices, path)
@@ -257,15 +348,17 @@ def load_kernel(path: str | Path, loaded: Optional[dict] = None) -> QuantumKerne
 
 def save_kernel(Pi: QuantumKernel, path: str | Path,
                 source_ref: str, target_ref: str) -> None:
-    rows, cols = np.nonzero(Pi.pi)
+    """Write ``Pi`` with keys ``a1|a2``; raises SchemaError, writing nothing,
+    if an element label of either groupoid holds a bar."""
     e1, e2 = Pi.g1.elements, Pi.g2.elements
-    labels = [f"{e1[i]}|{e2[j]}" for i, j in zip(rows.tolist(), cols.tolist())]
-    re, im = _split_tables(labels, Pi.pi[rows, cols])
+    bad = next((e for e in (*e1, *e2) if "|" in e), None)
+    if bad is not None:
+        raise SchemaError(f"{path}: element label {bad!r} holds '|', the kernel key separator")
     _write_json(Path(path), {
         "source_groupoid": source_ref,
         "target_groupoid": target_ref,
-        "pi_re": re,
-        "pi_im": im,
+        **_tables(("pi_re", "pi_im"), Pi.pi,
+                  lambda rows, cols: [f"{e1[i]}|{e2[j]}" for i, j in zip(rows, cols)]),
     })
 
 
@@ -290,6 +383,8 @@ def _kraus(path: Path, data: dict, loaded: dict) -> list[np.ndarray]:
         for entry in data["kraus"]:
             re = np.array(entry["re"], dtype=float)
             im = np.array(entry.get("im", np.zeros_like(re).tolist()), dtype=float)
+            if not (np.isfinite(re).all() and np.isfinite(im).all()):  # null reads as NaN
+                raise ValueError("entries must be finite numbers")
             ops.append(re + 1j * im)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed Kraus file: {exc}") from exc

@@ -11,18 +11,23 @@ GNS construction (one eigensolve of the whole Gram matrix) and its Fisher
 metric and Cramer-Rao bound, which ``gns`` replaced by per-fiber blocks; the
 single-matrix Hermitian eigensolver, PSD verdict and numerical rank; the
 spectral minimum-norm solve that the Riesz representer in ``estimation``
-replaced by its projection onto the GNS quotient basis; and the two scipy
+replaced by its projection onto the GNS quotient basis; the two scipy
 ``CubicSpline`` fits that model files were interpolated with before
-``fileio`` had its own cubic.  The groupoid oracles read a ``FiniteGroupoid``
-only through its string tables and accessors (``validate`` fills in the
-index arrays by loops, only to construct its result), so the property tests
-in ``test_reference.py`` compare two independent implementations of each
-formula.
+``fileio`` had its own cubic; and ``fileio``'s indented writer, the tables it
+was given and the table decoder through Python lists, which the one-line
+writer and the ``np.fromiter`` decoder replaced.  The groupoid oracles read a
+``FiniteGroupoid`` only through its string tables and accessors
+(``validate`` fills in the index arrays by loops, only to construct its
+result), so the property tests in ``test_reference.py`` compare two
+independent implementations of each formula.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,6 +60,7 @@ from cencov_ncp.errors import (
     ZeroInformation,
 )
 from cencov_ncp.estimation import BOUND_TOL, DEFAULT_H, FOLIUM_TOL
+from cencov_ncp.fileio import FMT
 from cencov_ncp.groupoid import MEASURE_TOL, FiniteGroupoid, GroupoidSpec
 from cencov_ncp.states import DensityMatrix, State, StateReport, make_state
 
@@ -870,3 +876,98 @@ def cubic_interpolant(x: np.ndarray, y: np.ndarray) -> Callable[[float], np.ndar
     re = CubicSpline(x, y.real, axis=0, bc_type=bc)
     im = CubicSpline(x, y.imag, axis=0, bc_type=bc)
     return lambda s: re(s) + 1j * im(s)
+
+
+# ---------------------------------------------------------------------------
+# file tables (oracles for fileio's writer and table decoder)
+# ---------------------------------------------------------------------------
+
+def write_json(path: Path, data: dict) -> None:
+    """The indented writer: one ``json.dump(..., indent=2)``, which runs the
+    pure-Python encoder."""
+    data = {"fmt": FMT, **data}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def split_tables(labels, values: np.ndarray) -> tuple[dict, dict]:
+    """Nonzero real and imaginary parts of ``values``, keyed by label."""
+    values = values.tolist()
+    re = {k: z.real for k, z in zip(labels, values) if z.real != 0.0}
+    im = {k: z.imag for k, z in zip(labels, values) if z.imag != 0.0}
+    return re, im
+
+
+def save_state(rho: State, path: str | Path, groupoid_ref: str) -> None:
+    re, im = split_tables(rho.groupoid.elements, rho.phi)
+    write_json(Path(path), {"groupoid": groupoid_ref, "phi_re": re, "phi_im": im})
+
+
+def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str) -> None:
+    re, im = split_tables(a.groupoid.elements, a.coeff)
+    write_json(Path(path), {"groupoid": groupoid_ref, "coeff_re": re, "coeff_im": im})
+
+
+def save_kernel(Pi: QuantumKernel, path: str | Path,
+                source_ref: str, target_ref: str) -> None:
+    rows, cols = np.nonzero(Pi.pi)
+    e1, e2 = Pi.g1.elements, Pi.g2.elements
+    labels = [f"{e1[i]}|{e2[j]}" for i, j in zip(rows.tolist(), cols.tolist())]
+    re, im = split_tables(labels, Pi.pi[rows, cols])
+    write_json(Path(path), {
+        "source_groupoid": source_ref,
+        "target_groupoid": target_ref,
+        "pi_re": re,
+        "pi_im": im,
+    })
+
+
+def add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indices,
+                     path: Path) -> np.ndarray:
+    """Add the real and imaginary tables ``data[keys[0]]``, ``data[keys[1]]``
+    into ``out`` through Python lists; ``indices(labels)`` maps a collection
+    of labels to an index of ``out`` and raises KeyError if one of them names
+    no entry."""
+    for key, factor in zip(keys, (1.0, 1j)):
+        table = data.get(key, {})
+        if not isinstance(table, dict):
+            raise SchemaError(f"{path}: {key} must be an object")
+        if not table:
+            continue
+        try:
+            out[indices(table)] += factor * np.array(list(map(float, table.values())))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise_first_bad_entry(table, key, indices, path)
+            raise
+    return out
+
+
+def raise_first_bad_entry(table: dict, key: str, indices, path: Path) -> None:
+    for label, val in table.items():
+        try:
+            indices((label,))
+        except KeyError:
+            raise SchemaError(f"{path}: unknown {key} key {label!r}") from None
+        try:
+            float(val)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{path}: {key}[{label!r}] is not a number") from exc
+
+
+def kernel_tables(g1: FiniteGroupoid, g2: FiniteGroupoid, data: dict, path: Path) -> np.ndarray:
+    """The kernel array of the ``pi_re``/``pi_im`` tables of ``data``."""
+    def rows(labels):
+        return list(map(g1.index.__getitem__, labels))
+
+    def cols(labels):
+        return list(map(g2.index.__getitem__, labels))
+
+    def indices(labels):
+        parts = "|".join(labels).split("|")
+        if len(parts) != 2 * len(labels) or not all(map(str.__contains__, labels, repeat("|"))):
+            raise KeyError("|")
+        return rows(parts[0::2]), cols(parts[1::2])
+
+    pi = np.zeros((len(g1.elements), len(g2.elements)), dtype=complex)
+    return add_coefficients(pi, data, ("pi_re", "pi_im"), indices, path)

@@ -49,6 +49,8 @@ def test_classical_kernel_guards():
         ClassicalKernel(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(RowSumViolation):
         ClassicalKernel(np.array([[1.5, -0.5], [0.5, 0.5]]))
+    with pytest.raises(RowSumViolation, match="non-finite"):
+        ClassicalKernel(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
 def test_identity_kernel_axioms(pair2):

@@ -1,11 +1,19 @@
 import json
+import os
+import stat
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import cencov_ncp as c
 from cencov_ncp import fileio
+from cencov_ncp.cli import main
 from cencov_ncp.errors import SchemaError
+from cencov_ncp.groupoid import GroupoidSpec, validate
+from cencov_ncp.states import State
 
 
 def test_groupoid_round_trip(tmp_path, pair2):
@@ -112,3 +120,122 @@ def test_model_requires_two_states(tmp_path, fixture_dir):
     }))
     with pytest.raises(SchemaError):
         fileio.load_model(path)
+
+
+def bar_groupoid():
+    """A valid groupoid whose element labels hold the kernel key separator."""
+    return validate(GroupoidSpec(
+        outcomes=["1", "2"], elements=["u|1", "u|2"],
+        source={"u|1": "1", "u|2": "2"}, target={"u|1": "1", "u|2": "2"},
+        inverse={"u|1": "u|1", "u|2": "u|2"},
+        compose={("u|1", "u|1"): "u|1", ("u|2", "u|2"): "u|2"},
+        units={"1": "u|1", "2": "u|2"}, P={"1": 0.5, "2": 0.5}))
+
+
+def test_save_kernel_rejects_bar_in_element_label(tmp_path, pair2):
+    G = bar_groupoid()
+    for g1, g2 in ((G, pair2), (pair2, G)):
+        Pi = c.QuantumKernel(g1, g2, np.zeros((len(g1.elements), len(g2.elements))))
+        with pytest.raises(SchemaError, match=r"element label 'u\|1'"):
+            fileio.save_kernel(Pi, tmp_path / "k.json", "g1.json", "g2.json")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_compose_with_bar_labels_exits_2_and_writes_nothing(tmp_path):
+    fileio.save_groupoid(bar_groupoid(), tmp_path / "g.json")
+    zero = {"fmt": fileio.FMT, "source_groupoid": "g.json", "target_groupoid": "g.json",
+            "pi_re": {}, "pi_im": {}}  # the only tables such a kernel file can hold
+    (tmp_path / "z.json").write_text(json.dumps(zero))
+    out = tmp_path / "zz.json"
+    result = CliRunner().invoke(main, ["compose", str(tmp_path / "z.json"),
+                                       str(tmp_path / "z.json"), "-o", str(out)],
+                                catch_exceptions=False)
+    assert result.exit_code == 2
+    assert "element label 'u|1'" in result.output
+    assert not out.exists()
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, pair2, monkeypatch):
+    path = tmp_path / "k.json"
+    fileio.save_kernel(c.identity_kernel(pair2), path, "g.json", "g.json")
+    before = path.read_bytes()
+    real_dumps, values = json.dumps, []
+
+    def dumps(obj, **kwargs):
+        if kwargs:  # a top-level value, not a key
+            values.append(obj)
+            if len(values) == 2:
+                raise RuntimeError("encoder failed")
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        fileio.save_kernel(c.QuantumKernel(pair2, pair2, 2 * c.identity_kernel(pair2).pi),
+                           path, "g.json", "g.json")
+    assert len(values) == 2
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_non_finite_value_is_not_written(tmp_path, pair2):
+    rho = State(pair2, np.array([0.5, np.nan, 0.0, 0.5], dtype=complex))
+    with pytest.raises(SchemaError, match="cannot write phi_re"):
+        fileio.save_state(rho, tmp_path / "s.json", "g.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_streams_into_a_fifo(tmp_path, pair2):
+    fifo = tmp_path / "k.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    fileio.save_kernel(c.identity_kernel(pair2), fifo, "g.json", "g.json")
+    reader.join(timeout=30)
+    fileio.save_kernel(c.identity_kernel(pair2), tmp_path / "k.json", "g.json", "g.json")
+    assert got == [(tmp_path / "k.json").read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.fifo", "k.json"]
+
+
+def test_save_over_a_stale_temporary_file(tmp_path, pair2):
+    path = tmp_path / "k.json"
+    (tmp_path / f".k.json.{os.getpid()}.tmp").write_text("left by a killed writer")
+    fileio.save_groupoid(pair2, tmp_path / "g.json")
+    fileio.save_kernel(c.identity_kernel(pair2), path, "g.json", "g.json")
+    assert np.array_equal(fileio.load_kernel(path).pi, c.identity_kernel(pair2).pi)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "k.json"]
+
+
+def test_save_keeps_mode_and_follows_links(tmp_path, pair2):
+    path, link = tmp_path / "k.json", tmp_path / "link.json"
+    path.write_text("old")
+    path.chmod(0o640)
+    link.symlink_to(path.name)
+    fileio.save_kernel(c.identity_kernel(pair2), link, "g.json", "g.json")
+    assert link.is_symlink() and stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert json.loads(path.read_text())["fmt"] == fileio.FMT
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json", "link.json"]
+
+
+def test_save_refuses_a_read_only_file(tmp_path, pair2, monkeypatch):
+    path = tmp_path / "k.json"
+    path.write_text("old")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != path and access(p, mode))
+    with pytest.raises(PermissionError, match="Permission denied"):
+        fileio.save_kernel(c.identity_kernel(pair2), path, "g.json", "g.json")
+    assert path.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_writes_in_place_in_a_read_only_directory(tmp_path, pair2, monkeypatch):
+    path = tmp_path / "k.json"
+    path.write_text("old")
+    inode = path.stat().st_ino
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != tmp_path and access(p, mode))
+    fileio.save_kernel(c.identity_kernel(pair2), path, "g.json", "g.json")
+    assert path.stat().st_ino == inode
+    assert json.loads(path.read_text())["fmt"] == fileio.FMT
+    assert list(tmp_path.iterdir()) == [path]

@@ -1,10 +1,13 @@
-"""Malformed tables in otherwise readable files are schema errors (exit 2)."""
+"""Malformed tables in otherwise readable files are schema errors (exit 2),
+and numbers that are not finite never pass."""
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from cencov_ncp import fileio
+from cencov_ncp.channels import ClassicalKernel
 from cencov_ncp.cli import main
 
 
@@ -28,6 +31,8 @@ CASES = {
         "coin_model.json", lambda d: {**d, "states": {**d["states"], "nan": d["states"]["0.0"]}}),
     "model-inf-parameter": (
         "coin_model.json", lambda d: {**d, "states": {**d["states"], "inf": d["states"]["0.0"]}}),
+    "kraus-null-entry": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
+        {"re": [[1.0, 0.0], [0.0, None]]}]}),
     "kraus-mixed-shapes": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
         {"re": [[1.0, 0.0], [0.0, 1.0]]}, {"re": [[0.0]]}]}),
 }
@@ -88,3 +93,40 @@ def test_malformed_pipeline_config_exits_2(fixture_dir, case):
     assert result.exit_code == 2
     key = "initial_state" if case == "non-string-state" else "kernels"
     assert f"{cfg}: '{key}' must be" in result.output
+
+
+# numbers must be finite: NaN and Infinity are not JSON (exit 2), and 1e400
+# overflows, which is a bad table entry (exit 2) or a failed check (exit 1)
+NON_FINITE = {
+    "state": ("rho.json", lambda d, x: {**d, "phi_re": {**d["phi_re"], "(1,1)": x}},
+              (2, "phi_re['(1,1)'] is not a number")),
+    "kernel": ("idk.json", lambda d, x: {**d, "pi_im": {"(1,2)|(2,1)": x}},
+               (2, "pi_im['(1,2)|(2,1)'] is not a number")),
+    "classical-kernel": ("ck.json", lambda d, x: {**d, "K": [[x, 1.0], [0.5, 0.5]]},
+                         (1, "classical kernel has non-finite entries")),
+    "groupoid-P": ("pair2.json", lambda d, x: {**d, "P": {"1": x, "2": 0.5}},
+                   (1, "P('1') = inf is not strictly positive")),
+    "kraus": ("kr.json", lambda d, x: {**d, "kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]],
+                                                       "im": [[x, 0.0], [0.0, 0.0]]}]},
+              (2, "malformed Kraus file: entries must be finite numbers")),
+}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_is_rejected(fixture_dir, case, token):
+    name, mutate, (code, message) = NON_FINITE[case]
+    if name == "ck.json":
+        fileio.save_classical_kernel(ClassicalKernel(np.eye(2)), fixture_dir / name)
+    if name == "kr.json":
+        fileio.save_kraus([np.eye(2)], fixture_dir / name)
+    with open(fixture_dir / name) as fh:
+        data = mutate(json.load(fh), "__number__")
+    bad = fixture_dir / f"bad-{name}"
+    bad.write_text(json.dumps(data).replace('"__number__"', token))
+    if token != "1e400":
+        code, message = 2, f"cannot read {bad}: {token} is not a number"
+    # a numpy RuntimeWarning is an error under the pytest settings
+    result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
+    assert result.exit_code == code
+    assert message in result.output

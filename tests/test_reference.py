@@ -12,6 +12,9 @@ Cramer-Rao bound, on full-rank and rank-deficient states.
 """
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,11 +30,11 @@ from cencov_ncp.channels import (
     density_from_phi_unchecked,
     phi_from_density_unchecked,
 )
-from cencov_ncp.errors import CencovNcpError
+from cencov_ncp.errors import CencovNcpError, SchemaError
 from cencov_ncp.estimation import StatisticalModel, cramer_rao_bound, fisher_metric
 from cencov_ncp.groupoid import validate
 from cencov_ncp.states import State, make_state
-from conftest import spec_of
+from conftest import random_stochastic, spec_of
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -603,3 +606,115 @@ def test_rank_threshold_is_global_over_blocks():
     assert 0.0 < top[3] < numkit.RANK_TOL * top[2]
     assert S.dim == D.dim == 4
     same_spectrum_and_views(S, D)
+
+
+# ---------------------------------------------------------------------------
+# file formats: the one-line writer and the table decoder
+# ---------------------------------------------------------------------------
+
+def sparse_complex(rng, shape):
+    """Random complex entries, a third of them zero and a third of the rest
+    purely real or purely imaginary (zeros are +0.0, so loads are bitwise)."""
+    re, im = rng.normal(size=shape), rng.normal(size=shape)
+    kind = rng.integers(0, 6, size=shape)
+    return np.where(kind < 2, 0.0, np.where(kind == 2, re, re + 1j * np.where(kind == 3, 0.0, im)))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@SETTINGS
+@given(groupoids(), groupoids(), st.data())
+def test_every_file_kind_round_trips_like_the_oracle_writer(G1, G2, data):
+    """``load(save(x))`` is bitwise ``x``, and each file is one sorted-key
+    line with the JSON value that the indented writer gives."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n1, n2 = len(G1.elements), len(G2.elements)
+    rho = State(G1, sparse_complex(rng, n1))
+    a = c.AlgebraElement(G2, sparse_complex(rng, n2))
+    Pi = c.QuantumKernel(G1, G2, sparse_complex(rng, (n1, n2)))
+    K = c.ClassicalKernel(random_stochastic(rng, n1, n2))
+    ops = [sparse_complex(rng, (n2, n1)) for _ in range(data.draw(st.integers(1, 3)))]
+    saves = {
+        "g1.json": (fileio.save_groupoid, (G1,), None),
+        "g2.json": (fileio.save_groupoid, (G2,), None),
+        "s.json": (fileio.save_state, (rho, "g1.json"), ref.save_state),
+        "a.json": (fileio.save_algebra_element, (a, "g2.json"), ref.save_algebra_element),
+        "k.json": (fileio.save_kernel, (Pi, "g1.json", "g2.json"), ref.save_kernel),
+        "ck.json": (fileio.save_classical_kernel, (K,), None),
+        "kr.json": (fileio.save_kraus, (ops,), None),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new"), Path(tmp, "old")
+        new.mkdir(), old.mkdir()
+        for name, (save, args, oracle) in saves.items():
+            save(args[0], new / name, *args[1:])
+            if oracle is None:  # the same tables, through the indented writer
+                with mock.patch.object(fileio, "_write_json", ref.write_json):
+                    save(args[0], old / name, *args[1:])
+            else:
+                oracle(args[0], old / name, *args[1:])
+            text = (new / name).read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+            assert json.loads(text) == json.loads((old / name).read_text())
+        assert sorted(p.name for p in new.iterdir()) == sorted(saves)
+
+        loaded = {}
+        assert fileio.load_groupoid(new / "g1.json", loaded) == G1
+        assert fileio.load_groupoid(new / "g2.json", loaded) == G2
+        assert same_bits(fileio.load_state_file(new / "s.json", loaded)[1], rho.phi)
+        assert same_bits(fileio.load_algebra_element(new / "a.json", loaded).coeff, a.coeff)
+        assert same_bits(fileio.load_kernel(new / "k.json", loaded).pi, Pi.pi)
+        assert same_bits(fileio.load_classical_kernel(new / "ck.json").K, K.K)
+        back = fileio.load_kraus(new / "kr.json")
+        assert len(back) == len(ops) and all(map(same_bits, back, ops))
+
+
+def decoded(fn, *args):
+    """``(SchemaError message, None)`` or ``(None, result)`` of a call."""
+    try:
+        return None, fn(*args)
+    except SchemaError as exc:
+        return str(exc), None
+
+
+@st.composite
+def tables(draw, keys, parts):
+    """Half the time a table of numbers keyed by ``keys``; else a mix of keys
+    made of ``parts`` joined by zero to two bars, unknown labels among them,
+    with finite numbers, numeric strings and non-numbers as values."""
+    if draw(st.booleans()):
+        return draw(st.dictionaries(st.sampled_from(keys), st.floats(-2, 2), max_size=8))
+    mixed = st.lists(st.sampled_from([*parts, "zz", ""]), min_size=1, max_size=3).map("|".join)
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3),
+                       st.just(10**400), st.none(), st.sampled_from(["1.5", "x", "-2"]),
+                       st.lists(st.floats(0, 1), max_size=1))
+    return draw(st.dictionaries(mixed, values, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(groupoids(), groupoids(), st.data())
+def test_table_decoder_matches_oracle(G1, G2, data):
+    """The ``np.fromiter`` decoder gives the Python-list decoder's array, or
+    its error message, on kernel and state tables."""
+    path = Path("k.json").resolve()  # never read: the groupoids are in ``loaded``
+    loaded = {path.with_name("g1.json"): G1, path.with_name("g2.json"): G2}
+    pairs = tables([f"{a}|{b}" for a in G1.elements for b in G2.elements],
+                   G1.elements + G2.elements)
+    kernel = {"source_groupoid": "g1.json", "target_groupoid": "g2.json",
+              "pi_re": data.draw(pairs), "pi_im": data.draw(pairs)}
+    new_msg, new = decoded(lambda: fileio._kernel(path, kernel, loaded).pi)
+    old_msg, old = decoded(ref.kernel_tables, G1, G2, kernel, path)
+    assert new_msg == old_msg
+    assert old_msg is not None or same_bits(new, old)
+
+    singles = tables(list(G1.elements), G1.elements)
+    state = {"groupoid": "g1.json", "phi_re": data.draw(singles), "phi_im": data.draw(singles)}
+    new_msg, new = decoded(lambda: fileio._coefficient_file(path, state, loaded)[1])
+    old_msg, old = decoded(ref.add_coefficients, np.zeros(len(G1.elements), complex), state,
+                           ("phi_re", "phi_im"),
+                           lambda labels: list(map(G1.index.__getitem__, labels)), path)
+    assert new_msg == old_msg
+    assert old_msg is not None or same_bits(new, old)
