@@ -28,15 +28,10 @@ from .errors import (
     SchemaError,
     ZeroInformation,
 )
-from .estimation import (
-    Estimator,
-    classical_fisher_rao,
-    cramer_rao_audit,
-    cramer_rao_bound,
-    fisher_metric,
-)
-from .gns import build_gns
 from .states import check_state
+
+# the gns, fisher and crb commands import the gns and estimation layers
+# themselves, so that no other command pays for loading them
 
 EXIT_VALIDATION = 1
 EXIT_SCHEMA = 2
@@ -246,6 +241,8 @@ def pipeline(ctx, config, out):
 @click.pass_context
 def gns(ctx, state):
     """Report the GNS dimension, ideal dimension, and Gram spectrum."""
+    from .gns import build_gns
+
     rho = _guard(fileio.load_state, state, ctx.obj["loaded"], tol=ctx.obj["tol"])
     S = _guard(build_gns, rho)
     _emit(ctx, {
@@ -260,6 +257,9 @@ def gns(ctx, state):
 @click.pass_context
 def fisher(ctx, model):
     """Fisher metric of a model; classical value when applicable."""
+    from .estimation import classical_fisher_rao, fisher_metric
+    from .gns import build_gns
+
     M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"], tol=ctx.obj["tol"])
     S = _guard(build_gns, _guard(M.at, M.s0))
     gf = _guard(fisher_metric, M, S, h=ctx.obj["h"])
@@ -277,6 +277,9 @@ def fisher(ctx, model):
 @click.pass_context
 def crb(ctx, model, estimator):
     """Cramer-Rao bound; audit a self-adjoint estimator when given."""
+    from .estimation import Estimator, cramer_rao_audit, cramer_rao_bound
+    from .gns import build_gns
+
     M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"], tol=ctx.obj["tol"])
     S = _guard(build_gns, _guard(M.at, M.s0))
     bound = _guard(cramer_rao_bound, M, S, h=ctx.obj["h"])

@@ -25,7 +25,6 @@ import numpy as np
 from .algebra import AlgebraElement
 from .channels import ClassicalKernel, QuantumKernel
 from .errors import SchemaError
-from .estimation import StatisticalModel
 from .groupoid import FiniteGroupoid, GroupoidSpec, validate
 from .states import NORM_TOL, State, make_state
 
@@ -143,10 +142,20 @@ def _label_map(value) -> dict[str, str]:
     return dict(value)
 
 
-def _number_map(value) -> dict[str, float]:
+def _number_map(path: Path, data: dict, key: str) -> dict[str, float]:
+    """The table ``data[key]`` of finite numbers; SchemaError naming the first
+    entry that is not one."""
+    value = data[key]
     if not isinstance(value, dict):
         raise TypeError("expected an object mapping ids to numbers")
-    return {k: float(v) for k, v in value.items()}
+    try:
+        numbers = dict(zip(value, map(float, value.values())))
+        if all(map(math.isfinite, numbers.values())):
+            return numbers
+    except (TypeError, ValueError, OverflowError):
+        pass
+    label = next(k for k, v in value.items() if not _is_finite_number(v))
+    raise SchemaError(f"{path}: {key}[{label!r}] is not a number")
 
 
 def _groupoid(path: Path, data: dict, loaded: dict) -> FiniteGroupoid:
@@ -160,8 +169,8 @@ def _groupoid(path: Path, data: dict, loaded: dict) -> FiniteGroupoid:
             inverse=_label_map(data["inverse"]),
             compose=compose,
             units=_label_map(data["units"]),
-            P=_number_map(data["P"]),
-            fiber_weight=_number_map(data["fiber_weight"])
+            P=_number_map(path, data, "P"),
+            fiber_weight=_number_map(path, data, "fiber_weight")
             if "fiber_weight" in data else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -251,12 +260,15 @@ def _raise_first_bad_entry(table: dict, key: str, indices, path: Path) -> None:
             indices((label,))
         except KeyError:
             raise SchemaError(f"{path}: unknown {key} key {label!r}") from None
-        try:
-            finite = math.isfinite(float(val))
-        except (TypeError, ValueError, OverflowError):
-            finite = False
-        if not finite:
+        if not _is_finite_number(val):
             raise SchemaError(f"{path}: {key}[{label!r}] is not a number")
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _lookup(index: dict):
@@ -364,9 +376,13 @@ def save_kernel(Pi: QuantumKernel, path: str | Path,
 
 def _classical_kernel(path: Path, data: dict, loaded: dict) -> ClassicalKernel:
     try:
-        return ClassicalKernel(np.array(data["K"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+        K = np.array(data["K"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed classical kernel: {exc}") from exc
+    if not np.isfinite(K).all():  # null reads as NaN, 1e400 as inf
+        at = "".join(f"[{i}]" for i in np.argwhere(~np.isfinite(K))[0])
+        raise SchemaError(f"{path}: K{at} is not a number")
+    return ClassicalKernel(K)
 
 
 def load_classical_kernel(path: str | Path) -> ClassicalKernel:
@@ -443,6 +459,8 @@ def _cubic(x: np.ndarray, y: np.ndarray):
 
 
 def _model(path: Path, data: dict, loaded: dict, tol: float = NORM_TOL):
+    from .estimation import StatisticalModel
+
     try:
         s0 = float(data["s0"])
         lo, hi = (float(x) for x in data["interval"])

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import cencov_ncp as c
-from cencov_ncp import channels, cli, estimation, fileio, states
+from cencov_ncp import channels, cli, estimation, fileio, gns, states
 from cencov_ncp.cli import main
 from cencov_ncp.gns import build_gns
 
@@ -344,7 +344,7 @@ def test_gns_commands_build_no_dense_gram(runner, fixture_dir, monkeypatch, args
         spaces.append(build_gns(rho0))
         return spaces[-1]
 
-    monkeypatch.setattr(cli, "build_gns", recording)
+    monkeypatch.setattr(gns, "build_gns", recording)
     monkeypatch.chdir(fixture_dir)
     r = invoke(runner, "--json", *args)
     assert r.exit_code == 0, r.output

@@ -33,6 +33,8 @@ CASES = {
         "coin_model.json", lambda d: {**d, "states": {**d["states"], "inf": d["states"]["0.0"]}}),
     "kraus-null-entry": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
         {"re": [[1.0, 0.0], [0.0, None]]}]}),
+    "classical-kernel-huge-entry": ("pair2.json", lambda d: {"fmt": d["fmt"], "K": [
+        [10 ** 400, 0.0], [0.0, 1.0]]}),
     "kraus-mixed-shapes": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
         {"re": [[1.0, 0.0], [0.0, 1.0]]}, {"re": [[0.0]]}]}),
 }
@@ -57,6 +59,9 @@ TABLES = {
                           "unknown phi_re key '(3,3)'"),
     "state-null-value": ("rho.json", "phi_re", {"(1,1)": 0.5, "(2,2)": None, "(3,3)": 1.0},
                          "phi_re['(2,2)'] is not a number"),
+    "groupoid-huge-P": ("pair2.json", "P", {"1": 0.5, "2": 10 ** 400}, "P['2'] is not a number"),
+    "groupoid-null-weight": ("pair2.json", "fiber_weight", {"(1,1)": 1.0, "(1,2)": None},
+                             "fiber_weight['(1,2)'] is not a number"),
     "kernel-huge-value": ("idk.json", "pi_re", {"(1,1)|(1,1)": 10 ** 400},
                           "pi_re['(1,1)|(1,1)'] is not a number"),
     # as many bars as keys, but not one in each key
@@ -96,16 +101,19 @@ def test_malformed_pipeline_config_exits_2(fixture_dir, case):
 
 
 # numbers must be finite: NaN and Infinity are not JSON (exit 2), and 1e400
-# overflows, which is a bad table entry (exit 2) or a failed check (exit 1)
+# overflows, which is a bad table entry (exit 2) in every file kind
 NON_FINITE = {
     "state": ("rho.json", lambda d, x: {**d, "phi_re": {**d["phi_re"], "(1,1)": x}},
               (2, "phi_re['(1,1)'] is not a number")),
     "kernel": ("idk.json", lambda d, x: {**d, "pi_im": {"(1,2)|(2,1)": x}},
                (2, "pi_im['(1,2)|(2,1)'] is not a number")),
     "classical-kernel": ("ck.json", lambda d, x: {**d, "K": [[x, 1.0], [0.5, 0.5]]},
-                         (1, "classical kernel has non-finite entries")),
+                         (2, "K[0][0] is not a number")),
     "groupoid-P": ("pair2.json", lambda d, x: {**d, "P": {"1": x, "2": 0.5}},
-                   (1, "P('1') = inf is not strictly positive")),
+                   (2, "P['1'] is not a number")),
+    "groupoid-fiber-weight": (
+        "pair2.json", lambda d, x: {**d, "fiber_weight": {**d["fiber_weight"], "(1,2)": x}},
+        (2, "fiber_weight['(1,2)'] is not a number")),
     "kraus": ("kr.json", lambda d, x: {**d, "kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]],
                                                        "im": [[x, 0.0], [0.0, 0.0]]}]},
               (2, "malformed Kraus file: entries must be finite numbers")),
