@@ -302,7 +302,7 @@ def crb(ctx, model, estimator):
 def cp(ctx, kernel):
     """Choi complete-positivity verdict for a pair-groupoid kernel."""
     Pi = _guard(fileio.load_kernel, kernel, ctx.obj["loaded"])
-    is_cp, min_eig = _guard(cp_verdict, Pi)
+    is_cp, min_eig = _guard(cp_verdict, Pi, ctx.obj["tol"])
     _emit(ctx, {"is_cp": bool(is_cp), "min_choi_eigenvalue": float(min_eig)})
 
 

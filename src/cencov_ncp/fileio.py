@@ -14,8 +14,9 @@ import errno
 import json
 import math
 import os
+from collections import Counter
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import Optional
@@ -148,19 +149,33 @@ def _number_map(path: Path, data: dict, key: str) -> dict[str, float]:
     value = data[key]
     if not isinstance(value, dict):
         raise TypeError("expected an object mapping ids to numbers")
-    try:
-        numbers = dict(zip(value, map(float, value.values())))
-        if all(map(math.isfinite, numbers.values())):
-            return numbers
-    except (TypeError, ValueError, OverflowError):
-        pass
+    numbers = dict(zip(value, map(_as_float, value.values())))
+    if all(map(math.isfinite, numbers.values())):
+        return numbers
     label = next(k for k, v in value.items() if not _is_finite_number(v))
     raise SchemaError(f"{path}: {key}[{label!r}] is not a number")
 
 
+def _compose(path: Path, rows) -> dict[tuple[str, str], str]:
+    """The compose table ``(beta, alpha) -> beta o alpha`` of the rows
+    ``[beta, alpha, beta o alpha]``; SchemaError naming a repeated pair.  The
+    checks are bulk passes that allocate nothing per row (a transpose by
+    ``zip(*rows)`` allocates an iterator per row, and the garbage collections
+    they set off cost more than the whole parse)."""
+    if not isinstance(rows, list) or not set(map(type, rows)) <= {list}:
+        raise TypeError("expected a list of [beta, alpha, beta o alpha] rows")
+    if not set(map(type, chain.from_iterable(rows))) <= {str}:
+        raise TypeError("expected a list of string ids")
+    compose = {(b, a): g for b, a, g in rows}  # ValueError on a row of another length
+    if len(compose) < len(rows):
+        pair = next(p for p, count in Counter((b, a) for b, a, _ in rows).items() if count > 1)
+        raise SchemaError(f"{path}: compose pair ({pair[0]!r},{pair[1]!r}) is listed twice")
+    return compose
+
+
 def _groupoid(path: Path, data: dict, loaded: dict) -> FiniteGroupoid:
     try:
-        compose = {(b, a): g for b, a, g in map(_labels, data["compose"])}
+        compose = _compose(path, data["compose"])
         spec = GroupoidSpec(
             outcomes=_labels(data["outcomes"]),
             elements=_labels(data["elements"]),
@@ -194,11 +209,22 @@ def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
         "source": dict(G.source),
         "target": dict(G.target),
         "inverse": dict(G.inverse_map),
-        "compose": [[b, a, g] for (b, a), g in sorted(G.compose_table.items())],
+        "compose": _compose_rows(G),
         "units": dict(G.unit_of),
         "P": dict(G.P),
         "fiber_weight": dict(G.fiber_weight),
     })
+
+
+def _compose_rows(G: FiniteGroupoid) -> list[tuple[str, str, str]]:
+    """The rows ``(beta, alpha, beta o alpha)`` of the composable pairs, in the
+    order of the labels ``(beta, alpha)`` as Python strings."""
+    e = G.elements
+    rank = np.empty(len(e), dtype=np.intp)
+    rank[sorted(range(len(e)), key=e.__getitem__)] = np.arange(len(e))
+    b, a, g = G.triples
+    order = np.lexsort((rank[a], rank[b]))
+    return list(zip(*(map(e.__getitem__, ix[order].tolist()) for ix in (b, a, g))))
 
 
 def _referenced_groupoid(path: Path, data: dict, key: str, loaded: dict) -> FiniteGroupoid:
@@ -244,9 +270,10 @@ def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indice
 
 
 def _numbers(table: dict) -> np.ndarray:
-    """The values of ``table``; ValueError unless all are finite numbers.
-    ``float``, unlike ``np.array``, rejects null instead of reading it as NaN."""
-    values = np.fromiter(map(float, table.values()), float, len(table))
+    """The values of ``table``; ValueError unless all are finite numbers."""
+    if not set(map(type, table.values())) <= _NUMBER_TYPES:  # one bulk type check
+        raise ValueError("not a number")
+    values = np.fromiter(table.values(), float, len(table))
     if not np.isfinite(values).all():
         raise ValueError("not a finite number")
     return values
@@ -264,11 +291,47 @@ def _raise_first_bad_entry(table: dict, key: str, indices, path: Path) -> None:
             raise SchemaError(f"{path}: {key}[{label!r}] is not a number")
 
 
-def _is_finite_number(value) -> bool:
+# the types of JSON numbers: a string, a boolean or null is not one
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _as_float(value) -> float:
+    """A JSON number as a float (inf beyond the doubles); NaN for anything else."""
+    if type(value) not in _NUMBER_TYPES:
+        return math.nan
     try:
-        return math.isfinite(float(value))
-    except (TypeError, ValueError, OverflowError):
-        return False
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _is_finite_number(value) -> bool:
+    return math.isfinite(_as_float(value))
+
+
+def _number_array(value) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array, with NaN in place of
+    every entry that is not a number; ValueError if the lists are ragged."""
+    items = np.array(value, dtype=object)
+    values = list(items.flat)
+    if list in set(map(type, values)):
+        raise ValueError("nested lists of unequal lengths")
+    return np.fromiter(map(_as_float, values), float, len(values)).reshape(items.shape)
+
+
+def _first_non_finite(x: np.ndarray) -> Optional[str]:
+    """The position ``[i][j]...`` of the first entry of x that is not finite, or None."""
+    bad = np.argwhere(~np.isfinite(x))
+    return "".join(f"[{i}]" for i in bad[0]) if len(bad) else None
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float (inf beyond the doubles); TypeError naming
+    ``name`` otherwise."""
+    x = _as_float(value)
+    if math.isnan(x):
+        raise TypeError(f"{name} is not a number")
+    return x
 
 
 def _lookup(index: dict):
@@ -376,11 +439,11 @@ def save_kernel(Pi: QuantumKernel, path: str | Path,
 
 def _classical_kernel(path: Path, data: dict, loaded: dict) -> ClassicalKernel:
     try:
-        K = np.array(data["K"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        K = _number_array(data["K"])
+    except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed classical kernel: {exc}") from exc
-    if not np.isfinite(K).all():  # null reads as NaN, 1e400 as inf
-        at = "".join(f"[{i}]" for i in np.argwhere(~np.isfinite(K))[0])
+    at = _first_non_finite(K)  # a non-number reads as NaN, 1e400 as inf
+    if at is not None:
         raise SchemaError(f"{path}: K{at} is not a number")
     return ClassicalKernel(K)
 
@@ -396,11 +459,13 @@ def save_classical_kernel(K: ClassicalKernel, path: str | Path) -> None:
 def _kraus(path: Path, data: dict, loaded: dict) -> list[np.ndarray]:
     ops = []
     try:
-        for entry in data["kraus"]:
-            re = np.array(entry["re"], dtype=float)
-            im = np.array(entry.get("im", np.zeros_like(re).tolist()), dtype=float)
-            if not (np.isfinite(re).all() and np.isfinite(im).all()):  # null reads as NaN
-                raise ValueError("entries must be finite numbers")
+        for k, entry in enumerate(data["kraus"]):
+            re = _number_array(entry["re"])
+            im = _number_array(entry["im"]) if "im" in entry else np.zeros_like(re)
+            for part, x in (("re", re), ("im", im)):
+                at = _first_non_finite(x)  # a non-number reads as NaN
+                if at is not None:
+                    raise ValueError(f"entries must be finite numbers (kraus[{k}].{part}{at})")
             ops.append(re + 1j * im)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed Kraus file: {exc}") from exc
@@ -462,9 +527,9 @@ def _model(path: Path, data: dict, loaded: dict, tol: float = NORM_TOL):
     from .estimation import StatisticalModel
 
     try:
-        s0 = float(data["s0"])
-        lo, hi = (float(x) for x in data["interval"])
-        grid = [float(x) for x in data.get("grid", [])]
+        s0 = _number(data["s0"], "s0")
+        lo, hi = (_number(x, f"interval[{i}]") for i, x in enumerate(data["interval"]))
+        grid = [_number(x, f"grid[{i}]") for i, x in enumerate(data.get("grid", []))]
         entries = sorted((float(k), v) for k, v in _label_map(data["states"]).items())
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc}") from exc

@@ -351,19 +351,11 @@ def _checked(G: FiniteGroupoid) -> FiniteGroupoid:
     if k is not None:
         raise InverseViolation(f"inverse law fails for {e[k]!r}")
 
-    # associativity on all doubly-composable triples, one middle element at a
-    # time; after the coherence check every gather reads a composable pair
-    by_src = [np.flatnonzero(s == x) for x in ox]
-    by_tgt = [np.flatnonzero(t == x) for x in ox]
-    for b in ar:
-        cs, as_ = by_src[t[b]], by_tgt[s[b]]
-        left = C[C[cs, b][:, None], as_]
-        right = C[cs[:, None], C[b, as_]]
-        if not np.array_equal(left, right):
-            i, j = np.argwhere(left != right)[0]
-            c, a = e[cs[i]], e[as_[j]]
-            raise AssociativityViolation(
-                f"(({c!r} o {e[b]!r}) o {a!r}) != ({c!r} o ({e[b]!r} o {a!r}))")
+    # associativity on all doubly-composable triples
+    triple = _first_nonassociative(G)
+    if triple is not None:
+        c, b, a = (e[i] for i in triple)
+        raise AssociativityViolation(f"(({c!r} o {b!r}) o {a!r}) != ({c!r} o ({b!r} o {a!r}))")
 
     w = G.weight_vec
     k = _first(~(w > 0.0) | ~np.isfinite(w))
@@ -375,6 +367,49 @@ def _checked(G: FiniteGroupoid) -> FiniteGroupoid:
         raise BadWeight(f"fiber weights are not left-invariant at "
                         f"compose({e[beta[k]]!r},{e[alpha[k]]!r})")
     return G
+
+
+# quadruples (c, b, a, result) gathered at a time by the associativity check:
+# each index array of a chunk stays within 128 KB, so the check adds little to
+# a process's peak memory, and larger chunks are no faster
+_CHUNK = 1 << 14
+
+
+def _first_nonassociative(G: FiniteGroupoid) -> Optional[tuple[int, int, int]]:
+    """The first ``(c, b, a)`` with ``(c o b) o a != c o (b o a)``, in the
+    order of b, then c, then a, or None; G must pass the coherence check, so
+    that every gather reads a composable pair.
+
+    The middle elements are batched by the sizes ``(m, k)`` of the fibers
+    ``s^-1(t(b))`` and ``t^-1(s(b))`` that c and a range over, and each batch
+    is checked in chunks of about ``_CHUNK`` quadruples through flat gathers.
+    """
+    s, t, n, Cf = G.src, G.tgt, len(G.elements), G.compose_ix.ravel()
+    by_src, by_tgt = np.argsort(s, kind="stable"), np.argsort(t, kind="stable")
+    n_src, n_tgt = (np.bincount(x, minlength=len(G.outcomes)) for x in (s, t))
+    at_src, at_tgt = np.cumsum(n_src) - n_src, np.cumsum(n_tgt) - n_tgt
+    m, k = n_src[t], n_tgt[s]
+    size = m * (k.max() + 1) + k
+    order = np.argsort(size, kind="stable")
+    first = []
+    for bs in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
+        mb, kb = m[bs[0]], k[bs[0]]
+        step = max(1, _CHUNK // (mb * kb))
+        for lo in range(0, len(bs), step):
+            b = bs[lo:lo + step]
+            cs = by_src[at_src[t[b]][:, None] + np.arange(mb)]      # (batch, m)
+            as_ = by_tgt[at_tgt[s[b]][:, None] + np.arange(kb)]     # (batch, k)
+            cb = Cf[cs * n + b[:, None]].astype(np.intp)
+            ba = Cf[b[:, None] * n + as_].astype(np.intp)
+            left = Cf[(cb * n)[:, :, None] + as_[:, None, :]]
+            right = Cf[(cs * n)[:, :, None] + ba[:, None, :]]
+            hit = np.flatnonzero((left != right).any(axis=(1, 2)))
+            if hit.size:  # b ascends within a batch, and c and a within each b
+                h = hit[0]
+                i, j = np.argwhere(left[h] != right[h])[0]
+                first.append((int(cs[h, i]), int(b[h]), int(as_[h, j])))
+                break
+    return min(first, key=itemgetter(1), default=None)
 
 
 def modular_function(G: FiniteGroupoid) -> dict[str, float]:

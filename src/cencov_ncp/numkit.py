@@ -29,12 +29,12 @@ def hermitian_spectra(H, vectors: bool = False):
 def psd_verdicts(H, tol: float, scale=None):
     """``(is_psd, min_eigenvalue)`` of each matrix of a (k, s, s) stack: a matrix
     past the asymmetry bound ``tol * (1 + max|H|)`` gets ``(False, -inf)``, the
-    others are PSD at ``min eigenvalue >= -max(tol, PSD_TOL) * (1 + spectral
-    radius)``, and ``scale`` if given replaces each ``1 + spectral radius``."""
+    others are PSD at ``min eigenvalue >= -tol * (1 + spectral radius)``, and
+    ``scale`` if given replaces each ``1 + spectral radius``."""
     H = np.asarray(H, dtype=complex)
     Ht = H.conj().swapaxes(1, 2)
     herm = ~(np.abs(H - Ht).max(axis=(1, 2)) > tol * (1.0 + np.abs(H).max(axis=(1, 2))))
     w = hermitian_spectra(H[herm])
     lo, radius = np.full(len(H), -np.inf), np.zeros(len(H))
     lo[herm], radius[herm] = w[:, 0], np.abs(w).max(axis=1)
-    return lo >= -max(tol, PSD_TOL) * (1.0 + radius if scale is None else scale), lo
+    return lo >= -tol * (1.0 + radius if scale is None else scale), lo

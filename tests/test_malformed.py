@@ -11,6 +11,13 @@ from cencov_ncp.channels import ClassicalKernel
 from cencov_ncp.cli import main
 
 
+def repeated_compose_pair(d, first):
+    """The compose rows with a conflicting copy of the first row, put first or last."""
+    (b, a, g), rows = d["compose"][0], d["compose"]
+    copy = [b, a, next(e for e in d["elements"] if e != g)]
+    return {**d, "compose": [copy, *rows] if first else [*rows, copy]}
+
+
 CASES = {
     "groupoid-P-list": ("pair2.json", lambda d: {**d, "P": [0.5, 0.5]}),
     "groupoid-fiber-weight-list": ("pair2.json", lambda d: {**d, "fiber_weight": [1.0] * 4}),
@@ -37,6 +44,29 @@ CASES = {
         [10 ** 400, 0.0], [0.0, 1.0]]}),
     "kraus-mixed-shapes": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
         {"re": [[1.0, 0.0], [0.0, 1.0]]}, {"re": [[0.0]]}]}),
+    # a repeated (beta, alpha) pair, whichever copy comes first
+    "groupoid-repeated-compose-pair-first": ("pair2.json", lambda d: repeated_compose_pair(d, True)),
+    "groupoid-repeated-compose-pair-last": ("pair2.json", lambda d: repeated_compose_pair(d, False)),
+    # only JSON numbers are numbers: not numeric strings, not booleans
+    "state-phi-numeric-string": (
+        "rho.json", lambda d: {**d, "phi_re": {**d["phi_re"], "(1,1)": str(d["phi_re"]["(1,1)"])}}),
+    "state-phi-boolean": ("rho.json", lambda d: {**d, "phi_im": {"(1,2)": True}}),
+    "groupoid-P-numeric-string": ("pair2.json", lambda d: {**d, "P": {"1": "0.5", "2": 0.5}}),
+    "groupoid-fiber-weight-boolean": (
+        "pair2.json", lambda d: {**d, "fiber_weight": dict.fromkeys(d["fiber_weight"], True)}),
+    "kernel-pi-numeric-string": (
+        "idk.json", lambda d: {**d, "pi_re": {k: str(v) for k, v in d["pi_re"].items()}}),
+    "classical-kernel-numeric-string": ("pair2.json", lambda d: {"fmt": d["fmt"], "K": [
+        ["1.0", 0.0], [0.0, 1.0]]}),
+    "classical-kernel-boolean": ("pair2.json", lambda d: {"fmt": d["fmt"], "K": [
+        [True, False], [False, True]]}),
+    "kraus-numeric-string": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
+        {"re": [[1.0, 0.0], [0.0, "1.0"]]}]}),
+    "kraus-boolean": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
+        {"re": [[True, False], [False, True]]}]}),
+    "model-numeric-string-s0": ("coin_model.json", lambda d: {**d, "s0": "0.0"}),
+    "model-boolean-interval": ("coin_model.json", lambda d: {**d, "interval": [-0.3, True]}),
+    "model-numeric-string-grid": ("coin_model.json", lambda d: {**d, "grid": ["0.0"]}),
 }
 
 
@@ -64,6 +94,22 @@ TABLES = {
                              "fiber_weight['(1,2)'] is not a number"),
     "kernel-huge-value": ("idk.json", "pi_re", {"(1,1)|(1,1)": 10 ** 400},
                           "pi_re['(1,1)|(1,1)'] is not a number"),
+    "state-numeric-string": ("rho.json", "phi_re", {"(1,1)": 0.7, "(2,2)": "0.3"},
+                             "phi_re['(2,2)'] is not a number"),
+    "state-boolean": ("rho.json", "phi_im", {"(1,2)": 0.0, "(2,1)": False},
+                      "phi_im['(2,1)'] is not a number"),
+    "groupoid-numeric-string-P": ("pair2.json", "P", {"1": 0.5, "2": "0.5"},
+                                  "P['2'] is not a number"),
+    "groupoid-boolean-weight": ("pair2.json", "fiber_weight",
+                                {"(1,1)": 1.0, "(1,2)": True, "(2,1)": 1.0, "(2,2)": 1.0},
+                                "fiber_weight['(1,2)'] is not a number"),
+    "kernel-numeric-string": ("idk.json", "pi_re", {"(1,1)|(1,1)": "1.0"},
+                              "pi_re['(1,1)|(1,1)'] is not a number"),
+    "model-boolean-s0": ("coin_model.json", "s0", False, "malformed model file: s0 is not a number"),
+    "model-numeric-string-interval": ("coin_model.json", "interval", [-0.3, "0.3"],
+                                      "malformed model file: interval[1] is not a number"),
+    "model-null-grid": ("coin_model.json", "grid", [0.0, None],
+                        "malformed model file: grid[1] is not a number"),
     # as many bars as keys, but not one in each key
     "kernel-misaligned-bars": ("idk.json", "pi_re", {"(1,1)|(1,1)|(1,2)": 1.0, "(2,2)": 1.0},
                                "unknown pi_re key '(1,1)|(1,1)|(1,2)'"),
@@ -80,6 +126,39 @@ def test_first_bad_table_entry_is_named(fixture_dir, case):
     result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
     assert result.exit_code == 2
     assert f"{bad}: {message}" in result.output
+
+
+# the entry of a matrix file that is not a number is named by its position
+MATRICES = {
+    "classical-kernel": ("pair2.json", lambda d: {"fmt": d["fmt"], "K": [
+        [0.5, 0.5], [0.0, "1"]]}, "K[1][1] is not a number"),
+    "kraus": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
+        {"re": [[1.0, 0.0], [0.0, 1.0]]}, {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, True], [0.0, 0.0]]}]},
+        "malformed Kraus file: entries must be finite numbers (kraus[1].im[0][1])"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRICES))
+def test_non_number_matrix_entry_is_named(fixture_dir, case):
+    name, mutate, message = MATRICES[case]
+    with open(fixture_dir / name) as fh:
+        data = mutate(json.load(fh))
+    bad = fixture_dir / f"bad-{name}"
+    bad.write_text(json.dumps(data))
+    result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert f"{bad}: {message}" in result.output
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["copy-first", "copy-last"])
+def test_repeated_compose_pair_is_named(fixture_dir, first):
+    with open(fixture_dir / "pair2.json") as fh:
+        data = repeated_compose_pair(json.load(fh), first)
+    bad = fixture_dir / "bad-pair2.json"
+    bad.write_text(json.dumps(data))
+    result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert f"{bad}: compose pair ('(1,1)','(1,1)') is listed twice" in result.output
 
 
 PIPELINES = {

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import cencov_ncp as c
 import reference as ref
 from cencov_ncp import fileio, numkit
+from cencov_ncp import groupoid as groupoid_module
 from cencov_ncp.channels import (
     choi_matrix,
     choi_to_kernel,
@@ -197,9 +198,12 @@ def test_check_state(G, kind, tol, data):
     # max|phi|), so a positive kernel row
     ("state", [100.0, -5e-9], 1e-9, False),
     ("kernel", [100.0, -5e-9], 1e-9, True),
-    # below -tol but above -PSD_TOL: the PSD bound never drops under PSD_TOL
-    ("state", [1.0, -5e-10], 1e-12, True),
-    ("kernel", [1.0, -5e-10], 1e-12, True),
+    # below -tol but above -PSD_TOL: a tol under PSD_TOL tightens the bound
+    ("state", [1.0, -5e-10], 1e-12, False),
+    ("kernel", [1.0, -5e-10], 1e-12, False),
+    # above -tol * (1 + spectral radius)
+    ("state", [1.0, -5e-13], 1e-12, True),
+    ("kernel", [1.0, -5e-13], 1e-12, True),
 ])
 def test_psd_bound_scale_and_floor(kind, phi, tol, verdict):
     G = c.trivial_groupoid(2)
@@ -672,6 +676,85 @@ def test_every_file_kind_round_trips_like_the_oracle_writer(G1, G2, data):
         assert len(back) == len(ops) and all(map(same_bits, back, ops))
 
 
+@st.composite
+def isotropic_groupoids(draw):
+    """``groupoids()``, disjoint unions of two of them, and products of a pair
+    groupoid with a cyclic group: fibers of several sizes, and isotropy, so
+    that a changed compose entry can break associativity alone."""
+    kind = draw(st.sampled_from(["one", "union", "product"]))
+    if kind == "one":
+        return draw(groupoids())
+    if kind == "union":
+        return c.disjoint_union(draw(groupoids()), draw(groupoids()), draw(st.floats(0.1, 0.9)))
+    return c.product(c.pair_groupoid(draw(st.integers(1, 3))),
+                     c.cyclic_group_groupoid(draw(st.integers(2, 4))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(isotropic_groupoids(), st.booleans(), st.sampled_from([1, 5, 64, 1 << 16]), st.data())
+def test_corrupted_compose_entry_same_exception(G, through_file, chunk, data):
+    """One compose result changed to another element, in the tables or in a
+    groupoid file: ``validate`` and ``load_groupoid``, with the batched
+    associativity check at several chunk sizes, raise the class that the loop
+    oracle raises, or both pass."""
+    spec = spec_of(G)
+    key = data.draw(st.sampled_from(sorted(spec.compose)))
+    compose = {**spec.compose, key: data.draw(st.sampled_from(G.elements))}
+    spec = dataclasses.replace(spec, compose=compose)
+    with mock.patch.object(groupoid_module, "_CHUNK", chunk):
+        if through_file:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp, "g.json")
+                fileio.save_groupoid(G, path)
+                d = json.loads(path.read_text())
+                d["compose"] = [[b, a, compose[b, a]] for b, a, _ in d["compose"]]
+                path.write_text(json.dumps(d))
+                new_exc, _ = outcome(fileio.load_groupoid, path)
+        else:
+            new_exc, _ = outcome(validate, spec)
+    assert new_exc is outcome(ref.validate, spec)[0]
+
+
+# products in the copies of Z3, each set to g1 o g1 = g1, and the first
+# failing triple (c, b, a) in the order of b, then c, then a
+DEFECTS = {
+    "second-copy": (["2:(1,1)*g1"], ("2:(1,1)*g1", "2:(1,1)*g1", "2:(1,1)*g2")),
+    "both-copies": (["1:(2,2)*g1", "2:(1,1)*g1"], ("1:(2,1)*g1", "1:(1,2)*g0", "1:(2,2)*g1")),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+@pytest.mark.parametrize("case", sorted(DEFECTS))
+def test_associativity_defect_named_alike_at_every_chunk_size(case, chunk):
+    """pair(2) x Z3 (fibers of 6) next to Z3 (a fiber of 3), whose middle
+    elements are checked first: the first failing middle element in element
+    order is named, whatever the chunk size."""
+    G = c.disjoint_union(c.product(c.pair_groupoid(2), c.cyclic_group_groupoid(3)),
+                         c.product(c.pair_groupoid(1), c.cyclic_group_groupoid(3)), 0.5)
+    changed, (c_, b, a) = DEFECTS[case]
+    spec = spec_of(G)
+    spec = dataclasses.replace(spec, compose={**spec.compose, **{(g, g): g for g in changed}})
+    assert outcome(ref.validate, spec)[0] is c.AssociativityViolation
+    with mock.patch.object(groupoid_module, "_CHUNK", chunk):
+        with pytest.raises(c.AssociativityViolation) as exc:
+            validate(spec)
+    assert str(exc.value) == f"(({c_!r} o {b!r}) o {a!r}) != ({c_!r} o ({b!r} o {a!r}))"
+
+
+@SETTINGS
+@given(st.one_of(weighted_groupoids(), isotropic_groupoids(),
+                 st.integers(2, 16).map(c.pair_groupoid)))
+def test_groupoid_writer_matches_string_sorted_oracle(G):
+    """The compose rows ordered by label rank give the bytes of the writer
+    that sorted the string compose table, which ``save_groupoid`` never builds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.json"), Path(tmp, "old.json")
+        fileio.save_groupoid(G, new)
+        assert not {"compose_table", "composable_pairs"} & set(G.__dict__)
+        ref.save_groupoid(G, old)
+        assert new.read_bytes() == old.read_bytes()
+
+
 def decoded(fn, *args):
     """``(SchemaError message, None)`` or ``(None, result)`` of a call."""
     try:
@@ -684,12 +767,14 @@ def decoded(fn, *args):
 def tables(draw, keys, parts):
     """Half the time a table of numbers keyed by ``keys``; else a mix of keys
     made of ``parts`` joined by zero to two bars, unknown labels among them,
-    with finite numbers, numeric strings and non-numbers as values."""
+    with finite numbers and non-numbers (numeric strings and booleans among
+    them) as values."""
     if draw(st.booleans()):
         return draw(st.dictionaries(st.sampled_from(keys), st.floats(-2, 2), max_size=8))
     mixed = st.lists(st.sampled_from([*parts, "zz", ""]), min_size=1, max_size=3).map("|".join)
     values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3),
                        st.just(10**400), st.none(), st.sampled_from(["1.5", "x", "-2"]),
+                       st.booleans(),
                        st.lists(st.floats(0, 1), max_size=1))
     return draw(st.dictionaries(mixed, values, max_size=8))
 

@@ -1,12 +1,15 @@
 """``--tol`` decides the Hermiticity check of state fibers and kernel rows in
 every command that reads them, loaded states and model curves included; the
-eigensolvers do not apply a tighter tolerance of their own."""
+eigensolvers do not apply a tighter tolerance of their own.  A ``--tol``
+below the default tightens the symmetry and PSD verdicts (no floor at 1e-9),
+and ``cp`` decides the Choi spectrum at ``--tol``."""
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from cencov_ncp import fileio
+from cencov_ncp.channels import QuantumKernel
 from cencov_ncp.cli import main
 
 # file, table, key of an off-diagonal entry (of a unit row, for the kernel)
@@ -56,3 +59,57 @@ def test_fiber_asymmetry_within_tol_passes(fixture_dir, monkeypatch, command, to
     report = json.loads(result.output)
     if validated:
         assert report["kind"] == validated and report["passed"] is True
+
+
+@pytest.mark.parametrize("tol_args, passed", [([], True), (["--tol", "1e-10"], False)],
+                         ids=["default-tol", "tol-1e-10"])
+@pytest.mark.parametrize("command", ["state", "model", "push"])
+def test_state_asymmetry_beyond_a_tol_below_1e9_fails(fixture_dir, monkeypatch, command,
+                                                      tol_args, passed):
+    """An asymmetry of 1.5e-10 passes the fiber Hermiticity bound 1e-10 * (1 +
+    0.7) but not the symmetry bound 1e-10."""
+    kind, args, _ = COMMANDS[command]
+    name = write_skewed(fixture_dir, kind, 1.5e-10)
+    monkeypatch.chdir(fixture_dir)
+    result = CliRunner().invoke(main, ["--json", *tol_args, *args(name)],
+                                catch_exceptions=False)
+    assert result.exit_code == (0 if passed else 1), result.output
+    if command == "state":  # the others stop at the invalid state, with no report
+        assert json.loads(result.output)["passed"] is passed
+
+
+@pytest.mark.parametrize("tol_args, passed", [([], True), (["--tol", "1e-10"], False)],
+                         ids=["default-tol", "tol-1e-10"])
+def test_fiber_eigenvalue_beyond_a_tol_below_1e9_fails(fixture_dir, monkeypatch, tol_args,
+                                                       passed):
+    """The 1x1 fibers of a trivial(2) state hold 2 + 5e-10 and -5e-10: PSD
+    within 1e-9 * (1 + 2), not within 1e-10 * (1 + 2)."""
+    (fixture_dir / "neg.json").write_text(json.dumps({
+        "fmt": fileio.FMT, "groupoid": "triv2.json",
+        "phi_re": {"1_1": 2.0 + 5e-10, "1_2": -5e-10}}))
+    monkeypatch.chdir(fixture_dir)
+    result = CliRunner().invoke(main, ["--json", *tol_args, "validate", "neg.json"],
+                                catch_exceptions=False)
+    assert result.exit_code == (0 if passed else 1), result.output
+    assert json.loads(result.output)["passed"] is passed
+
+
+@pytest.mark.parametrize("weight, tol_args, is_cp", [
+    (1e-8, [], False),
+    (1e-8, ["--tol", "1e-6"], True),
+    (1e-11, [], True),
+    (1e-11, ["--tol", "1e-12"], False),
+])
+def test_cp_decides_at_tol(fixture_dir, monkeypatch, weight, tol_args, is_cp):
+    """``(1 - w) id + w T`` on pair(2): the transpose T puts -w into the Choi
+    spectrum, whose radius is about 2."""
+    idk, tr = (fileio.load_kernel(fixture_dir / f) for f in ("idk.json", "transpose.json"))
+    mix = QuantumKernel(idk.g1, idk.g2, (1.0 - weight) * idk.pi + weight * tr.pi)
+    fileio.save_kernel(mix, fixture_dir / "mix.json", "pair2.json", "pair2.json")
+    monkeypatch.chdir(fixture_dir)
+    result = CliRunner().invoke(main, ["--json", *tol_args, "cp", "mix.json"],
+                                catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["is_cp"] is is_cp
+    assert report["min_choi_eigenvalue"] == pytest.approx(-weight, rel=1e-3)
