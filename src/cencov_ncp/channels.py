@@ -225,21 +225,33 @@ def completeness_deficit(kraus: Sequence[np.ndarray]) -> float:
     return float(np.abs(total - np.eye(total.shape[0])).max())
 
 
-def _pair_indices(G1: FiniteGroupoid, G2: FiniteGroupoid, what: str):
-    """Both pair indices; a missing pair structure on either side is reported
-    before non-uniform P on either side."""
+def _choi_index(G1: FiniteGroupoid, G2: FiniteGroupoid, what: str):
+    """``(K, n, m)``: ``K[(i,k),(j,l)]`` is the flat index of the kernel entry
+    at ``((j,i),(l,k))``, so ``pi.ravel()[K] / m`` is the Choi matrix.  A
+    missing pair structure on either side comes before non-uniform P."""
     if G1.pair_grid is None or G2.pair_grid is None:
         raise NotPairGroupoid(f"{what} need pair groupoids")
-    return G1.pair_index, G2.pair_index
+    E1, E2 = G1.pair_index, G2.pair_index
+    n, m = len(E1), len(E2)
+    K = E1.T[:, None, :, None] * (m * m) + E2.T[None, :, None, :]
+    return K.reshape(n * m, n * m), n, m
+
+
+def _from_choi(C: np.ndarray, K: np.ndarray, G1: FiniteGroupoid,
+               G2: FiniteGroupoid) -> QuantumKernel:
+    """The kernel of the Choi matrix C: the inverse reshuffle, ``pi[K] = m C``."""
+    pi = np.empty(C.size, dtype=complex)
+    pi[K] = len(G2.outcomes) * C
+    return QuantumKernel(G1, G2, pi.reshape(len(G1.elements), len(G2.elements)))
 
 
 def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
-                   G2: FiniteGroupoid, tol: float = 1e-9) -> QuantumKernel:
-    """Kernel of the channel ``D -> sum_k A_k D A_k†`` between uniform pair
-    groupoids, via ``Pi((t1,s1),(t2,s2)) = m * sum_k A_k[s2,s1] conj(A_k[t2,t1])``.
+                   G2: FiniteGroupoid, tol: float = KERNEL_TOL) -> QuantumKernel:
+    """Kernel of the channel ``D -> sum_a A_a D A_a†`` between uniform pair
+    groupoids: the inverse reshuffle of its Choi matrix,
+    ``Pi((j,i),(l,k)) = m * sum_a A_a[k,i] conj(A_a[l,j])``.
     """
-    E1, E2 = _pair_indices(G1, G2, "Kraus kernels")
-    n, m = len(E1), len(E2)
+    K, n, m = _choi_index(G1, G2, "Kraus kernels")
     A = [np.asarray(a, dtype=complex) for a in kraus]
     for a in A:
         if a.shape != (m, n):
@@ -247,25 +259,19 @@ def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
     dev = completeness_deficit(A)
     if dev > tol:
         raise NonTracePreserving(f"sum A†A deviates from identity by {dev:.3e}")
-    return kernel_from_matrix_map(lambda D: sum(a @ D @ a.conj().T for a in A), G1, G2)
+    return _from_choi(np.einsum("aki,alj->ikjl", A, np.conj(A)).reshape(K.shape), K, G1, G2)
 
 
 def kernel_from_matrix_map(phi_star: Callable[[np.ndarray], np.ndarray],
                            G1: FiniteGroupoid, G2: FiniteGroupoid) -> QuantumKernel:
-    """Kernel of an arbitrary linear matrix map (no CP requirement).
-
-    ``Pi((t1,s1),(t2,s2)) = m * phi_star(E_{s1 t1})[s2, t2]``; useful for
-    building counterexample kernels such as the transpose map.
+    """Kernel of an arbitrary linear matrix map (no CP requirement), from its
+    Choi matrix ``C[(i,k),(j,l)] = phi_star(E_ij)[k,l]``; useful for building
+    counterexample kernels such as the transpose map.
     """
-    E1, E2 = _pair_indices(G1, G2, "matrix-map kernels")
-    n, m = len(E1), len(E2)
-    pi = np.zeros((n * n, m * m), dtype=complex)
-    for t1 in range(n):
-        for s1 in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[s1, t1] = 1.0
-            pi[E1[t1, s1], E2] = m * np.asarray(phi_star(unit), dtype=complex).T
-    return QuantumKernel(G1, G2, pi)
+    K, n, m = _choi_index(G1, G2, "matrix-map kernels")
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i * n + j
+    images = np.array([phi_star(E) for E in units], dtype=complex).reshape(n, n, m, m)
+    return _from_choi(images.transpose(0, 2, 1, 3).reshape(K.shape), K, G1, G2)
 
 
 def choi_matrix(Pi: QuantumKernel) -> np.ndarray:
@@ -273,10 +279,8 @@ def choi_matrix(Pi: QuantumKernel) -> np.ndarray:
 
     Entrywise ``C[(i,k),(j,l)] = Pi((j,i),(l,k)) / m``, a reshuffle of the kernel.
     """
-    E1, E2 = _pair_indices(Pi.g1, Pi.g2, "Choi matrices")
-    n, m = len(E1), len(E2)
-    blocks = Pi.pi[np.ix_(E1.ravel(), E2.ravel())].reshape(n, n, m, m)
-    return blocks.transpose(1, 3, 0, 2).reshape(n * m, n * m) / m
+    K, _, m = _choi_index(Pi.g1, Pi.g2, "Choi matrices")
+    return Pi.pi.ravel()[K] / m
 
 
 def cp_verdict(Pi: QuantumKernel, psd_tol: float = numkit.PSD_TOL):

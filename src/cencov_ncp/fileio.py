@@ -466,6 +466,9 @@ def _kraus(path: Path, data: dict, loaded: dict) -> list[np.ndarray]:
                 at = _first_non_finite(x)  # a non-number reads as NaN
                 if at is not None:
                     raise ValueError(f"entries must be finite numbers (kraus[{k}].{part}{at})")
+            if im.shape != re.shape:
+                raise ValueError(f"kraus[{k}].im has shape {im.shape}, "
+                                 f"kraus[{k}].re has shape {re.shape}")
             ops.append(re + 1j * im)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed Kraus file: {exc}") from exc

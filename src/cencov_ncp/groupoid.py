@@ -8,11 +8,11 @@ disintegrates as ``nu(alpha) = w(alpha) * P(t(alpha))``.
 
 A groupoid is stored as integer index arrays, elements numbered in
 ``elements`` order and outcomes in ``outcomes`` order, and every computation
-reads them.  ``compose_ix[b, a]`` is the index of ``b o a``, or ``-1`` where
-the pair does not compose; ``C[-1]`` silently reads the last row, so mask the
-sentinel before gathering through it, or use ``triples``, which lists only
-the composable pairs.  String labels stay at the edge: :func:`validate` maps
-the tables of a :class:`GroupoidSpec` to arrays once, the constructions build
+reads them.  Composition is partial: ``compose_ix`` lists ``b o a`` once per
+composable pair, row b over the target fiber of s(b), rows and fibers in
+element order (the order of ``triples``), and :meth:`FiniteGroupoid.composed`
+looks pairs up.  String labels stay at the edge: :func:`validate` maps the
+tables of a :class:`GroupoidSpec` to arrays once, the constructions build
 arrays directly, and the string tables (``source``, ``compose_table``, ``P``,
 ...) are read-only views of the arrays, built on first use.
 """
@@ -93,7 +93,7 @@ class FiniteGroupoid:
     tgt: np.ndarray         # outcome index of the target of each element
     inv_ix: np.ndarray      # element index of the inverse of each element
     unit_ix: np.ndarray     # element index of the unit of each outcome
-    compose_ix: np.ndarray  # C[b, a] = index of b o a, -1 where undefined
+    compose_ix: np.ndarray  # index of b o a for each composable pair, row by row
     P_vec: np.ndarray       # P of each outcome
     weight_vec: np.ndarray  # fiber weight w of each element
 
@@ -102,6 +102,9 @@ class FiniteGroupoid:
             a = np.asarray(getattr(self, name), dtype=dtype)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if self.compose_ix.shape != (self._rows[0][-1],):
+            raise SchemaError(f"compose_ix of shape {self.compose_ix.shape}: it needs one "
+                              f"entry per composable pair, {self._rows[0][-1]}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroupoid):
@@ -194,13 +197,22 @@ class FiniteGroupoid:
     def delta_vec(self) -> np.ndarray:
         return self.nu_vec[self.inv_ix] / self.nu_vec
 
+    _rows = cached_property(lambda G: _layout(G.src, G.tgt, len(G.outcomes)))
+
+    def composed(self, b, a) -> np.ndarray:
+        """Indices of ``b o a`` for element indices b and a, broadcast together;
+        each pair must compose, s(b) = t(a): another reads an unrelated entry."""
+        row_start, fiber_rank, _, _ = self._rows
+        return self.compose_ix[row_start[b] + fiber_rank[a]]
+
     @cached_property
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index arrays ``(beta, alpha, beta o alpha)`` of all composable pairs,
         in canonical order."""
-        C = self.compose_ix
-        b, a = np.nonzero(C >= 0)
-        return b, a, C[b, a].astype(np.intp)
+        row_start, _, by_tgt, at = self._rows
+        b = np.repeat(np.arange(len(self.elements)), np.diff(row_start))
+        a = by_tgt[np.arange(row_start[-1]) - row_start[b] + at[self.src][b]]
+        return b, a, self.compose_ix.astype(np.intp)
 
     @cached_property
     def fiber_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -208,14 +220,16 @@ class FiniteGroupoid:
         elements, their elements ``F[i, k]`` = ``a_k`` (k, s) over the fiber of
         ``xs[i]`` in canonical order, and ``T[i, k, l]`` = ``inv(a_k) o a_l``,
         so ``phi[T]`` stacks their fiber Grams."""
-        sizes = np.bincount(self.tgt)
+        row_start, _, by_tgt, at = self._rows
+        sizes = np.diff(at)
         blocks = []
         # the distinct sizes, ascending; np.unique would import numpy.ma
         for s in np.flatnonzero(np.bincount(sizes)):
-            fibers = np.flatnonzero(sizes[self.tgt] == s)
-            F = fibers[np.argsort(self.tgt[fibers], kind="stable")].reshape(-1, s)
-            T = self.compose_ix[self.inv_ix[F][:, :, None], F[:, None, :]]
-            blocks.append((np.flatnonzero(sizes == s), F, T))
+            xs = np.flatnonzero(sizes == s)
+            F = by_tgt[at[xs][:, None] + np.arange(s)]
+            # the row of inv(a_k) lists inv(a_k) o a over the fiber of t(a_k)
+            T = self.compose_ix[row_start[self.inv_ix[F]][:, :, None] + np.arange(s)]
+            blocks.append((xs, F, T))
         return tuple(blocks)
 
     @cached_property
@@ -267,6 +281,29 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
+def _layout(src: np.ndarray, tgt: np.ndarray, n_outcomes: int):
+    """``(row_start, fiber_rank, by_tgt, at)``: the row of b in ``compose_ix``
+    starts at ``row_start[b]`` (``row_start[-1]`` counts the pairs), a has
+    place ``fiber_rank[a]`` in its target fiber, and the target fiber of x is
+    ``by_tgt[at[x]:at[x + 1]]``."""
+    at = np.concatenate([[0], np.cumsum(np.bincount(tgt, minlength=n_outcomes))])
+    by_tgt = np.argsort(tgt, kind="stable")
+    fiber_rank = np.empty(len(tgt), dtype=np.intp)
+    fiber_rank[by_tgt] = np.arange(len(tgt)) - at[tgt[by_tgt]]
+    row_start = np.concatenate([[0], np.cumsum(np.diff(at)[src])])
+    return row_start, fiber_rank, by_tgt, at
+
+
+def _packed(src: np.ndarray, tgt: np.ndarray, n_outcomes: int, b, a, g):
+    """``compose_ix`` of the rows ``b o a = g``, -1 where no row lists a
+    composable pair, and the keys ``b * |elements| + a`` of the stray rows."""
+    row_start, fiber_rank, _, _ = _layout(src, tgt, n_outcomes)
+    fits = src[b] == tgt[a]
+    C = np.full(row_start[-1], -1, dtype=np.int32)
+    C[row_start[b[fits]] + fiber_rank[a[fits]]] = g[fits]
+    return C, (b * len(src) + a)[~fits]
+
+
 def _ix(labels, index: Mapping[str, int]) -> np.ndarray:
     """``index[label]`` for every label; KeyError on an unknown label."""
     return np.fromiter(map(index.__getitem__, labels), dtype=np.intp)
@@ -315,17 +352,17 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
     except (KeyError, TypeError):
         _schema_defect(spec, oix, eix)
         raise
-    C = np.full((len(elements),) * 2, -1, dtype=np.int32)
-    C[b, a] = g
+    C, stray = _packed(src, tgt, len(outcomes), b, a, g)
     fw = spec.fiber_weight or dict.fromkeys(elements, 1.0)
     w = np.array([fw.get(e, np.nan) for e in elements], dtype=float)
-    return _checked(FiniteGroupoid(elements, outcomes, src, tgt, inv, unit, C, P, w))
+    return _checked(FiniteGroupoid(elements, outcomes, src, tgt, inv, unit, C, P, w), stray)
 
 
-def _checked(G: FiniteGroupoid) -> FiniteGroupoid:
-    """G, once its arrays pass the unit, coherence, inverse, associativity and
-    fiber-weight checks, in that order."""
-    s, t, inv, u, C = G.src, G.tgt, G.inv_ix, G.unit_ix, G.compose_ix
+def _checked(G: FiniteGroupoid, stray=np.empty(0, dtype=np.intp)) -> FiniteGroupoid:
+    """G, once it passes the unit, coherence, inverse, associativity and
+    fiber-weight checks, in that order; ``stray`` holds the keys
+    ``b * |elements| + a`` of the listed pairs that do not compose."""
+    s, t, inv, u = G.src, G.tgt, G.inv_ix, G.unit_ix
     beta, alpha, gamma = G.triples
     e, ar, ox = G.elements, np.arange(len(G.elements)), np.arange(len(G.outcomes))
 
@@ -334,20 +371,23 @@ def _checked(G: FiniteGroupoid) -> FiniteGroupoid:
     if x is not None:
         raise UnitViolation(
             f"unit {e[u[x]]!r} of {G.outcomes[x]!r} is not an endo-transition")
-    k = _first((C[ar, u[s]] != ar) | (C[u[t], ar] != ar))
+    k = _first((G.composed(ar, u[s]) != ar) | (G.composed(u[t], ar) != ar))
     if k is not None:
         raise UnitViolation(f"a unit does not act as an identity on {e[k]!r}")
 
-    # definedness and source/target coherence
-    bad = (C >= 0) != (s[:, None] == t[None, :])
-    bad[beta, alpha] |= (s[gamma] != s[alpha]) | (t[gamma] != t[beta])
-    k = _first(bad)
-    if k is not None:
-        b, a = divmod(k, len(e))
+    # definedness and coherence: the first pair (b, a) unlisted (-1), stray, or
+    # not from s(a) to t(b); s[-1] is read only where gamma < 0 flags it already
+    bad = (gamma < 0) | (s[gamma] != s[alpha]) | (t[gamma] != t[beta])
+    keys = np.concatenate([stray, beta[bad] * len(e) + alpha[bad]])
+    if keys.size:
+        b, a = divmod(int(keys.min()), len(e))
         raise CoherenceViolation(f"compose({e[b]!r},{e[a]!r}) breaks s/t coherence")
 
-    # inverses
-    k = _first((C[inv, ar] != u[s]) | (C[ar, inv] != u[t]))
+    # inverses: inv(a) o a and a o inv(a) compose (looked up only then) to units
+    bad = (s[inv] != t) | (t[inv] != s)
+    ok = np.flatnonzero(~bad)
+    bad[ok] = (G.composed(inv[ok], ok) != u[s[ok]]) | (G.composed(ok, inv[ok]) != u[t[ok]])
+    k = _first(bad)
     if k is not None:
         raise InverseViolation(f"inverse law fails for {e[k]!r}")
 
@@ -378,36 +418,36 @@ _CHUNK = 1 << 14
 def _first_nonassociative(G: FiniteGroupoid) -> Optional[tuple[int, int, int]]:
     """The first ``(c, b, a)`` with ``(c o b) o a != c o (b o a)``, in the
     order of b, then c, then a, or None; G must pass the coherence check, so
-    that every gather reads a composable pair.
+    that every lookup reads a composable pair.
 
     The middle elements are batched by the sizes ``(m, k)`` of the fibers
     ``s^-1(t(b))`` and ``t^-1(s(b))`` that c and a range over, and each batch
-    is checked in chunks of about ``_CHUNK`` quadruples through flat gathers.
+    is checked in chunks of about ``_CHUNK`` quadruples.  The a have fiber
+    ranks ``0 .. k-1``, so ``b o a`` and ``(c o b) o a`` are rows of C.
     """
-    s, t, n, Cf = G.src, G.tgt, len(G.elements), G.compose_ix.ravel()
-    by_src, by_tgt = np.argsort(s, kind="stable"), np.argsort(t, kind="stable")
-    n_src, n_tgt = (np.bincount(x, minlength=len(G.outcomes)) for x in (s, t))
-    at_src, at_tgt = np.cumsum(n_src) - n_src, np.cumsum(n_tgt) - n_tgt
-    m, k = n_src[t], n_tgt[s]
+    s, t, C = G.src, G.tgt, G.compose_ix
+    row_start, fiber_rank, by_tgt, at_tgt = G._rows
+    _, _, by_src, at_src = _layout(t, s, len(G.outcomes))  # the source fibers
+    m, k = np.diff(at_src)[t], np.diff(at_tgt)[s]
     size = m * (k.max() + 1) + k
     order = np.argsort(size, kind="stable")
     first = []
     for bs in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
         mb, kb = m[bs[0]], k[bs[0]]
         step = max(1, _CHUNK // (mb * kb))
+        ranks = np.arange(kb)
         for lo in range(0, len(bs), step):
             b = bs[lo:lo + step]
-            cs = by_src[at_src[t[b]][:, None] + np.arange(mb)]      # (batch, m)
-            as_ = by_tgt[at_tgt[s[b]][:, None] + np.arange(kb)]     # (batch, k)
-            cb = Cf[cs * n + b[:, None]].astype(np.intp)
-            ba = Cf[b[:, None] * n + as_].astype(np.intp)
-            left = Cf[(cb * n)[:, :, None] + as_[:, None, :]]
-            right = Cf[(cs * n)[:, :, None] + ba[:, None, :]]
+            cs = by_src[at_src[t[b]][:, None] + np.arange(mb)]          # (batch, m)
+            cb = C[row_start[cs] + fiber_rank[b][:, None]]              # (batch, m)
+            ba = C[row_start[b][:, None] + ranks]                       # (batch, k)
+            left = C[row_start[cb][:, :, None] + ranks]
+            right = C[row_start[cs][:, :, None] + fiber_rank[ba][:, None, :]]
             hit = np.flatnonzero((left != right).any(axis=(1, 2)))
             if hit.size:  # b ascends within a batch, and c and a within each b
                 h = hit[0]
                 i, j = np.argwhere(left[h] != right[h])[0]
-                first.append((int(cs[h, i]), int(b[h]), int(as_[h, j])))
+                first.append((int(cs[h, i]), int(b[h]), int(by_tgt[at_tgt[s[b[h]]] + j])))
                 break
     return min(first, key=itemgetter(1), default=None)
 
@@ -445,12 +485,11 @@ def pair_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGrou
     outcomes, P_vec = _numbered(n, P)
     y, x = np.divmod(np.arange(n * n), n)
     k = np.arange(n)
-    C = np.full((n,) * 4, -1, dtype=np.int32)
-    C[:, k, k, :] = (k[:, None] * n + k)[:, None, :]  # (z,y) o (y,x) = (z,x)
+    zx = np.repeat(k[:, None] * n + k, n, axis=0)  # (z,y) o (y,x) = (z,x), over (z, y, x)
     return _checked(FiniteGroupoid(
         elements=tuple(f"({b},{a})" for b in outcomes for a in outcomes),
         outcomes=outcomes, src=x, tgt=y, inv_ix=x * n + y, unit_ix=k * (n + 1),
-        compose_ix=C.reshape(n * n, n * n), P_vec=P_vec, weight_vec=np.ones(n * n)))
+        compose_ix=zx.ravel(), P_vec=P_vec, weight_vec=np.ones(n * n)))
 
 
 def trivial_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGroupoid:
@@ -459,7 +498,7 @@ def trivial_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteG
     k = np.arange(n)
     return _checked(FiniteGroupoid(
         elements=tuple(f"1_{x}" for x in outcomes), outcomes=outcomes,
-        src=k, tgt=k, inv_ix=k, unit_ix=k, compose_ix=np.where(np.eye(n, dtype=bool), k, -1),
+        src=k, tgt=k, inv_ix=k, unit_ix=k, compose_ix=k,
         P_vec=P_vec, weight_vec=np.ones(n)))
 
 
@@ -499,7 +538,7 @@ def _group(labels: tuple[str, ...], M: np.ndarray) -> FiniteGroupoid:
     star = np.zeros(len(labels), dtype=np.intp)
     return _checked(FiniteGroupoid(
         elements=labels, outcomes=("*",), src=star, tgt=star,
-        inv_ix=inverse.argmax(axis=1), unit_ix=[e], compose_ix=M, P_vec=[1.0],
+        inv_ix=inverse.argmax(axis=1), unit_ix=[e], compose_ix=M.ravel(), P_vec=[1.0],
         weight_vec=np.ones(len(labels))))
 
 
@@ -514,10 +553,6 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid, w: float) -> FiniteGr
     if not (0.0 < w < 1.0):
         raise BadWeight(f"mixing weight {w} not in (0,1)")
     n1, o1 = len(G1.elements), len(G1.outcomes)
-    n = n1 + len(G2.elements)
-    C = np.full((n, n), -1, dtype=np.int32)
-    C[:n1, :n1] = G1.compose_ix
-    C[n1:, n1:] = np.where(G2.compose_ix >= 0, G2.compose_ix + n1, -1)
     return _checked(FiniteGroupoid(
         elements=tuple(f"1:{a}" for a in G1.elements) + tuple(f"2:{a}" for a in G2.elements),
         outcomes=tuple(f"1:{x}" for x in G1.outcomes) + tuple(f"2:{x}" for x in G2.outcomes),
@@ -525,7 +560,7 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid, w: float) -> FiniteGr
         tgt=np.concatenate([G1.tgt, G2.tgt + o1]),
         inv_ix=np.concatenate([G1.inv_ix, G2.inv_ix + n1]),
         unit_ix=np.concatenate([G1.unit_ix, G2.unit_ix + n1]),
-        compose_ix=C,
+        compose_ix=np.concatenate([G1.compose_ix, G2.compose_ix + n1]),
         P_vec=np.concatenate([w * G1.P_vec, (1.0 - w) * G2.P_vec]),
         weight_vec=np.concatenate([G1.weight_vec, G2.weight_vec])))
 
@@ -533,19 +568,18 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid, w: float) -> FiniteGr
 def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
     """Componentwise product groupoid with P = P1 (x) P2; the pair (i, j) has
     index ``i * |factor 2| + j``."""
-    n1, n2, o2 = len(G1.elements), len(G2.elements), len(G2.outcomes)
+    n2, o2 = len(G2.elements), len(G2.outcomes)
     elements = tuple(f"{a}*{b}" for a in G1.elements for b in G2.elements)
     outcomes = tuple(f"{x}*{y}" for x in G1.outcomes for y in G2.outcomes)
     if len(set(elements)) < len(elements) or len(set(outcomes)) < len(outcomes):
         raise SchemaError("duplicate outcome or element ids")
-    C1, C2 = G1.compose_ix[:, None, :, None], G2.compose_ix[None, :, None, :]
-    C = np.where((C1 >= 0) & (C2 >= 0), C1 * n2 + C2, -1)  # C[b1, b2, a1, a2]
+    src, tgt = (G1.src[:, None] * o2 + G2.src).ravel(), (G1.tgt[:, None] * o2 + G2.tgt).ravel()
+    # (b1, b2) o (a1, a2) = (b1 o a1, b2 o a2), for every pair of composable pairs
+    b, a, g = ((x1[:, None] * n2 + x2).ravel() for x1, x2 in zip(G1.triples, G2.triples))
     return _checked(FiniteGroupoid(
-        elements=elements, outcomes=outcomes,
-        src=(G1.src[:, None] * o2 + G2.src).ravel(),
-        tgt=(G1.tgt[:, None] * o2 + G2.tgt).ravel(),
+        elements=elements, outcomes=outcomes, src=src, tgt=tgt,
         inv_ix=(G1.inv_ix[:, None] * n2 + G2.inv_ix).ravel(),
         unit_ix=(G1.unit_ix[:, None] * n2 + G2.unit_ix).ravel(),
-        compose_ix=C.reshape(n1 * n2, n1 * n2),
+        compose_ix=_packed(src, tgt, len(outcomes), b, a, g)[0],
         P_vec=np.outer(G1.P_vec, G2.P_vec).ravel(),
         weight_vec=np.outer(G1.weight_vec, G2.weight_vec).ravel()))

@@ -51,7 +51,7 @@ class State:
 def fiber_gram(G: FiniteGroupoid, phi: np.ndarray, x: str) -> np.ndarray:
     """Gram matrix ``phi(inv(a_k) o a_l)`` over the target fiber of x."""
     fiber = G.fiber_ix(x)
-    return np.asarray(phi, dtype=complex)[G.compose_ix[np.ix_(G.inv_ix[fiber], fiber)]]
+    return np.asarray(phi, dtype=complex)[G.composed(G.inv_ix[fiber][:, None], fiber)]
 
 
 def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, scale=None):

@@ -178,9 +178,9 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
 
     oix = {x: i for i, x in enumerate(outcomes)}
     eix = {a: i for i, a in enumerate(elements)}
-    C = np.full((len(elements), len(elements)), -1, dtype=np.int32)
-    for (b, a), g in comp.items():
-        C[eix[b], eix[a]] = eix[g]
+    # one entry per composable pair: b o a for the a of the target fiber of
+    # s(b), row b after row b-1
+    C = [eix[comp[(b, a)]] for b in elements for a in elements if t[a] == s[b]]
     return FiniteGroupoid(
         elements=elements,
         outcomes=outcomes,

@@ -18,6 +18,8 @@ def repeated_compose_pair(d, first):
     return {**d, "compose": [copy, *rows] if first else [*rows, copy]}
 
 
+KRAUS_IM_SHAPE = [{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [0.5]}]
+
 CASES = {
     "groupoid-P-list": ("pair2.json", lambda d: {**d, "P": [0.5, 0.5]}),
     "groupoid-fiber-weight-list": ("pair2.json", lambda d: {**d, "fiber_weight": [1.0] * 4}),
@@ -44,6 +46,8 @@ CASES = {
         [10 ** 400, 0.0], [0.0, 1.0]]}),
     "kraus-mixed-shapes": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
         {"re": [[1.0, 0.0], [0.0, 1.0]]}, {"re": [[0.0]]}]}),
+    # an imaginary part of another shape is not broadcast over the real part
+    "kraus-im-shape": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": KRAUS_IM_SHAPE}),
     # a repeated (beta, alpha) pair, whichever copy comes first
     "groupoid-repeated-compose-pair-first": ("pair2.json", lambda d: repeated_compose_pair(d, True)),
     "groupoid-repeated-compose-pair-last": ("pair2.json", lambda d: repeated_compose_pair(d, False)),
@@ -81,6 +85,15 @@ def test_malformed_file_exits_2(fixture_dir, case):
     # an exception other than the exit propagates out of invoke and fails the test
     result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
     assert result.exit_code == 2
+
+
+def test_kraus_im_of_another_shape_is_named(tmp_path):
+    bad = tmp_path / "kraus.json"
+    bad.write_text(json.dumps({"fmt": fileio.FMT, "kraus": KRAUS_IM_SHAPE}))
+    result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert (f"{bad}: malformed Kraus file: kraus[0].im has shape (1,), "
+            "kraus[0].re has shape (2, 2)") in result.output
 
 
 # the first bad entry of a table is named, in table order

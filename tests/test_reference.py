@@ -328,6 +328,25 @@ def test_kraus_kernel_and_choi_matrix(case):
 
 @SETTINGS
 @given(pairs_or_any, pairs_or_any, st.data())
+def test_matrix_map_kernel(G1, G2, data):
+    """A random linear map ``D -> L D R + L' D^T R'``, neither CP nor trace
+    preserving, between drawn groupoids: the same kernel or the same guard."""
+    n, m = len(G1.outcomes), len(G2.outcomes)
+    L, L2, R, R2 = (v.reshape(shape) for v, shape in
+                    zip(vectors(data.draw, n * m, 4), [(m, n)] * 2 + [(n, m)] * 2))
+
+    def phi_star(D):
+        return L @ D @ R + L2 @ D.T @ R2
+
+    (new_exc, new), (old_exc, old) = (outcome(c.kernel_from_matrix_map, phi_star, G1, G2),
+                                      outcome(ref.kernel_from_matrix_map, phi_star, G1, G2))
+    assert new_exc is old_exc
+    if old_exc is None:
+        assert close(new.pi, old.pi)
+
+
+@SETTINGS
+@given(pairs_or_any, pairs_or_any, st.data())
 def test_choi_matrix_guards(G1, G2, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shape = (len(G1.elements), len(G2.elements))
@@ -690,24 +709,54 @@ def isotropic_groupoids(draw):
                      c.cyclic_group_groupoid(draw(st.integers(2, 4))))
 
 
-@settings(max_examples=150, deadline=None)
-@given(isotropic_groupoids(), st.booleans(), st.sampled_from([1, 5, 64, 1 << 16]), st.data())
-def test_corrupted_compose_entry_same_exception(G, through_file, chunk, data):
-    """One compose result changed to another element, in the tables or in a
-    groupoid file: ``validate`` and ``load_groupoid``, with the batched
-    associativity check at several chunk sizes, raise the class that the loop
-    oracle raises, or both pass."""
+def corrupted(G, kind, data):
+    """The tables of G with one defect of the given kind: a changed compose
+    result, a deleted compose row, an added row whose pair does not compose,
+    or an inverse outside the fibers it must lie in; None when G has no such
+    pair or element (a single outcome)."""
     spec = spec_of(G)
-    key = data.draw(st.sampled_from(sorted(spec.compose)))
-    compose = {**spec.compose, key: data.draw(st.sampled_from(G.elements))}
-    spec = dataclasses.replace(spec, compose=compose)
+    compose, inverse = dict(spec.compose), dict(spec.inverse)
+    s, t = spec.source, spec.target
+    if kind == "changed":
+        key = data.draw(st.sampled_from(sorted(compose)))
+        compose[key] = data.draw(st.sampled_from(G.elements))
+    elif kind == "deleted":
+        del compose[data.draw(st.sampled_from(sorted(compose)))]
+    elif kind == "stray":
+        pairs = [(b, a) for b in G.elements for a in G.elements if s[b] != t[a]]
+        if not pairs:
+            return None
+        compose[data.draw(st.sampled_from(pairs))] = data.draw(st.sampled_from(G.elements))
+    else:
+        wrong = [(a, i) for a in G.elements for i in G.elements
+                 if (s[i], t[i]) != (t[a], s[a])]
+        if not wrong:
+            return None
+        a, i = data.draw(st.sampled_from(wrong))
+        inverse[a] = i
+    return dataclasses.replace(spec, compose=compose, inverse=inverse)
+
+
+@settings(max_examples=150, deadline=None)
+@given(isotropic_groupoids(), st.sampled_from(["changed", "deleted", "stray", "inverse"]),
+       st.booleans(), st.sampled_from([1, 5, 64, 1 << 16]), st.data())
+def test_corrupted_compose_entry_same_exception(G, kind, through_file, chunk, data):
+    """One defect in the tables or in a groupoid file (a changed compose
+    result, a deleted compose row, an added row whose pair does not compose,
+    or an inverse outside its fibers): ``validate`` and ``load_groupoid``,
+    with the batched associativity check at several chunk sizes, raise the
+    class that the loop oracle raises, or both pass."""
+    spec = corrupted(G, kind, data)
+    if spec is None:
+        return
     with mock.patch.object(groupoid_module, "_CHUNK", chunk):
         if through_file:
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp, "g.json")
                 fileio.save_groupoid(G, path)
                 d = json.loads(path.read_text())
-                d["compose"] = [[b, a, compose[b, a]] for b, a, _ in d["compose"]]
+                d["compose"] = [[b, a, g] for (b, a), g in spec.compose.items()]
+                d["inverse"] = spec.inverse
                 path.write_text(json.dumps(d))
                 new_exc, _ = outcome(fileio.load_groupoid, path)
         else:
