@@ -14,7 +14,6 @@ import errno
 import json
 import math
 import os
-from collections import Counter
 from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .channels import ClassicalKernel, QuantumKernel
 from .errors import SchemaError
-from .groupoid import FiniteGroupoid, GroupoidSpec, validate
+from .groupoid import FiniteGroupoid, GroupoidSpec, _ix, validate
 from .states import NORM_TOL, State, make_state
 
 FMT = "cencov-ncp/1"
@@ -156,33 +155,23 @@ def _number_map(path: Path, data: dict, key: str) -> dict[str, float]:
     raise SchemaError(f"{path}: {key}[{label!r}] is not a number")
 
 
-def _compose(path: Path, rows) -> dict[tuple[str, str], str]:
-    """The compose table ``(beta, alpha) -> beta o alpha`` of the rows
-    ``[beta, alpha, beta o alpha]``; SchemaError naming a repeated pair.  The
-    checks are bulk passes that allocate nothing per row (a transpose by
-    ``zip(*rows)`` allocates an iterator per row, and the garbage collections
-    they set off cost more than the whole parse)."""
-    if not isinstance(rows, list) or not set(map(type, rows)) <= {list}:
-        raise TypeError("expected a list of [beta, alpha, beta o alpha] rows")
-    if not set(map(type, chain.from_iterable(rows))) <= {str}:
-        raise TypeError("expected a list of string ids")
-    compose = {(b, a): g for b, a, g in rows}  # ValueError on a row of another length
-    if len(compose) < len(rows):
-        pair = next(p for p, count in Counter((b, a) for b, a, _ in rows).items() if count > 1)
-        raise SchemaError(f"{path}: compose pair ({pair[0]!r},{pair[1]!r}) is listed twice")
-    return compose
+def _rows(rows) -> list[list[str]]:
+    """``rows``, once it is a list whose rows hold string ids (one bulk check;
+    ``validate`` checks the rows' shape)."""
+    if not (isinstance(rows, list) and set(map(type, chain.from_iterable(rows))) <= {str}):
+        raise TypeError("expected a list of [beta, alpha, beta o alpha] rows of string ids")
+    return rows
 
 
 def _groupoid(path: Path, data: dict, loaded: dict) -> FiniteGroupoid:
     try:
-        compose = _compose(path, data["compose"])
         spec = GroupoidSpec(
             outcomes=_labels(data["outcomes"]),
             elements=_labels(data["elements"]),
             source=_label_map(data["source"]),
             target=_label_map(data["target"]),
             inverse=_label_map(data["inverse"]),
-            compose=compose,
+            compose=_rows(data["compose"]),
             units=_label_map(data["units"]),
             P=_number_map(path, data, "P"),
             fiber_weight=_number_map(path, data, "fiber_weight")
@@ -190,7 +179,10 @@ def _groupoid(path: Path, data: dict, loaded: dict) -> FiniteGroupoid:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed groupoid file: {exc}") from exc
-    return validate(spec)
+    try:
+        return validate(spec)
+    except SchemaError as exc:  # an ill-formed table: name the file
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_groupoid(path: str | Path, loaded: Optional[dict] = None) -> FiniteGroupoid:
@@ -334,11 +326,6 @@ def _number(value, name: str) -> float:
     return x
 
 
-def _lookup(index: dict):
-    """Labels -> array of their indices in ``index``; KeyError on an unknown label."""
-    return lambda labels: np.fromiter(map(index.__getitem__, labels), np.intp)
-
-
 def _tables(keys: tuple[str, str], v: np.ndarray, label) -> dict:
     """The tables ``keys[0]``, ``keys[1]`` of the real and imaginary parts of
     ``v`` for :func:`_write_json`, each built at its turn: the nonzero entries,
@@ -360,7 +347,7 @@ def _coefficient_file(path: Path, data: dict, loaded: dict,
     """``(groupoid, coefficients)``; the keys default to those of a state."""
     G = _referenced_groupoid(path, data, "groupoid", loaded)
     v = np.zeros(len(G.elements), dtype=complex)
-    return G, _add_coefficients(v, data, keys, _lookup(G.index), path)
+    return G, _add_coefficients(v, data, keys, partial(_ix, index=G.index), path)
 
 
 def load_state_file(path: str | Path, loaded: Optional[dict] = None):
@@ -402,7 +389,7 @@ def _kernel(path: Path, data: dict, loaded: dict) -> QuantumKernel:
     g1 = _referenced_groupoid(path, data, "source_groupoid", loaded)
     g2 = _referenced_groupoid(path, data, "target_groupoid", loaded)
 
-    rows, cols = _lookup(g1.index), _lookup(g2.index)
+    rows, cols = partial(_ix, index=g1.index), partial(_ix, index=g2.index)
 
     def indices(labels):
         """``a|b`` labels -> (rows, cols).  Each label holds exactly one bar iff

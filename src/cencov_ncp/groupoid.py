@@ -55,7 +55,7 @@ class GroupoidSpec:
     source: Mapping[str, str]
     target: Mapping[str, str]
     inverse: Mapping[str, str]
-    compose: Mapping[tuple[str, str], str]
+    compose: Sequence[tuple[str, str, str]]  # the rows (beta, alpha, beta o alpha)
     units: Mapping[str, str]
     P: Mapping[str, float]
     fiber_weight: Optional[Mapping[str, float]] = None
@@ -311,7 +311,7 @@ def _ix(labels, index: Mapping[str, int]) -> np.ndarray:
 
 def _schema_defect(spec: GroupoidSpec, oix: dict, eix: dict) -> None:
     """Raise SchemaError for the first ill-formed entry: the source, target
-    and inverse of each element in turn, then compose, then units."""
+    and inverse of each element in turn, then the compose rows, then units."""
     for a in spec.elements:
         for table, name, domain in ((spec.source, "source", oix),
                                     (spec.target, "target", oix),
@@ -320,9 +320,11 @@ def _schema_defect(spec: GroupoidSpec, oix: dict, eix: dict) -> None:
                 raise SchemaError(f"{name} table missing element {a!r}")
             if table[a] not in domain:
                 raise SchemaError(f"{name}[{a!r}] references undeclared id")
-    for (b, a), g in spec.compose.items():
-        if b not in eix or a not in eix or g not in eix:
-            raise SchemaError(f"compose entry ({b!r},{a!r}) references undeclared id")
+    for row in spec.compose:
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise SchemaError(f"compose entry {row!r} is not a (beta, alpha, beta o alpha) row")
+        if not all(x in eix for x in row):
+            raise SchemaError(f"compose entry ({row[0]!r},{row[1]!r}) references undeclared id")
     for x in spec.outcomes:
         if x not in spec.units or spec.units[x] not in eix:
             raise SchemaError(f"units table missing outcome {x!r}")
@@ -331,9 +333,10 @@ def _schema_defect(spec: GroupoidSpec, oix: dict, eix: dict) -> None:
 def validate(spec: GroupoidSpec) -> FiniteGroupoid:
     """Check every groupoid axiom on the raw tables and return the groupoid.
 
-    The tables are mapped to index arrays in bulk, and the axioms are checked
-    on the arrays.  Raises the violation class matching the first defect
-    found; the check order is measure, table well-formedness, units,
+    The tables are mapped to index arrays in bulk, the compose rows in one
+    pass over their labels, and the axioms are checked on the arrays.  Raises
+    the violation class matching the first defect found; the check order is
+    measure, table well-formedness (a pair listed twice last), units,
     coherence, inverses, associativity, fiber weights.
     """
     outcomes, elements = tuple(spec.outcomes), tuple(spec.elements)
@@ -346,12 +349,20 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
         src, tgt = (_ix(map(table.__getitem__, elements), oix)
                     for table in (spec.source, spec.target))
         inv = _ix(map(spec.inverse.__getitem__, elements), eix)
-        b, a = (_ix(map(itemgetter(k), spec.compose), eix) for k in (0, 1))
-        g = _ix(spec.compose.values(), eix)
+        rows = spec.compose
+        if not all(issubclass(r, (list, tuple)) for r in set(map(type, rows))) \
+                or set(map(len, rows)) - {3}:
+            raise TypeError("a compose row is not (beta, alpha, beta o alpha)")
+        b, a, g = _ix(itertools.chain.from_iterable(rows), eix).reshape(-1, 3).T
         unit = _ix(map(spec.units.__getitem__, outcomes), eix)
     except (KeyError, TypeError):
         _schema_defect(spec, oix, eix)
         raise
+    keys = np.sort(b * len(elements) + a)  # np.unique would import numpy.ma
+    twice = keys[1:][keys[1:] == keys[:-1]]  # the first in (b, a) order is named
+    if twice.size:
+        b_, a_ = divmod(int(twice[0]), len(elements))
+        raise SchemaError(f"compose pair ({elements[b_]!r},{elements[a_]!r}) is listed twice")
     C, stray = _packed(src, tgt, len(outcomes), b, a, g)
     fw = spec.fiber_weight or dict.fromkeys(elements, 1.0)
     w = np.array([fw.get(e, np.nan) for e in elements], dtype=float)
@@ -533,13 +544,14 @@ def _group(labels: tuple[str, ...], M: np.ndarray) -> FiniteGroupoid:
     g = _first(~inverse.any(axis=1))
     if g is not None:
         raise NotAGroup(f"{labels[g]!r} has no inverse")
-    if not np.array_equal(M[M], M[ar[:, None, None], M]):  # (ab)c = a(bc)
-        raise NotAGroup("multiplication table is not associative")
     star = np.zeros(len(labels), dtype=np.intp)
-    return _checked(FiniteGroupoid(
-        elements=labels, outcomes=("*",), src=star, tgt=star,
-        inv_ix=inverse.argmax(axis=1), unit_ix=[e], compose_ix=M.ravel(), P_vec=[1.0],
-        weight_vec=np.ones(len(labels))))
+    try:  # with an identity and inverses, associativity is the first check to fail
+        return _checked(FiniteGroupoid(
+            elements=labels, outcomes=("*",), src=star, tgt=star,
+            inv_ix=inverse.argmax(axis=1), unit_ix=[e], compose_ix=M.ravel(), P_vec=[1.0],
+            weight_vec=np.ones(len(labels))))
+    except AssociativityViolation:
+        raise NotAGroup("multiplication table is not associative") from None
 
 
 def cyclic_group_groupoid(n: int) -> FiniteGroupoid:

@@ -33,10 +33,16 @@ def spec_of(G):
     return GroupoidSpec(
         outcomes=list(G.outcomes), elements=list(G.elements),
         source=dict(G.source), target=dict(G.target),
-        inverse=dict(G.inverse_map), compose=dict(G.compose_table),
+        inverse=dict(G.inverse_map), compose=list(G.composable_pairs),
         units=dict(G.unit_of), P=dict(G.P),
         fiber_weight=dict(G.fiber_weight),
     )
+
+
+def rows(table):
+    """The compose rows ``(beta, alpha, beta o alpha)`` of a table
+    ``{(beta, alpha): beta o alpha}``, in its order."""
+    return [(b, a, g) for (b, a), g in table.items()]
 
 
 def random_stochastic(rng, n, m):

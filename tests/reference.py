@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -108,15 +109,23 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
                 raise SchemaError(f"{name} table missing element {a!r}")
             if table[a] not in domain:
                 raise SchemaError(f"{name}[{a!r}] references undeclared id")
-    for (b, a), g in spec.compose.items():
+    for row in spec.compose:
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise SchemaError(f"compose entry {row!r} is not a (beta, alpha, beta o alpha) row")
+        b, a, g = row
         if b not in eset or a not in eset or g not in eset:
             raise SchemaError(f"compose entry ({b!r},{a!r}) references undeclared id")
     for x in outcomes:
         if x not in spec.units or spec.units[x] not in eset:
             raise SchemaError(f"units table missing outcome {x!r}")
+    comp = {(b, a): g for b, a, g in spec.compose}
+    listed = Counter((b, a) for b, a, _ in spec.compose)
+    for b in elements:
+        for a in elements:
+            if listed[(b, a)] > 1:
+                raise SchemaError(f"compose pair ({b!r},{a!r}) is listed twice")
 
     s, t, inv = spec.source, spec.target, spec.inverse
-    comp = dict(spec.compose)
     units = spec.units
 
     # units act as identities on both sides
@@ -246,11 +255,8 @@ def pair_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteGrou
     source = {f"({y},{x})": x for y in outcomes for x in outcomes}
     target = {f"({y},{x})": y for y in outcomes for x in outcomes}
     inverse = {f"({y},{x})": f"({x},{y})" for y in outcomes for x in outcomes}
-    compose = {}
-    for z in outcomes:
-        for y in outcomes:
-            for x in outcomes:
-                compose[(f"({z},{y})", f"({y},{x})")] = f"({z},{x})"
+    compose = [(f"({z},{y})", f"({y},{x})", f"({z},{x})")
+               for z in outcomes for y in outcomes for x in outcomes]
     units = {x: f"({x},{x})" for x in outcomes}
     return validate(GroupoidSpec(
         outcomes=outcomes, elements=elements, source=source, target=target,
@@ -270,7 +276,7 @@ def trivial_groupoid(n: int, P: Optional[Mapping[str, float]] = None) -> FiniteG
         source={f"1_{x}": x for x in outcomes},
         target={f"1_{x}": x for x in outcomes},
         inverse={f"1_{x}": f"1_{x}" for x in outcomes},
-        compose={(f"1_{x}", f"1_{x}"): f"1_{x}" for x in outcomes},
+        compose=[(f"1_{x}", f"1_{x}", f"1_{x}") for x in outcomes],
         units={x: f"1_{x}" for x in outcomes},
         P=dict(P) if P else _uniform(outcomes),
     ))
@@ -308,7 +314,8 @@ def group_groupoid(table: Mapping[tuple[str, str], str],
     return validate(GroupoidSpec(
         outcomes=[o], elements=labels,
         source={g: o for g in labels}, target={g: o for g in labels},
-        inverse=inverse, compose=dict(table), units={o: identity},
+        inverse=inverse, compose=[(g, h, gh) for (g, h), gh in table.items()],
+        units={o: identity},
         P={o: 1.0},
     ))
 
@@ -332,8 +339,8 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid, w: float) -> FiniteGr
     target.update({r(a): r(G2.target[a]) for a in G2.elements})
     inverse = {l(a): l(G1.inverse_map[a]) for a in G1.elements}
     inverse.update({r(a): r(G2.inverse_map[a]) for a in G2.elements})
-    compose = {(l(b), l(a)): l(g) for (b, a), g in G1.compose_table.items()}
-    compose.update({(r(b), r(a)): r(g) for (b, a), g in G2.compose_table.items()})
+    compose = [(l(b), l(a), l(g)) for (b, a), g in G1.compose_table.items()]
+    compose += [(r(b), r(a), r(g)) for (b, a), g in G2.compose_table.items()]
     units = {l(x): l(G1.unit_of[x]) for x in G1.outcomes}
     units.update({r(x): r(G2.unit_of[x]) for x in G2.outcomes})
     P = {l(x): w * G1.P[x] for x in G1.outcomes}
@@ -360,10 +367,9 @@ def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
               for a in G1.elements for b in G2.elements}
     inverse = {po(a, b): po(G1.inverse_map[a], G2.inverse_map[b])
                for a in G1.elements for b in G2.elements}
-    compose = {}
-    for (b1, a1), g1 in G1.compose_table.items():
-        for (b2, a2), g2 in G2.compose_table.items():
-            compose[(po(b1, b2), po(a1, a2))] = po(g1, g2)
+    compose = [(po(b1, b2), po(a1, a2), po(g1, g2))
+               for (b1, a1), g1 in G1.compose_table.items()
+               for (b2, a2), g2 in G2.compose_table.items()]
     units = {po(x, y): po(G1.unit_of[x], G2.unit_of[y])
              for x in G1.outcomes for y in G2.outcomes}
     P = {po(x, y): G1.P[x] * G2.P[y] for x in G1.outcomes for y in G2.outcomes}

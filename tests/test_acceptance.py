@@ -55,7 +55,9 @@ from cencov_ncp.gns import build_gns, cyclic_vector, gns_represent
 from cencov_ncp.groupoid import validate
 from reference import matrix_rank_hermitian
 
-from conftest import random_density, random_hermitian, random_kraus, random_stochastic, spec_of
+from conftest import (
+    random_density, random_hermitian, random_kraus, random_stochastic, rows, spec_of,
+)
 
 
 def criterion(num, name):
@@ -119,7 +121,7 @@ def test_criterion_1():
             key = pairs[int(rng.integers(len(pairs)))]
             del comp[key]
             with pytest.raises(CoherenceViolation):
-                validate(dataclasses.replace(spec_of(G), compose=comp))
+                validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
         elif kind == "inverse":
             G = c.cyclic_group_groupoid(int(rng.integers(3, 6)))
             inv = dict(G.inverse_map)
@@ -131,7 +133,7 @@ def test_criterion_1():
             comp = dict(G.compose_table)
             comp[("g1", "g1")] = "g1"  # true product is g2
             with pytest.raises(AssociativityViolation):
-                validate(dataclasses.replace(spec_of(G), compose=comp))
+                validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
         else:
             G = c.pair_groupoid(int(rng.integers(2, 5)))
             w = dict(G.fiber_weight)

@@ -21,7 +21,7 @@ from cencov_ncp.errors import (
     UnknownOutcome,
 )
 from cencov_ncp.groupoid import has_uniform_P, validate
-from conftest import spec_of
+from conftest import rows, spec_of
 
 
 def test_standard_constructions_validate():
@@ -135,6 +135,50 @@ def test_pair_groupoid_memory_follows_the_composable_pairs():
     assert peak < 40 * 2 ** 20
 
 
+def test_group_memory_follows_the_table():
+    """Z_200: building it stays under 16 MB traced, far below one |G|^3
+    array of indices (64 MB), since associativity is checked in chunks."""
+    tracemalloc.start()
+    try:
+        c.cyclic_group_groupoid(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_repeated_compose_pair_is_named():
+    """Of two pairs listed twice, with any results and in either order, the
+    first in (beta, alpha) element order is named, as coherence names its
+    first defect."""
+    G = c.pair_groupoid(3)
+    spec = spec_of(G)
+    compose = list(spec.compose)  # in (beta, alpha) element order
+    assert compose[1][:2] == ("(1,1)", "(1,2)")
+    copies = [(*compose[5][:2], compose[0][2]), compose[1]]
+    for extra in (copies, copies[::-1]):
+        with pytest.raises(SchemaError) as exc:
+            validate(dataclasses.replace(spec, compose=compose + extra))
+        assert str(exc.value) == "compose pair ('(1,1)','(1,2)') is listed twice"
+
+
+@pytest.mark.parametrize("bad, named", [
+    # lengths 2 and 4: six labels in all, a multiple of three
+    ([("(1,1)", "(1,1)"), ("(1,2)", "(2,2)", "(1,2)", "(1,1)")], "('(1,1)', '(1,1)')"),
+    ([("(1,2)", "(2,2)", "(1,2)", "(1,1)"), ("(1,1)", "(1,1)")],
+     "('(1,2)', '(2,2)', '(1,2)', '(1,1)')"),
+    (["abc"], "'abc'"),
+    ([{"(1,1)": 0, "(1,2)": 1, "(2,2)": 2}], "{'(1,1)': 0, '(1,2)': 1, '(2,2)': 2}"),
+], ids=["2-then-4", "4-then-2", "string", "dict"])
+def test_misshapen_compose_row_is_named(bad, named):
+    """A row that is not a list or tuple of three labels is a schema error
+    naming the first such row."""
+    spec = spec_of(c.pair_groupoid(2))
+    with pytest.raises(SchemaError) as exc:
+        validate(dataclasses.replace(spec, compose=[*spec.compose[:2], *bad]))
+    assert str(exc.value) == f"compose entry {named} is not a (beta, alpha, beta o alpha) row"
+
+
 def test_disjoint_union_measure():
     G = c.disjoint_union(c.trivial_groupoid(2), c.trivial_groupoid(2), 0.25)
     assert sum(G.P.values()) == pytest.approx(1.0)
@@ -174,7 +218,7 @@ def test_coherence_violation_missing_entry():
     comp = dict(G.compose_table)
     del comp[("(1,2)", "(2,1)")]
     with pytest.raises(CoherenceViolation):
-        validate(dataclasses.replace(spec_of(G), compose=comp))
+        validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
 
 
 def test_coherence_violation_wrong_result():
@@ -182,7 +226,7 @@ def test_coherence_violation_wrong_result():
     comp = dict(G.compose_table)
     comp[("(1,2)", "(2,1)")] = "(2,1)"
     with pytest.raises(CoherenceViolation):
-        validate(dataclasses.replace(spec_of(G), compose=comp))
+        validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
 
 
 def test_inverse_violation():
@@ -208,7 +252,7 @@ def test_associativity_violation():
     comp = dict(G.compose_table)
     comp[("g1", "g1")] = "g1"
     with pytest.raises(AssociativityViolation):
-        validate(dataclasses.replace(spec_of(G), compose=comp))
+        validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
 
 
 def test_bad_weight():

@@ -123,6 +123,14 @@ TABLES = {
                                       "malformed model file: interval[1] is not a number"),
     "model-null-grid": ("coin_model.json", "grid", [0.0, None],
                         "malformed model file: grid[1] is not a number"),
+    # compose rows of lengths 2 and 4 (six labels, a multiple of three), and a
+    # row that is not a list
+    "groupoid-compose-rows-2-and-4": (
+        "pair2.json", "compose", [["(1,1)", "(1,1)"], ["(1,2)", "(2,1)", "(1,1)", "(1,1)"]],
+        "compose entry ['(1,1)', '(1,1)'] is not a (beta, alpha, beta o alpha) row"),
+    "groupoid-compose-string-row": (
+        "pair2.json", "compose", [["(1,1)", "(1,1)", "(1,1)"], "abc"],
+        "compose entry 'abc' is not a (beta, alpha, beta o alpha) row"),
     # as many bars as keys, but not one in each key
     "kernel-misaligned-bars": ("idk.json", "pi_re", {"(1,1)|(1,1)|(1,2)": 1.0, "(2,2)": 1.0},
                                "unknown pi_re key '(1,1)|(1,1)|(1,2)'"),
@@ -172,6 +180,17 @@ def test_repeated_compose_pair_is_named(fixture_dir, first):
     result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
     assert result.exit_code == 2
     assert f"{bad}: compose pair ('(1,1)','(1,1)') is listed twice" in result.output
+
+
+def test_bad_measure_is_found_before_a_repeated_compose_pair(fixture_dir):
+    """The measure is checked before the tables, the repeated pairs among them."""
+    with open(fixture_dir / "pair2.json") as fh:
+        data = repeated_compose_pair(json.load(fh), True)
+    bad = fixture_dir / "bad-pair2.json"
+    bad.write_text(json.dumps({**data, "P": {"1": 0.5, "2": 0.75}}))
+    result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert "P sums to 1.25, expected 1" in result.output
 
 
 PIPELINES = {

@@ -11,6 +11,7 @@ one-eigensolve construction: spectrum, rank, dense views, Fisher metric and
 Cramer-Rao bound, on full-rank and rank-deficient states.
 """
 import dataclasses
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -18,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cencov_ncp as c
@@ -35,7 +36,7 @@ from cencov_ncp.errors import CencovNcpError, SchemaError
 from cencov_ncp.estimation import StatisticalModel, cramer_rao_bound, fisher_metric
 from cencov_ncp.groupoid import validate
 from cencov_ncp.states import State, make_state
-from conftest import random_stochastic, spec_of
+from conftest import random_stochastic, rows, spec_of
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -367,12 +368,12 @@ def test_planted_defect_same_exception(G, table, data):
     new_value = data.draw(st.sampled_from(G.elements))
     if table == "compose":
         key = data.draw(st.sampled_from([(b, a) for b in G.elements for a in G.elements]))
-        compose = dict(spec.compose)
+        compose = dict(G.compose_table)
         if key in compose and data.draw(st.booleans()):
             del compose[key]
         else:
             compose[key] = new_value
-        spec = dataclasses.replace(spec, compose=compose)
+        spec = dataclasses.replace(spec, compose=rows(compose))
     elif table == "inverse":
         key = data.draw(st.sampled_from(G.elements))
         spec = dataclasses.replace(spec, inverse={**spec.inverse, key: new_value})
@@ -399,14 +400,24 @@ def verdict(fn, *args):
 def test_ill_formed_tables_same_first_defect(G, defects, data):
     """Entries dropped or pointed at an undeclared id, in one or more tables:
     both validators raise the same class with the same message.  P and the
-    fiber weights only lose entries; compose entries only change value."""
+    fiber weights only lose entries; a compose row has its result changed,
+    or in place of dropping it is misshapen: cut to two labels, given a
+    fourth, or the string 'abc'."""
     spec = spec_of(G)
     for table, drop in defects:
+        if table == "compose":
+            compose = list(spec.compose)
+            i = data.draw(st.integers(0, len(compose) - 1))
+            row = compose[i]
+            compose[i] = (data.draw(st.sampled_from([row[:2], (*row, row[0]), "abc"])) if drop
+                          else (*row[:2], "undeclared"))
+            spec = dataclasses.replace(spec, compose=compose)
+            continue
         entries = dict(getattr(spec, table))
         if not entries:
             continue
         key = data.draw(st.sampled_from(sorted(entries)))
-        if table in ("P", "fiber_weight") or (drop and table != "compose"):
+        if table in ("P", "fiber_weight") or drop:
             del entries[key]
         else:
             entries[key] = "undeclared"
@@ -436,6 +447,7 @@ def test_pair_and_trivial_match_oracles(n, uniform, data):
 @SETTINGS
 @given(st.integers(0, 5), st.lists(st.tuples(st.integers(0, 24), st.integers(0, 5)),
                                    max_size=2))
+@example(3, [(4, 1)])  # g1 g1 = g1 keeps the identity and the inverses of Z3
 def test_group_groupoid_matches_oracle(n, changes):
     """Cyclic tables with up to two products changed (to another element, or
     to a missing one): the same groupoid, or the same NotAGroup message."""
@@ -451,6 +463,26 @@ def test_group_groupoid_matches_oracle(n, changes):
         assert new == verdict(c.cyclic_group_groupoid, n)
 
 
+def s3_table():
+    """The products of the permutations of three points, which do not commute."""
+    perms = sorted(itertools.permutations(range(3)))
+    label = {p: "".join(map(str, p)) for p in perms}
+    return {(label[p], label[q]): label[tuple(p[i] for i in q)] for p in perms for q in perms}
+
+
+@pytest.mark.parametrize("change", [None, ("120", "120"), ("012", "201")])
+def test_non_abelian_group_matches_oracle(change):
+    """S3, and S3 with one product changed: the same groupoid, or the same
+    NotAGroup message."""
+    table = s3_table()
+    labels = sorted({g for g, _ in table})
+    if change:
+        table[change] = "012"
+    new = verdict(c.group_groupoid, table, labels)
+    assert new == verdict(ref.group_groupoid, table, labels)
+    assert isinstance(new, c.FiniteGroupoid) == (change is None)
+
+
 def test_planted_defect_classes_are_reached():
     """Fixed mutations reach every structural violation class, each with the
     reference's verdict."""
@@ -461,7 +493,8 @@ def test_planted_defect_classes_are_reached():
                        ("compose", ("g1", "g2")), ("inverse", "g1"), ("unit", "*")]:
         for value in G.elements:
             if table == "compose":
-                mutated = dataclasses.replace(spec, compose={**spec.compose, key: value})
+                compose = rows({**G.compose_table, key: value})
+                mutated = dataclasses.replace(spec, compose=compose)
             elif table == "inverse":
                 mutated = dataclasses.replace(spec, inverse={**spec.inverse, key: value})
             else:
@@ -470,13 +503,14 @@ def test_planted_defect_classes_are_reached():
             assert exc is outcome(ref.validate, mutated)[0]
             seen.add(exc)
     pair = spec_of(c.pair_groupoid(2))
-    del pair.compose[("(1,2)", "(2,1)")]
+    pair = dataclasses.replace(
+        pair, compose=[r for r in pair.compose if r[:2] != ("(1,2)", "(2,1)")])
     exc, _ = outcome(validate, pair)
     seen.add(exc)
     # g2 is a left inverse of g1 but not a right one; the inverse table is no
     # longer an involution, so only the right-inverse law catches it
     lopsided = dataclasses.replace(
-        spec, compose={**spec.compose, ("g1", "g2"): "g1", ("g2", "g2"): "g0"},
+        spec, compose=rows({**G.compose_table, ("g1", "g2"): "g1", ("g2", "g2"): "g0"}),
         inverse={**spec.inverse, "g2": "g2"})
     exc, _ = outcome(validate, lopsided)
     assert exc is outcome(ref.validate, lopsided)[0] is c.InverseViolation
@@ -712,16 +746,23 @@ def isotropic_groupoids(draw):
 def corrupted(G, kind, data):
     """The tables of G with one defect of the given kind: a changed compose
     result, a deleted compose row, an added row whose pair does not compose,
-    or an inverse outside the fibers it must lie in; None when G has no such
-    pair or element (a single outcome)."""
+    a copy of a row's pair with any result added anywhere, or an inverse
+    outside the fibers it must lie in; None when G has no such pair or
+    element (a single outcome)."""
     spec = spec_of(G)
-    compose, inverse = dict(spec.compose), dict(spec.inverse)
+    compose, inverse = dict(G.compose_table), dict(spec.inverse)
     s, t = spec.source, spec.target
     if kind == "changed":
         key = data.draw(st.sampled_from(sorted(compose)))
         compose[key] = data.draw(st.sampled_from(G.elements))
     elif kind == "deleted":
         del compose[data.draw(st.sampled_from(sorted(compose)))]
+    elif kind == "repeated":
+        b, a, _ = data.draw(st.sampled_from(spec.compose))
+        listed = list(spec.compose)
+        listed.insert(data.draw(st.integers(0, len(listed))),
+                      (b, a, data.draw(st.sampled_from(G.elements))))
+        return dataclasses.replace(spec, compose=listed)
     elif kind == "stray":
         pairs = [(b, a) for b in G.elements for a in G.elements if s[b] != t[a]]
         if not pairs:
@@ -734,18 +775,19 @@ def corrupted(G, kind, data):
             return None
         a, i = data.draw(st.sampled_from(wrong))
         inverse[a] = i
-    return dataclasses.replace(spec, compose=compose, inverse=inverse)
+    return dataclasses.replace(spec, compose=rows(compose), inverse=inverse)
 
 
 @settings(max_examples=150, deadline=None)
-@given(isotropic_groupoids(), st.sampled_from(["changed", "deleted", "stray", "inverse"]),
+@given(isotropic_groupoids(),
+       st.sampled_from(["changed", "deleted", "stray", "repeated", "inverse"]),
        st.booleans(), st.sampled_from([1, 5, 64, 1 << 16]), st.data())
 def test_corrupted_compose_entry_same_exception(G, kind, through_file, chunk, data):
     """One defect in the tables or in a groupoid file (a changed compose
     result, a deleted compose row, an added row whose pair does not compose,
-    or an inverse outside its fibers): ``validate`` and ``load_groupoid``,
-    with the batched associativity check at several chunk sizes, raise the
-    class that the loop oracle raises, or both pass."""
+    a repeated pair, or an inverse outside its fibers): ``validate`` and
+    ``load_groupoid``, with the batched associativity check at several chunk
+    sizes, raise the class that the loop oracle raises, or both pass."""
     spec = corrupted(G, kind, data)
     if spec is None:
         return
@@ -755,7 +797,7 @@ def test_corrupted_compose_entry_same_exception(G, kind, through_file, chunk, da
                 path = Path(tmp, "g.json")
                 fileio.save_groupoid(G, path)
                 d = json.loads(path.read_text())
-                d["compose"] = [[b, a, g] for (b, a), g in spec.compose.items()]
+                d["compose"] = [list(row) for row in spec.compose]
                 d["inverse"] = spec.inverse
                 path.write_text(json.dumps(d))
                 new_exc, _ = outcome(fileio.load_groupoid, path)
@@ -782,7 +824,8 @@ def test_associativity_defect_named_alike_at_every_chunk_size(case, chunk):
                          c.product(c.pair_groupoid(1), c.cyclic_group_groupoid(3)), 0.5)
     changed, (c_, b, a) = DEFECTS[case]
     spec = spec_of(G)
-    spec = dataclasses.replace(spec, compose={**spec.compose, **{(g, g): g for g in changed}})
+    spec = dataclasses.replace(
+        spec, compose=rows({**G.compose_table, **{(g, g): g for g in changed}}))
     assert outcome(ref.validate, spec)[0] is c.AssociativityViolation
     with mock.patch.object(groupoid_module, "_CHUNK", chunk):
         with pytest.raises(c.AssociativityViolation) as exc:
