@@ -2,7 +2,9 @@
 groupoids, states, kernels, and statistical models.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or schema error,
-3 numerical failure.
+3 numerical failure.  Commands call the library directly; the ``main`` group
+maps a library error or OSError to its exit code, once, and prints
+``error: <message>``.  A closed stdout exits 1 with nothing on stderr.
 """
 from __future__ import annotations
 
@@ -45,18 +47,20 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _guard(fn, *args, **kwargs):
-    """Run a library call, translating exceptions into exit codes."""
-    try:
-        return fn(*args, **kwargs)
-    except SchemaError as exc:
-        _fail(EXIT_SCHEMA, str(exc))
-    except _NUMERICAL as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
-    except CencovNcpError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_SCHEMA, str(exc))
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SchemaError as exc:
+            _fail(EXIT_SCHEMA, str(exc))
+        except _NUMERICAL as exc:
+            _fail(EXIT_NUMERICAL, str(exc))
+        except CencovNcpError as exc:
+            _fail(EXIT_VALIDATION, str(exc))
+        except BrokenPipeError:
+            raise  # a closed stdout: click exits 1 quietly
+        except OSError as exc:
+            _fail(EXIT_SCHEMA, str(exc))
 
 
 def _json_default(obj):
@@ -73,6 +77,13 @@ def _emit(ctx, data: dict) -> None:
             click.echo(f"{key}: {data[key]}")
 
 
+def _save(ctx, data: dict, out, save, obj, *groupoids) -> None:
+    """With ``-o``, write ``obj`` to ``out`` referencing its groupoids' files."""
+    if out:
+        save(obj, out, *(fileio.groupoid_ref(G, out, ctx.obj["loaded"]) for G in groupoids))
+        data["out"] = out
+
+
 def _finite(ctx, param, value):
     """Option callback: a finite ``--tol`` >= 0, or a finite ``--h`` > 0."""
     strict = param.name == "hstep"
@@ -81,7 +92,7 @@ def _finite(ctx, param, value):
     return value
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.option("--tol", type=float, default=1e-9, show_default=True, callback=_finite,
               help="Validation tolerance.")
 @click.option("--h", "hstep", type=float, default=1e-5, show_default=True, callback=_finite,
@@ -99,14 +110,14 @@ def main(ctx, tol, hstep, json_out):
 def validate(ctx, file):
     """Validate a groupoid, state, kernel, or model file."""
     tol = ctx.obj["tol"]
-    kind, obj = _guard(fileio.load_file, file, ctx.obj["loaded"], tol=tol)
+    kind, obj = fileio.load_file(file, ctx.obj["loaded"], tol=tol)
     data = {"file": file, "kind": kind}
 
     if kind == "groupoid":
         data.update(outcomes=len(obj.outcomes), elements=len(obj.elements), passed=True)
     elif kind == "state":
         G, phi = obj
-        report = _guard(check_state, phi, G, tol=tol)
+        report = check_state(phi, G, tol=tol)
         data.update(
             passed=report.passed,
             normalization_deficit=report.normalization_deficit,
@@ -114,7 +125,7 @@ def validate(ctx, file):
             min_fiber_eigenvalue=min(report.fiber_min_eigenvalue.values()),
         )
     elif kind == "kernel":
-        report = _guard(validate_kernel, obj, tol=tol)
+        report = validate_kernel(obj, tol=tol)
         data.update(
             passed=report.passed,
             normalization_deficit=report.normalization_deficit,
@@ -133,7 +144,7 @@ def validate(ctx, file):
     elif kind == "model":
         model, grid = obj
         for s in [model.s0, *grid]:
-            _guard(model.at, s)
+            model.at(s)
         data.update(passed=True, s0=model.s0, grid_points=len(grid))
     else:  # algebra
         data.update(passed=True, support=int(np.count_nonzero(obj.coeff)))
@@ -150,19 +161,14 @@ def validate(ctx, file):
 def compose(ctx, k1, k2, out):
     """Compose two kernel files (first applied first)."""
     loaded = ctx.obj["loaded"]
-    Pi12 = _guard(fileio.load_kernel, k1, loaded)
-    Pi23 = _guard(fileio.load_kernel, k2, loaded)
-    Pi = _guard(compose_kernels, Pi12, Pi23)
-    report = _guard(validate_kernel, Pi, tol=ctx.obj["tol"])
+    Pi = compose_kernels(fileio.load_kernel(k1, loaded), fileio.load_kernel(k2, loaded))
+    report = validate_kernel(Pi, tol=ctx.obj["tol"])
     data = {
         "passed": report.passed,
         "normalization_deficit": report.normalization_deficit,
         "hermiticity_deficit": report.hermiticity_deficit,
     }
-    if out:
-        _guard(fileio.save_kernel, Pi, out, fileio.groupoid_ref(Pi.g1, out, loaded),
-               fileio.groupoid_ref(Pi.g2, out, loaded))
-        data["out"] = out
+    _save(ctx, data, out, fileio.save_kernel, Pi, Pi.g1, Pi.g2)
     _emit(ctx, data)
 
 
@@ -174,18 +180,15 @@ def compose(ctx, k1, k2, out):
 def push(ctx, state, kernel, out):
     """Push a state forward through a kernel."""
     loaded, tol = ctx.obj["loaded"], ctx.obj["tol"]
-    rho = _guard(fileio.load_state, state, loaded, tol=tol)
-    Pi = _guard(fileio.load_kernel, kernel, loaded)
-    pushed, report = _guard(push_state_report, rho, Pi, tol=tol)
+    rho = fileio.load_state(state, loaded, tol=tol)
+    Pi = fileio.load_kernel(kernel, loaded)
+    pushed, report = push_state_report(rho, Pi, tol=tol)
     data = {
         "passed": report.passed,
         "normalization_deficit": report.normalization_deficit,
         "min_fiber_eigenvalue": min(report.fiber_min_eigenvalue.values()),
     }
-    if out:
-        _guard(fileio.save_state, pushed, out,
-               fileio.groupoid_ref(pushed.groupoid, out, loaded))
-        data["out"] = out
+    _save(ctx, data, out, fileio.save_state, pushed, pushed.groupoid)
     _emit(ctx, data)
 
 
@@ -197,14 +200,10 @@ def push(ctx, state, kernel, out):
 def pull(ctx, kernel, observable, out):
     """Pull an observable back through a kernel."""
     loaded = ctx.obj["loaded"]
-    Pi = _guard(fileio.load_kernel, kernel, loaded)
-    f2 = _guard(fileio.load_algebra_element, observable, loaded)
-    pulled = _guard(pull_observable, Pi, f2)
+    pulled = pull_observable(fileio.load_kernel(kernel, loaded),
+                             fileio.load_algebra_element(observable, loaded))
     data = {"support": int(np.count_nonzero(pulled.coeff))}
-    if out:
-        _guard(fileio.save_algebra_element, pulled, out,
-               fileio.groupoid_ref(pulled.groupoid, out, loaded))
-        data["out"] = out
+    _save(ctx, data, out, fileio.save_algebra_element, pulled, pulled.groupoid)
     _emit(ctx, data)
 
 
@@ -217,22 +216,20 @@ def pipeline(ctx, config, out):
 
     Config file: {"fmt": ..., "initial_state": path, "kernels": [paths]}.
     """
-    state_path, kernel_paths = _guard(fileio.load_pipeline, config)
+    state_path, kernel_paths = fileio.load_pipeline(config)
     loaded, tol = ctx.obj["loaded"], ctx.obj["tol"]
-    rho = _guard(fileio.load_state, state_path, loaded, tol=tol)
+    rho = fileio.load_state(state_path, loaded, tol=tol)
     stages = []
     for kp in kernel_paths:
-        Pi = _guard(fileio.load_kernel, kp, loaded)
-        rho, report = _guard(push_state_report, rho, Pi, tol=tol)
+        Pi = fileio.load_kernel(kp, loaded)
+        rho, report = push_state_report(rho, Pi, tol=tol)
         stages.append({
             "kernel": str(kp),
             "normalization_deficit": report.normalization_deficit,
             "min_fiber_eigenvalue": min(report.fiber_min_eigenvalue.values()),
         })
     data = {"stages": stages, "passed": True}
-    if out:
-        _guard(fileio.save_state, rho, out, fileio.groupoid_ref(rho.groupoid, out, loaded))
-        data["out"] = out
+    _save(ctx, data, out, fileio.save_state, rho, rho.groupoid)
     _emit(ctx, data)
 
 
@@ -243,8 +240,8 @@ def gns(ctx, state):
     """Report the GNS dimension, ideal dimension, and Gram spectrum."""
     from .gns import build_gns
 
-    rho = _guard(fileio.load_state, state, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = _guard(build_gns, rho)
+    rho = fileio.load_state(state, ctx.obj["loaded"], tol=ctx.obj["tol"])
+    S = build_gns(rho)
     _emit(ctx, {
         "dim": S.dim,
         "ideal_dim": int(len(S.groupoid.elements) - S.dim),
@@ -260,12 +257,12 @@ def fisher(ctx, model):
     from .estimation import classical_fisher_rao, fisher_metric
     from .gns import build_gns
 
-    M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = _guard(build_gns, _guard(M.at, M.s0))
-    gf = _guard(fisher_metric, M, S, h=ctx.obj["h"])
+    M, _ = fileio.load_model(model, ctx.obj["loaded"], tol=ctx.obj["tol"])
+    S = build_gns(M.at(M.s0))
+    gf = fisher_metric(M, S, h=ctx.obj["h"])
     data = {"fisher": gf}
     if len(M.groupoid.elements) == len(M.groupoid.outcomes):
-        classical = _guard(classical_fisher_rao, M, h=ctx.obj["h"])
+        classical = classical_fisher_rao(M, h=ctx.obj["h"])
         data["classical_fisher"] = classical
         data["agreement_deficit"] = abs(gf - classical)
     _emit(ctx, data)
@@ -280,14 +277,13 @@ def crb(ctx, model, estimator):
     from .estimation import Estimator, cramer_rao_audit, cramer_rao_bound
     from .gns import build_gns
 
-    M, _ = _guard(fileio.load_model, model, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = _guard(build_gns, _guard(M.at, M.s0))
-    bound = _guard(cramer_rao_bound, M, S, h=ctx.obj["h"])
+    M, _ = fileio.load_model(model, ctx.obj["loaded"], tol=ctx.obj["tol"])
+    S = build_gns(M.at(M.s0))
+    bound = cramer_rao_bound(M, S, h=ctx.obj["h"])
     data = {"bound": bound}
     if estimator:
-        a = _guard(fileio.load_algebra_element, estimator, ctx.obj["loaded"])
-        A = _guard(Estimator, a)
-        audit = _guard(cramer_rao_audit, M, A, bound)
+        a = fileio.load_algebra_element(estimator, ctx.obj["loaded"])
+        audit = cramer_rao_audit(M, Estimator(a), bound)
         data.update(
             second_moment=audit.second_moment,
             slack=audit.slack,
@@ -301,8 +297,8 @@ def crb(ctx, model, estimator):
 @click.pass_context
 def cp(ctx, kernel):
     """Choi complete-positivity verdict for a pair-groupoid kernel."""
-    Pi = _guard(fileio.load_kernel, kernel, ctx.obj["loaded"])
-    is_cp, min_eig = _guard(cp_verdict, Pi, ctx.obj["tol"])
+    Pi = fileio.load_kernel(kernel, ctx.obj["loaded"])
+    is_cp, min_eig = cp_verdict(Pi, ctx.obj["tol"])
     _emit(ctx, {"is_cp": bool(is_cp), "min_choi_eigenvalue": float(min_eig)})
 
 

@@ -82,8 +82,10 @@ def _write_json(path: Path, data: dict) -> None:
         if old is not None:
             os.chmod(tmp, S_IMODE(old.st_mode))
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # not the temporary name
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -432,6 +434,8 @@ def _classical_kernel(path: Path, data: dict, loaded: dict) -> ClassicalKernel:
     at = _first_non_finite(K)  # a non-number reads as NaN, 1e400 as inf
     if at is not None:
         raise SchemaError(f"{path}: K{at} is not a number")
+    if K.ndim != 2:
+        raise SchemaError(f"{path}: classical kernel must be a matrix, not of shape {K.shape}")
     return ClassicalKernel(K)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class GroupoidSpec:
     source: Mapping[str, str]
     target: Mapping[str, str]
     inverse: Mapping[str, str]
-    compose: Sequence[tuple[str, str, str]]  # the rows (beta, alpha, beta o alpha)
+    compose: Iterable[tuple[str, str, str]]  # the rows (beta, alpha, beta o alpha), read once
     units: Mapping[str, str]
     P: Mapping[str, float]
     fiber_weight: Optional[Mapping[str, float]] = None
@@ -309,7 +309,15 @@ def _ix(labels, index: Mapping[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, labels), dtype=np.intp)
 
 
-def _schema_defect(spec: GroupoidSpec, oix: dict, eix: dict) -> None:
+def _declared(label, index: Mapping) -> bool:
+    """``label in index``, False for an unhashable label."""
+    try:
+        return label in index
+    except TypeError:
+        return False
+
+
+def _schema_defect(spec: GroupoidSpec, rows, oix: dict, eix: dict) -> None:
     """Raise SchemaError for the first ill-formed entry: the source, target
     and inverse of each element in turn, then the compose rows, then units."""
     for a in spec.elements:
@@ -318,15 +326,15 @@ def _schema_defect(spec: GroupoidSpec, oix: dict, eix: dict) -> None:
                                     (spec.inverse, "inverse", eix)):
             if a not in table:
                 raise SchemaError(f"{name} table missing element {a!r}")
-            if table[a] not in domain:
+            if not _declared(table[a], domain):
                 raise SchemaError(f"{name}[{a!r}] references undeclared id")
-    for row in spec.compose:
+    for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise SchemaError(f"compose entry {row!r} is not a (beta, alpha, beta o alpha) row")
-        if not all(x in eix for x in row):
+        if not all(_declared(x, eix) for x in row):
             raise SchemaError(f"compose entry ({row[0]!r},{row[1]!r}) references undeclared id")
     for x in spec.outcomes:
-        if x not in spec.units or spec.units[x] not in eix:
+        if x not in spec.units or not _declared(spec.units[x], eix):
             raise SchemaError(f"units table missing outcome {x!r}")
 
 
@@ -345,18 +353,18 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
     eix = {a: i for i, a in enumerate(elements)}
     if len(oix) != len(outcomes) or len(eix) != len(elements):
         raise SchemaError("duplicate outcome or element ids")
+    rows = tuple(spec.compose)  # one pass, so that any iterable of rows will do
     try:
         src, tgt = (_ix(map(table.__getitem__, elements), oix)
                     for table in (spec.source, spec.target))
         inv = _ix(map(spec.inverse.__getitem__, elements), eix)
-        rows = spec.compose
         if not all(issubclass(r, (list, tuple)) for r in set(map(type, rows))) \
                 or set(map(len, rows)) - {3}:
             raise TypeError("a compose row is not (beta, alpha, beta o alpha)")
         b, a, g = _ix(itertools.chain.from_iterable(rows), eix).reshape(-1, 3).T
         unit = _ix(map(spec.units.__getitem__, outcomes), eix)
     except (KeyError, TypeError):
-        _schema_defect(spec, oix, eix)
+        _schema_defect(spec, rows, oix, eix)
         raise
     keys = np.sort(b * len(elements) + a)  # np.unique would import numpy.ma
     twice = keys[1:][keys[1:] == keys[:-1]]  # the first in (b, a) order is named

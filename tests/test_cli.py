@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import cencov_ncp as c
-from cencov_ncp import channels, cli, estimation, fileio, gns, states
+from cencov_ncp import channels, cli, errors, estimation, fileio, gns, states
 from cencov_ncp.cli import main
 from cencov_ncp.gns import build_gns
 
@@ -350,3 +351,60 @@ def test_gns_commands_build_no_dense_gram(runner, fixture_dir, monkeypatch, args
     assert r.exit_code == 0, r.output
     (S,) = spaces
     assert not {"gram", "quotient_basis", "ideal_basis"} & set(vars(S))
+
+
+# each command with the library call it makes first
+FIRST_CALLS = {
+    "validate": ("load_file", ["validate", "a.json"]),
+    "compose": ("load_kernel", ["compose", "a.json", "b.json"]),
+    "push": ("load_state", ["push", "a.json", "b.json"]),
+    "pull": ("load_kernel", ["pull", "a.json", "b.json"]),
+    "pipeline": ("load_pipeline", ["pipeline", "a.json"]),
+    "gns": ("load_state", ["gns", "a.json"]),
+    "fisher": ("load_model", ["fisher", "a.json"]),
+    "crb": ("load_model", ["crb", "a.json"]),
+    "cp": ("load_kernel", ["cp", "a.json"]),
+}
+ERRORS = [
+    (errors.SchemaError, 2), (errors.NoConvergence, 3), (errors.FoliumViolation, 3),
+    (errors.ZeroInformation, 3), (errors.RowSumViolation, 1), (OSError, 2),
+]
+
+
+@pytest.mark.parametrize("error, code", ERRORS, ids=[e.__name__ for e, _ in ERRORS])
+@pytest.mark.parametrize("command", sorted(FIRST_CALLS))
+def test_library_errors_map_to_exit_codes(runner, monkeypatch, command, error, code):
+    """Whatever command a library error comes from, it exits with the code of
+    its class and ``error: <message>`` on stderr, and nothing escapes."""
+    name, args = FIRST_CALLS[command]
+
+    def failing(*args, **kwargs):
+        raise error("planted failure")
+
+    monkeypatch.setattr(fileio, name, failing)
+    r = runner.invoke(main, ["--json", *args], catch_exceptions=False)
+    assert (r.exit_code, r.stdout, r.stderr) == (code, "", "error: planted failure\n")
+
+
+def test_closed_stdout_exits_1_quietly(fixture_dir):
+    src = str(Path(c.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)  # every write to stdout now fails with EPIPE
+    try:
+        out = subprocess.run([sys.executable, "-m", "cencov_ncp.cli", "--json", "validate",
+                              str(fixture_dir / "rho.json")],
+                             stdout=write, stderr=subprocess.PIPE, text=True, cwd=src)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (1, "")
+
+
+def test_unwritable_out_names_the_given_path(runner, fixture_dir):
+    """``-o`` into a missing directory names that path, not the writer's
+    temporary file."""
+    out = fixture_dir / "missing" / "composed.json"
+    r = runner.invoke(main, ["compose", str(fixture_dir / "idk.json"),
+                             str(fixture_dir / "idk.json"), "-o", str(out)])
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not (fixture_dir / "missing").exists()

@@ -179,6 +179,48 @@ def test_misshapen_compose_row_is_named(bad, named):
     assert str(exc.value) == f"compose entry {named} is not a (beta, alpha, beta o alpha) row"
 
 
+@pytest.mark.parametrize("G", [
+    c.pair_groupoid(2), c.product(c.pair_groupoid(2), c.cyclic_group_groupoid(2)),
+], ids=["pair2", "product"])
+def test_compose_rows_may_be_any_iterable(G):
+    """The rows are read once: an iterator of them validates as their list
+    does, and a defect among them is named as in the list."""
+    spec = spec_of(G)
+    assert validate(dataclasses.replace(spec, compose=iter(spec.compose))) == G
+    b, a, _ = spec.compose[-1]
+    bad = [*spec.compose[:-1], (b, a, "x")]
+    for compose in (bad, (row for row in bad)):
+        with pytest.raises(SchemaError) as exc:
+            validate(dataclasses.replace(spec, compose=compose))
+        assert str(exc.value) == f"compose entry ({b!r},{a!r}) references undeclared id"
+
+
+UNHASHABLE = {
+    "source": (lambda s: {"source": {**s.source, "(1,2)": ["1"]}},
+               "source['(1,2)'] references undeclared id"),
+    "target": (lambda s: {"target": {**s.target, "(1,2)": ["2"]}},
+               "target['(1,2)'] references undeclared id"),
+    "inverse": (lambda s: {"inverse": {**s.inverse, "(1,2)": ["(2,1)"]}},
+                "inverse['(1,2)'] references undeclared id"),
+    "compose": (lambda s: {"compose": [*s.compose[:1], ("(1,1)", "(1,2)", ["(1,2)"]),
+                                       *s.compose[2:]]},
+                "compose entry ('(1,1)','(1,2)') references undeclared id"),
+    "units": (lambda s: {"units": {**s.units, "2": ["(2,2)"]}},
+              "units table missing outcome '2'"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(UNHASHABLE))
+def test_unhashable_label_is_a_schema_error(table):
+    """A label that cannot be looked up (a list) is an undeclared id, named
+    like any other, not a TypeError."""
+    mutate, message = UNHASHABLE[table]
+    spec = spec_of(c.pair_groupoid(2))
+    with pytest.raises(SchemaError) as exc:
+        validate(dataclasses.replace(spec, **mutate(spec)))
+    assert str(exc.value) == message
+
+
 def test_disjoint_union_measure():
     G = c.disjoint_union(c.trivial_groupoid(2), c.trivial_groupoid(2), 0.25)
     assert sum(G.P.values()) == pytest.approx(1.0)

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from cencov_ncp import fileio
 from cencov_ncp.channels import ClassicalKernel
 from cencov_ncp.cli import main
+from cencov_ncp.errors import RowSumViolation
 
 
 def repeated_compose_pair(d, first):
@@ -94,6 +95,21 @@ def test_kraus_im_of_another_shape_is_named(tmp_path):
     assert result.exit_code == 2
     assert (f"{bad}: malformed Kraus file: kraus[0].im has shape (1,), "
             "kraus[0].re has shape (2, 2)") in result.output
+
+
+
+@pytest.mark.parametrize("K, shape", [([[[0.5, 0.5]]], (1, 1, 2)), ([], (0,)), (1.0, ())],
+                         ids=["3d", "empty", "scalar"])
+def test_classical_kernel_that_is_not_a_matrix_exits_2(tmp_path, K, shape):
+    """A K of the wrong shape is a schema error naming the file; the library
+    class still refuses it as a RowSumViolation."""
+    bad = tmp_path / "ck.json"
+    bad.write_text(json.dumps({"fmt": fileio.FMT, "K": K}))
+    result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert f"{bad}: classical kernel must be a matrix, not of shape {shape}" in result.output
+    with pytest.raises(RowSumViolation, match="must be a matrix"):
+        ClassicalKernel(np.array(K))
 
 
 # the first bad entry of a table is named, in table order
