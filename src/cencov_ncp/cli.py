@@ -50,7 +50,7 @@ def _fail(code: int, message: str) -> None:
 class _Main(click.Group):
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            result = super().invoke(ctx)
         except SchemaError as exc:
             _fail(EXIT_SCHEMA, str(exc))
         except _NUMERICAL as exc:
@@ -61,6 +61,9 @@ class _Main(click.Group):
             raise  # a closed stdout: click exits 1 quietly
         except OSError as exc:
             _fail(EXIT_SCHEMA, str(exc))
+        if sys.stdout is None:  # stdout closed as a descriptor: click.echo wrote nothing
+            sys.exit(1)
+        return result
 
 
 def _json_default(obj):

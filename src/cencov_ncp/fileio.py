@@ -15,10 +15,10 @@ import json
 import math
 import os
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,13 +54,13 @@ def _write_json(path: Path, data: dict) -> None:
     ``json.dumps(..., sort_keys=True)`` makes of it, with strict numbers.
 
     The top-level values are encoded in key order, each by one call of the C
-    encoder, and written before the next is made.  A value may be a function
-    of no arguments, called at its turn, so that only one large table exists
-    at a time.  A new file, or a regular file in a directory we may write, is
-    written under a temporary name in its directory and renamed over ``path``
-    (or the file a link at ``path`` names) at the end, with the old file's
-    mode, so a failure leaves it as it was.  Anything else (a device, a FIFO,
-    a pipe, a file in a read-only directory) is opened and written in place.
+    encoder and written before the next is made; a :class:`_Table` is written
+    in chunks of its sorted keys, so that no table's whole text is held.  A
+    new file, or a regular file in a directory we may write, is written under
+    a temporary name in its directory and renamed over ``path`` (or the file a
+    link at ``path`` names) at the end, with the old file's mode, so a failure
+    leaves it as it was.  Anything else (a device, a FIFO, a pipe, a file in
+    a read-only directory) is opened and written in place.
     """
     data = {"fmt": FMT, **data}
     target = path.resolve()
@@ -102,19 +102,44 @@ def _write_values(fh, path: Path, data: dict) -> None:
     sep = "{"
     for key in sorted(data):
         fh.write(f"{sep}{json.dumps(key)}: ")
-        fh.write(_encode(path, key, data[key]))
+        value = data[key]
+        try:
+            if isinstance(value, _Table):
+                _write_table(fh, value)
+            else:
+                fh.write(json.dumps(value, sort_keys=True, allow_nan=False))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: cannot write {key}: {exc}") from exc
         sep = ", "
     fh.write("}\n")
 
 
-def _encode(path: Path, key: str, value) -> str:
-    """The JSON text of ``value``, or of ``value()`` if it is callable; the
-    value is dropped before the text is written."""
-    try:
-        return json.dumps(value() if callable(value) else value,
-                          sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: cannot write {key}: {exc}") from exc
+class _Table(NamedTuple):
+    """The table ``{k: x for k, x in zip(keys, values) if x != 0}`` of
+    :func:`_write_json`, where ``keys`` is sorted."""
+    keys: list[str]
+    values: np.ndarray
+
+
+# at most this many entries of a table per call of the C encoder
+_CHUNK = 4096
+
+
+def _write_table(fh, table: _Table) -> None:
+    """Write the text that ``json.dumps(..., sort_keys=True)`` makes of
+    ``table``, one chunk of its sorted keys at a time."""
+    sep = ""
+    fh.write("{")
+    for start in range(0, len(table.keys), _CHUNK):
+        values = table.values[start:start + _CHUNK].tolist()
+        # a float is false iff it is +-0.0, so NaN stays for the encoder to reject
+        chunk = dict(zip(compress(table.keys[start:start + _CHUNK], values),
+                         filter(None, values)))
+        if chunk:
+            fh.write(sep)
+            fh.write(json.dumps(chunk, allow_nan=False)[1:-1])
+            sep = ", "
+    fh.write("}")
 
 
 def _resolve(base: Path, ref: str) -> Path:
@@ -210,12 +235,17 @@ def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
     })
 
 
+def _rank(labels) -> np.ndarray:
+    """``rank[i]``: the place of ``labels[i]`` in the order of Python strings."""
+    rank = np.empty(len(labels), dtype=np.intp)
+    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    return rank
+
+
 def _compose_rows(G: FiniteGroupoid) -> list[tuple[str, str, str]]:
     """The rows ``(beta, alpha, beta o alpha)`` of the composable pairs, in the
     order of the labels ``(beta, alpha)`` as Python strings."""
-    e = G.elements
-    rank = np.empty(len(e), dtype=np.intp)
-    rank[sorted(range(len(e)), key=e.__getitem__)] = np.arange(len(e))
+    e, rank = G.elements, _rank(G.elements)
     b, a, g = G.triples
     order = np.lexsort((rank[a], rank[b]))
     return list(zip(*(map(e.__getitem__, ix[order].tolist()) for ix in (b, a, g))))
@@ -328,20 +358,19 @@ def _number(value, name: str) -> float:
     return x
 
 
-def _tables(keys: tuple[str, str], v: np.ndarray, label) -> dict:
+def _tables(keys: tuple[str, str], v: np.ndarray, *axes) -> dict:
     """The tables ``keys[0]``, ``keys[1]`` of the real and imaginary parts of
-    ``v`` for :func:`_write_json`, each built at its turn: the nonzero entries,
-    keyed by ``label(*their index lists)``."""
-    def table(part: np.ndarray) -> dict:
-        ix = np.nonzero(part)
-        return dict(zip(label(*(i.tolist() for i in ix)), part[ix].tolist()))
-
-    return {key: partial(table, part) for key, part in zip(keys, (v.real, v.imag))}
-
-
-def _element_labels(elements):
-    """Index list -> the labels of those ``elements``."""
-    return lambda ix: map(elements.__getitem__, ix)
+    ``v`` for :func:`_write_json`: the nonzero entries, each keyed by the join
+    of its labels along the axes of ``v`` (``axes[k][i]`` labels index i of
+    axis k), in the order of those keys.  The labels of every axis but the
+    last end in a character that no label holds, so the keys sort as the
+    tuples of the labels' ranks; each key is built once, for both tables."""
+    ix = np.nonzero(v)
+    order = np.lexsort([_rank(labels)[i] for labels, i in zip(axes, ix)][::-1])
+    values = v[ix][order]
+    table_keys = list(map("".join, zip(*(np.array(labels, dtype=object)[i[order]].tolist()
+                                         for labels, i in zip(axes, ix)))))
+    return {key: _Table(table_keys, part) for key, part in zip(keys, (values.real, values.imag))}
 
 
 def _coefficient_file(path: Path, data: dict, loaded: dict,
@@ -364,7 +393,7 @@ def load_state(path: str | Path, loaded: Optional[dict] = None, tol: float = NOR
 def save_state(rho: State, path: str | Path, groupoid_ref: str) -> None:
     _write_json(Path(path), {
         "groupoid": groupoid_ref,
-        **_tables(("phi_re", "phi_im"), rho.phi, _element_labels(rho.groupoid.elements)),
+        **_tables(("phi_re", "phi_im"), rho.phi, rho.groupoid.elements),
     })
 
 
@@ -379,7 +408,7 @@ def load_algebra_element(path: str | Path, loaded: Optional[dict] = None) -> Alg
 def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str) -> None:
     _write_json(Path(path), {
         "groupoid": groupoid_ref,
-        **_tables(("coeff_re", "coeff_im"), a.coeff, _element_labels(a.groupoid.elements)),
+        **_tables(("coeff_re", "coeff_im"), a.coeff, a.groupoid.elements),
     })
 
 
@@ -421,8 +450,7 @@ def save_kernel(Pi: QuantumKernel, path: str | Path,
     _write_json(Path(path), {
         "source_groupoid": source_ref,
         "target_groupoid": target_ref,
-        **_tables(("pi_re", "pi_im"), Pi.pi,
-                  lambda rows, cols: [f"{e1[i]}|{e2[j]}" for i, j in zip(rows, cols)]),
+        **_tables(("pi_re", "pi_im"), Pi.pi, [f"{e}|" for e in e1], e2),
     })
 
 

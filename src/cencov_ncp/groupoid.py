@@ -317,6 +317,18 @@ def _declared(label, index: Mapping) -> bool:
         return False
 
 
+def _id_index(ids: tuple, kind: str) -> dict:
+    """id -> its place in ``ids``; SchemaError naming the first id that is
+    not hashable."""
+    index = {}
+    for i, x in enumerate(ids):
+        try:
+            index[x] = i
+        except TypeError:
+            raise SchemaError(f"{kind} id {x!r} is not hashable") from None
+    return index
+
+
 def _schema_defect(spec: GroupoidSpec, rows, oix: dict, eix: dict) -> None:
     """Raise SchemaError for the first ill-formed entry: the source, target
     and inverse of each element in turn, then the compose rows, then units."""
@@ -344,16 +356,19 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
     The tables are mapped to index arrays in bulk, the compose rows in one
     pass over their labels, and the axioms are checked on the arrays.  Raises
     the violation class matching the first defect found; the check order is
-    measure, table well-formedness (a pair listed twice last), units,
-    coherence, inverses, associativity, fiber weights.
+    hashable ids, measure, table well-formedness (a pair listed twice last),
+    units, coherence, inverses, associativity, fiber weights.
     """
     outcomes, elements = tuple(spec.outcomes), tuple(spec.elements)
+    oix, eix = _id_index(outcomes, "outcome"), _id_index(elements, "element")
     P = _measure(outcomes, spec.P)
-    oix = {x: i for i, x in enumerate(outcomes)}
-    eix = {a: i for i, a in enumerate(elements)}
     if len(oix) != len(outcomes) or len(eix) != len(elements):
         raise SchemaError("duplicate outcome or element ids")
-    rows = tuple(spec.compose)  # one pass, so that any iterable of rows will do
+    try:
+        rows = tuple(spec.compose)  # one pass, so that any iterable of rows will do
+    except TypeError:
+        raise SchemaError(f"compose {spec.compose!r} is not an iterable of "
+                          "(beta, alpha, beta o alpha) rows") from None
     try:
         src, tgt = (_ix(map(table.__getitem__, elements), oix)
                     for table in (spec.source, spec.target))

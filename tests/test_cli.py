@@ -399,6 +399,25 @@ def test_closed_stdout_exits_1_quietly(fixture_dir):
     assert (out.returncode, out.stderr) == (1, "")
 
 
+@pytest.mark.parametrize("args", [
+    ("validate", "rho.json"),
+    ("compose", "idk.json", "transpose.json", "-o", "composed.json"),
+], ids=["validate", "compose-o"])
+def test_stdout_closed_as_a_descriptor_exits_1_quietly(fixture_dir, args):
+    """With fd 1 closed, ``sys.stdout`` is None and the result cannot be
+    written: the command exits 1 with nothing on stderr (``-o`` files are
+    still written, as with a closed pipe)."""
+    src = str(Path(c.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "cencov_ncp.cli", "--json", *args],
+                         stderr=subprocess.PIPE, text=True, cwd=fixture_dir,
+                         env={**os.environ, "PYTHONPATH": src},
+                         preexec_fn=lambda: os.close(1))
+    assert (out.returncode, out.stderr) == (1, "")
+    if "-o" in args:
+        composed = fileio.load_kernel(fixture_dir / "composed.json")
+        assert np.allclose(composed.pi, fileio.load_kernel(fixture_dir / "transpose.json").pi)
+
+
 def test_unwritable_out_names_the_given_path(runner, fixture_dir):
     """``-o`` into a missing directory names that path, not the writer's
     temporary file."""

@@ -207,18 +207,31 @@ UNHASHABLE = {
                 "compose entry ('(1,1)','(1,2)') references undeclared id"),
     "units": (lambda s: {"units": {**s.units, "2": ["(2,2)"]}},
               "units table missing outcome '2'"),
+    "elements": (lambda s: {"elements": [*s.elements[:1], ["(1,2)"], *s.elements[2:]]},
+                 "element id ['(1,2)'] is not hashable"),
+    "outcomes": (lambda s: {"outcomes": ["1", ["2"]]}, "outcome id ['2'] is not hashable"),
 }
 
 
 @pytest.mark.parametrize("table", sorted(UNHASHABLE))
 def test_unhashable_label_is_a_schema_error(table):
-    """A label that cannot be looked up (a list) is an undeclared id, named
-    like any other, not a TypeError."""
+    """A label that cannot be looked up (a list) is a SchemaError naming it,
+    not a TypeError: in a table an undeclared id, named like any other, and in
+    ``elements`` or ``outcomes`` an id that is not hashable."""
     mutate, message = UNHASHABLE[table]
     spec = spec_of(c.pair_groupoid(2))
     with pytest.raises(SchemaError) as exc:
         validate(dataclasses.replace(spec, **mutate(spec)))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("compose", [None, 5])
+def test_compose_that_is_not_iterable_is_a_schema_error(compose):
+    spec = spec_of(c.pair_groupoid(2))
+    with pytest.raises(SchemaError) as exc:
+        validate(dataclasses.replace(spec, compose=compose))
+    assert str(exc.value) == (f"compose {compose!r} is not an iterable of "
+                              "(beta, alpha, beta o alpha) rows")
 
 
 def test_disjoint_union_measure():
