@@ -108,14 +108,14 @@ def fundamental_rep_pair(a: AlgebraElement) -> np.ndarray:
     """The n x n matrix picture of a pair-groupoid algebra element.
 
     ``F[y, x] = a((y,x))`` with (y,x) the transition x -> y.  Only defined for
-    pair groupoids with uniform P, where delta is identically 1 and the map is
-    a *-isomorphism onto the full matrix algebra.
+    pair groupoids with uniform P and unit fiber weights, where delta is
+    identically 1 and the map is a *-isomorphism onto the full matrix algebra.
     """
     return a.coeff[a.groupoid.pair_index]
 
 
 def element_from_matrix(G: FiniteGroupoid, F: np.ndarray) -> AlgebraElement:
-    """Inverse of :func:`fundamental_rep_pair` on a uniform pair groupoid."""
+    """Inverse of :func:`fundamental_rep_pair`, on the same pair groupoids."""
     c = np.zeros(len(G.elements), dtype=complex)
     c[G.pair_index] = np.asarray(F, dtype=complex)
     return AlgebraElement(G, c)

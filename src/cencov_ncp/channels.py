@@ -1,14 +1,14 @@
 """Classical and quantum Markov kernels.
 
 A quantum kernel is a complex function on Gamma_1 x Gamma_2 subject to three
-axioms: (i) measure-weighted normalization ``sum_x Pi(a1, 1_x) P2(x) = 1``
+axioms: (i) measure-weighted normalization ``sum_x Pi(a1, 1_x) nu2(1_x) = 1``
 for unit a1 and 0 otherwise, (ii) positive definiteness of ``Pi(1_x, .)`` on
 Gamma_2 for every unit of Gamma_1, and (iii) the delta-twisted hermiticity
 ``conj(Pi(a1, a2)) = delta2(a2) Pi(inv(a1), inv(a2))``.  Kernels transport
 states forward and observables backward, compose associatively, contain
-row-stochastic matrices as the trivial-groupoid special case, and on uniform
-pair groupoids correspond to linear maps on density matrices, where complete
-positivity is decided through the Choi matrix.
+row-stochastic matrices as the trivial-groupoid special case, and on pair
+groupoids with ``nu = 1/n`` correspond to linear maps on density matrices,
+where complete positivity is decided through the Choi matrix.
 """
 from __future__ import annotations
 
@@ -103,9 +103,9 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
     """Check the three kernel axioms and report the deficits."""
     G1, G2 = Pi.g1, Pi.g2
 
-    # (i) sum_x Pi(a1, 1_x) P2(x) = [a1 is a unit]
+    # (i) sum_x Pi(a1, 1_x) nu2(1_x) = [a1 is a unit]
     want = (G1.unit_ix[G1.src] == np.arange(len(G1.elements))).astype(float)
-    norm_dev = float(np.abs(Pi.pi[:, G2.unit_ix] @ G2.P_vec - want).max())
+    norm_dev = float(np.abs(Pi.pi[:, G2.unit_ix] @ G2.nu_vec[G2.unit_ix] - want).max())
 
     # (ii) Pi(1_x, .) positive definite on Gamma_2, for every unit of Gamma_1
     pos = [fiber_psd_verdicts(G2, Pi.pi[u], tol, 1.0 + np.abs(Pi.pi[u]).max())
@@ -179,14 +179,14 @@ def compose(Pi12: QuantumKernel, Pi23: QuantumKernel) -> QuantumKernel:
 def embed_classical(K: ClassicalKernel, G1: FiniteGroupoid,
                     G2: FiniteGroupoid) -> QuantumKernel:
     """Embed a row-stochastic matrix between trivial groupoids:
-    ``Pi(1_x, 1_y) = K[x, y] / P2(y)``."""
+    ``Pi(1_x, 1_y) = K[x, y] / nu2(1_y)``."""
     for G in (G1, G2):
         if len(G.elements) != len(G.outcomes):
             raise GroupoidMismatch("classical embedding needs trivial groupoids")
     if K.K.shape != (len(G1.outcomes), len(G2.outcomes)):
         raise GroupoidMismatch("stochastic matrix shape does not match outcome sets")
     pi = np.zeros((len(G1.elements), len(G2.elements)), dtype=complex)
-    pi[np.ix_(G1.unit_ix, G2.unit_ix)] = K.K / G2.P_vec
+    pi[np.ix_(G1.unit_ix, G2.unit_ix)] = K.K / G2.nu_vec[G2.unit_ix]
     return QuantumKernel(G1, G2, pi)
 
 
@@ -200,7 +200,7 @@ def check_ncp_morphism(Pi: QuantumKernel, rho1: State, rho2: State,
 
 
 # ---------------------------------------------------------------------------
-# completely positive maps on uniform pair groupoids
+# completely positive maps on pair groupoids with nu = 1/n
 # ---------------------------------------------------------------------------
 
 def kernel_to_cp_map(Pi: QuantumKernel) -> Callable[[np.ndarray], np.ndarray]:
@@ -228,7 +228,7 @@ def completeness_deficit(kraus: Sequence[np.ndarray]) -> float:
 def _choi_index(G1: FiniteGroupoid, G2: FiniteGroupoid, what: str):
     """``(K, n, m)``: ``K[(i,k),(j,l)]`` is the flat index of the kernel entry
     at ``((j,i),(l,k))``, so ``pi.ravel()[K] / m`` is the Choi matrix.  A
-    missing pair structure on either side comes before non-uniform P."""
+    missing pair structure on either side comes before nu != 1/n."""
     if G1.pair_grid is None or G2.pair_grid is None:
         raise NotPairGroupoid(f"{what} need pair groupoids")
     E1, E2 = G1.pair_index, G2.pair_index
@@ -247,8 +247,8 @@ def _from_choi(C: np.ndarray, K: np.ndarray, G1: FiniteGroupoid,
 
 def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
                    G2: FiniteGroupoid, tol: float = KERNEL_TOL) -> QuantumKernel:
-    """Kernel of the channel ``D -> sum_a A_a D A_a†`` between uniform pair
-    groupoids: the inverse reshuffle of its Choi matrix,
+    """Kernel of the channel ``D -> sum_a A_a D A_a†`` between pair groupoids
+    with nu = 1/n: the inverse reshuffle of its Choi matrix,
     ``Pi((j,i),(l,k)) = m * sum_a A_a[k,i] conj(A_a[l,j])``.
     """
     K, n, m = _choi_index(G1, G2, "Kraus kernels")

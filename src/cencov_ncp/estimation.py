@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, convolve, star
-from .channels import ClassicalKernel
+from .channels import ClassicalKernel, embed_classical, push_state
 from .errors import (
     FoliumViolation,
     GroupoidMismatch,
@@ -165,20 +165,17 @@ def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float,
 # classical Fisher-Rao and congruent-embedding invariance
 # ---------------------------------------------------------------------------
 
-def _classical_p(M: StatisticalModel, s: float) -> np.ndarray:
+def classical_fisher_rao(M: StatisticalModel, h: float = DEFAULT_H,
+                         p_floor: float = P_FLOOR) -> float:
+    """``sum_x (dp/ds)^2 / p`` at the base point of a model on a trivial
+    groupoid, with ``dp/ds`` the units' entries of :func:`derivative_vector`."""
     G = M.groupoid
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical Fisher-Rao needs a trivial groupoid")
-    return np.fromiter(outcome_distribution(M.at(s)).values(), dtype=float)
-
-
-def classical_fisher_rao(M: StatisticalModel, h: float = DEFAULT_H,
-                         p_floor: float = P_FLOOR) -> float:
-    """Central-difference ``sum_x (dp/ds)^2 / p`` at the base point."""
-    p0 = _classical_p(M, M.s0)
+    p0 = np.fromiter(outcome_distribution(M.at(M.s0)).values(), dtype=float)
     if np.any(p0 <= p_floor):
         raise SupportBoundary("probability mass at or below the support floor")
-    dp = (_classical_p(M, M.s0 + h) - _classical_p(M, M.s0 - h)) / (2.0 * h)
+    dp = derivative_vector(M, h=h)[G.unit_ix].real
     return float(np.sum(dp * dp / p0))
 
 
@@ -195,8 +192,9 @@ def congruent_invariance(M: StatisticalModel, K: ClassicalKernel,
     """Fisher-Rao before and after pushing the whole curve through K.
 
     K must be a congruent embedding: the caller supplies a left inverse L with
-    ``K L = identity``.  The pushed curve lives on a trivial groupoid whose
-    reference measure is the pushforward of the original one.
+    ``K L = identity``.  Each state of the curve is pushed through
+    :func:`embed_classical` of K, onto a trivial groupoid whose reference
+    measure is the pushforward of the original one.
     """
     KL = K.K @ L.K
     if np.abs(KL - np.eye(KL.shape[0])).max() > congruence_tol:
@@ -209,12 +207,9 @@ def congruent_invariance(M: StatisticalModel, K: ClassicalKernel,
         raise NotCongruent("pushforward reference measure is not strictly positive")
     m = K.K.shape[1]
     G2 = trivial_groupoid(m, P={str(i + 1): float(P2[i]) for i in range(m)})
-
-    def pushed_curve(s: float) -> State:
-        return classical_state(G2, _classical_p(M, s) @ K.K)
-
-    pushed = StatisticalModel(groupoid=G2, curve=pushed_curve, s0=M.s0,
-                              interval=M.interval)
+    Pi = embed_classical(K, M.groupoid, G2)
+    pushed = StatisticalModel(groupoid=G2, curve=lambda s: push_state(M.at(s), Pi),
+                              s0=M.s0, interval=M.interval)
     after = classical_fisher_rao(pushed, h=h)
     return CongruenceReport(
         fisher_before=before,

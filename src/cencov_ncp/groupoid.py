@@ -244,17 +244,19 @@ class FiniteGroupoid:
 
     @property
     def pair_index(self) -> np.ndarray:
-        """``pair_grid`` of a pair groupoid with uniform P, the setting of the
-        density-matrix dictionary; raises NotPairGroupoid or NonUniformP."""
+        """``pair_grid`` of a pair groupoid with ``nu = 1/n`` on every element,
+        the setting of the density-matrix dictionary: uniform P and unit fiber
+        weights, so that delta = 1; raises NotPairGroupoid or NonUniformP."""
         if self.pair_grid is None:
             raise NotPairGroupoid("the matrix picture needs a pair groupoid")
-        if not has_uniform_P(self):
-            raise NonUniformP("the matrix picture needs uniform P")
+        if np.any(np.abs(self.nu_vec - 1.0 / len(self.outcomes)) > MEASURE_TOL):
+            raise NonUniformP("the matrix picture needs uniform P and unit fiber weights")
         return self.pair_grid
 
 
 def has_uniform_P(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
-    """Uniform outcome measure, the matrix picture's condition."""
+    """Uniform outcome measure; with unit fiber weights, the matrix picture's
+    condition (:attr:`FiniteGroupoid.pair_index`)."""
     return bool(np.all(np.abs(G.P_vec - 1.0 / len(G.outcomes)) <= tol))
 
 

@@ -2,10 +2,10 @@
 
 A characteristic function phi on a finite groupoid is positive definite when
 every target-fiber Gram matrix ``M[k,l] = phi(inv(a_k) o a_l)`` is Hermitian
-PSD, and normalized when ``sum_x phi(1_x) P(x) = 1``.  On a uniform pair
-groupoid these are exactly the density matrices under the dictionary
-``phi(element y<-x) = n * D[x, y]`` (so that expectations become ``Tr(D A)``
-in the fundamental representation).
+PSD, and normalized when ``sum_x phi(1_x) nu(1_x) = 1``.  On a pair groupoid
+with ``nu = 1/n`` (uniform P and unit fiber weights) these are exactly the
+density matrices under the dictionary ``phi(element y<-x) = n * D[x, y]`` (so
+that expectations become ``Tr(D A)`` in the fundamental representation).
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
     if v.shape[0] != len(G.elements):
         raise GroupoidMismatch("phi length does not match groupoid")
     psd, fiber_min = fiber_psd_verdicts(G, v, tol)
-    norm_deficit = abs(complex(v[G.unit_ix] @ G.P_vec) - 1.0)
+    norm_deficit = abs(complex(v[G.unit_ix] @ G.nu_vec[G.unit_ix]) - 1.0)
     sym_deficit = float(np.abs(v[G.inv_ix] - np.conj(v)).max())
     return StateReport(
         fiber_min_eigenvalue=dict(zip(G.outcomes, fiber_min.tolist())),
@@ -102,13 +102,13 @@ def expectation(rho: State, a: AlgebraElement) -> complex:
 
 
 def outcome_distribution(rho: State) -> dict[str, float]:
-    """``p(x) = phi(1_x) P(x)``, nonnegative and summing to 1."""
+    """``p(x) = phi(1_x) nu(1_x)``, nonnegative and summing to 1."""
     G = rho.groupoid
-    return dict(zip(G.outcomes, (rho.phi[G.unit_ix].real * G.P_vec).tolist()))
+    return dict(zip(G.outcomes, (rho.phi[G.unit_ix].real * G.nu_vec[G.unit_ix]).tolist()))
 
 
 # ---------------------------------------------------------------------------
-# density-matrix dictionary on uniform pair groupoids
+# density-matrix dictionary on pair groupoids with nu = 1/n
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def make_density(D, tol: float = NORM_TOL) -> DensityMatrix:
 
 
 def density_from_state(rho: State) -> DensityMatrix:
-    """``D[s, t] = phi(element (t,s)) / n`` on a uniform pair groupoid.
+    """``D[s, t] = phi(element (t,s)) / n`` on a pair groupoid with nu = 1/n.
 
     Indexing: the pair element ``(t, s)`` is the transition s -> t and carries
     the matrix entry ``D[s, t]`` (this is the unique orientation for which the
@@ -163,10 +163,10 @@ def density_from_phi_unchecked(phi: np.ndarray, G: FiniteGroupoid) -> np.ndarray
 
 
 def classical_state(G: FiniteGroupoid, p) -> State:
-    """State on a trivial groupoid from a probability vector: phi(1_x) = p(x)/P(x)."""
+    """State on a trivial groupoid from a probability vector: phi(1_x) = p(x)/nu(1_x)."""
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical_state needs a trivial groupoid")
     p = np.asarray(p, dtype=float).reshape(-1)
     phi = np.zeros(len(G.elements), dtype=complex)
-    phi[G.unit_ix] = p / G.P_vec
+    phi[G.unit_ix] = p / G.nu_vec[G.unit_ix]
     return make_state(G, phi)

@@ -232,9 +232,10 @@ def pair_structure(G: FiniteGroupoid) -> Optional[dict[tuple[str, str], str]]:
     return table
 
 
-def has_uniform_P(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
+def has_uniform_nu(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
+    """``nu(a) = 1/n`` on every element: uniform P and unit fiber weights."""
     n = len(G.outcomes)
-    return all(abs(G.P[x] - 1.0 / n) <= tol for x in G.outcomes)
+    return all(abs(G.nu(a) - 1.0 / n) <= tol for a in G.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +419,7 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
         fiber_min[x] = lo
         psd_ok = psd_ok and ok
 
-    norm_deficit = abs(sum(v[G.index[G.unit_of[x]]] * G.P[x] for x in G.outcomes) - 1.0)
+    norm_deficit = abs(sum(v[G.index[u]] * G.nu(u) for u in G.unit_of.values()) - 1.0)
     sym_deficit = max(abs(v[G.index[G.inv(a)]] - np.conj(v[G.index[a]])) for a in G.elements)
     return StateReport(
         fiber_min_eigenvalue=fiber_min,
@@ -566,14 +567,14 @@ def _pair_dictionary(G: FiniteGroupoid):
     table = pair_structure(G)
     if table is None:
         raise NotPairGroupoid("density dictionary needs a pair groupoid")
-    if not has_uniform_P(G):
-        raise NonUniformP("density dictionary needs uniform P")
+    if not has_uniform_nu(G):
+        raise NonUniformP("density dictionary needs nu = 1/n")
     oidx = {x: i for i, x in enumerate(G.outcomes)}
     return table, oidx
 
 
 def density_from_state(rho: State) -> DensityMatrix:
-    """``D[s, t] = phi(element (t,s)) / n`` on a uniform pair groupoid.
+    """``D[s, t] = phi(element (t,s)) / n`` on a pair groupoid with nu = 1/n.
 
     Indexing: the pair element ``(t, s)`` is the transition s -> t and carries
     the matrix entry ``D[s, t]`` (this is the unique orientation for which the
@@ -631,10 +632,10 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
     """Check the three kernel axioms and report the deficits."""
     G1, G2 = Pi.g1, Pi.g2
 
-    # (i) sum_x Pi(a1, 1_x) P2(x) = [a1 is a unit]
+    # (i) sum_x Pi(a1, 1_x) nu2(1_x) = [a1 is a unit]
     norm_dev = 0.0
     for a1 in G1.elements:
-        total = sum(Pi.value(a1, G2.unit_of[x]) * G2.P[x] for x in G2.outcomes)
+        total = sum(Pi.value(a1, u) * G2.nu(u) for u in G2.unit_of.values())
         want = 1.0 if G1.is_unit(a1) else 0.0
         norm_dev = max(norm_dev, abs(total - want))
 
@@ -704,16 +705,16 @@ def kernel_to_cp_map(Pi: QuantumKernel) -> Callable[[np.ndarray], np.ndarray]:
 
 def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
                    G2: FiniteGroupoid, tol: float = 1e-9) -> QuantumKernel:
-    """Kernel of the channel ``D -> sum_k A_k D A_k†`` between uniform pair
-    groupoids, via ``Pi((t1,s1),(t2,s2)) = m * sum_k A_k[s2,s1] conj(A_k[t2,t1])``.
+    """Kernel of the channel ``D -> sum_k A_k D A_k†`` between pair groupoids
+    with nu = 1/n, via ``Pi((t1,s1),(t2,s2)) = m * sum_k A_k[s2,s1] conj(A_k[t2,t1])``.
     """
 
     t1map = pair_structure(G1)
     t2map = pair_structure(G2)
     if t1map is None or t2map is None:
         raise NotPairGroupoid("Kraus kernels need pair groupoids")
-    if not (has_uniform_P(G1) and has_uniform_P(G2)):
-        raise NonUniformP("Kraus kernels need uniform P")
+    if not (has_uniform_nu(G1) and has_uniform_nu(G2)):
+        raise NonUniformP("Kraus kernels need nu = 1/n")
     n, m = len(G1.outcomes), len(G2.outcomes)
     A = [np.asarray(a, dtype=complex) for a in kraus]
     for a in A:
@@ -746,8 +747,8 @@ def kernel_from_matrix_map(phi_star: Callable[[np.ndarray], np.ndarray],
     t2map = pair_structure(G2)
     if t1map is None or t2map is None:
         raise NotPairGroupoid("matrix-map kernels need pair groupoids")
-    if not (has_uniform_P(G1) and has_uniform_P(G2)):
-        raise NonUniformP("matrix-map kernels need uniform P")
+    if not (has_uniform_nu(G1) and has_uniform_nu(G2)):
+        raise NonUniformP("matrix-map kernels need nu = 1/n")
     n, m = len(G1.outcomes), len(G2.outcomes)
     o1 = {x: i for i, x in enumerate(G1.outcomes)}
     o2 = {x: i for i, x in enumerate(G2.outcomes)}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import cencov_ncp as c
 from cencov_ncp import channels, cli, errors, estimation, fileio, gns, states
 from cencov_ncp.cli import main
 from cencov_ncp.gns import build_gns
+from conftest import spec_of
 
 # machine-readable output contracts for the --json flag, by subcommand
 SCHEMAS = {
@@ -122,6 +124,17 @@ def test_validate_bad_state_exit_1(runner, fixture_dir):
     assert r.exit_code == 1
 
 
+def test_validate_bad_kraus_exit_1_with_its_report_only(runner, fixture_dir):
+    """A Kraus family that is not trace preserving fails like any other
+    validation: its report on stdout, exit 1, nothing on stderr."""
+    fileio.save_kraus([2.0 * np.eye(2)], fixture_dir / "bad_kraus.json")
+    r = invoke(runner, "--json", "validate", fixture_dir / "bad_kraus.json")
+    assert (r.exit_code, r.stderr) == (1, "")
+    data = jout(r, "validate")
+    assert (data["kind"], data["passed"], data["operators"]) == ("kraus", False, 1)
+    assert data["completeness_deficit"] == pytest.approx(3.0)
+
+
 def test_validate_bad_fmt_exit_2(runner, fixture_dir):
     bad = fixture_dir / "bad_fmt.json"
     bad.write_text(json.dumps({"fmt": "other/1", "K": [[1.0]]}))
@@ -219,6 +232,28 @@ def test_fisher_command(runner, fixture_dir):
     data = jout(r, "fisher")
     assert data["fisher"] == pytest.approx(4.0, abs=1e-3)
     assert data["agreement_deficit"] < 1e-6
+
+
+def test_fisher_command_on_fiber_weights_is_classical(runner, fixture_dir):
+    """The coin model on trivial(2) with fiber weights 2 and 0.5: the GNS
+    metric and the classical Fisher-Rao value are both 4."""
+    G = fileio.load_groupoid(fixture_dir / "triv2.json")
+    G = c.validate(dataclasses.replace(spec_of(G), fiber_weight={"1_1": 2.0, "1_2": 0.5}))
+    fileio.save_groupoid(G, fixture_dir / "wtriv2.json")
+    states = {}
+    for s in (-0.2, -0.1, 0.0, 0.1, 0.2):
+        states[str(s)] = f"wcoin_{s}.json"
+        fileio.save_state(c.classical_state(G, [0.5 + s, 0.5 - s]),
+                          fixture_dir / states[str(s)], "wtriv2.json")
+    (fixture_dir / "wcoin.json").write_text(json.dumps({
+        "fmt": fileio.FMT, "groupoid": "wtriv2.json", "s0": 0.0,
+        "interval": [-0.2, 0.2], "states": states}))
+    r = invoke(runner, "--json", "fisher", fixture_dir / "wcoin.json")
+    assert r.exit_code == 0
+    data = jout(r, "fisher")
+    assert data["fisher"] == pytest.approx(4.0, abs=1e-3)
+    assert data["classical_fisher"] == pytest.approx(4.0, abs=1e-3)
+    assert data["agreement_deficit"] < 1e-9
 
 
 def test_crb_command_with_estimator(runner, fixture_dir):

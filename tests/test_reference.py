@@ -2,7 +2,9 @@
 
 Every formula is compared on random inputs over pair groupoids with uniform
 and with non-uniform P (delta != 1), trivial groupoids, cyclic groups,
-products and disjoint unions; values must agree to 1e-12 relative, and
+products and disjoint unions, with and without fiber weights (on any
+weights a state is normalized by nu at the units, and only nu = 1/n admits
+the matrix picture); values must agree to 1e-12 relative, and
 every raised exception must be of the same class.  The constructions must
 build equal groupoids, and ill-formed tables and group tables must get the
 same error message.  The model interpolant is compared with scipy's splines
@@ -19,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cencov_ncp as c
@@ -32,7 +34,7 @@ from cencov_ncp.channels import (
     density_from_phi_unchecked,
     phi_from_density_unchecked,
 )
-from cencov_ncp.errors import CencovNcpError, SchemaError
+from cencov_ncp.errors import CencovNcpError, NonUniformP, SchemaError
 from cencov_ncp.estimation import StatisticalModel, cramer_rao_bound, fisher_metric
 from cencov_ncp.groupoid import validate
 from cencov_ncp.states import State, make_state
@@ -84,12 +86,14 @@ def groupoids(draw):
 
 
 @st.composite
-def weighted_groupoids(draw):
-    """``groupoids()`` with a random P and random fiber weights; left
-    invariance makes a weight a function of the source."""
-    G = draw(groupoids())
+def weighted_groupoids(draw, base=groupoids(), uniform_P=False):
+    """``base`` groupoids with random fiber weights, and a random P unless
+    ``uniform_P``; left invariance makes a weight a function of the source."""
+    G = draw(base)
     n = len(G.outcomes)
-    ps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    ps = [1.0] * n
+    if not uniform_P:
+        ps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     ws = dict(zip(G.outcomes, draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))))
     return validate(dataclasses.replace(
         spec_of(G), P={x: p / sum(ps) for x, p in zip(G.outcomes, ps)},
@@ -97,7 +101,10 @@ def weighted_groupoids(draw):
 
 
 uniform_pairs = st.integers(1, 5).map(c.pair_groupoid)
-pairs_or_any = st.one_of(uniform_pairs, groupoids())
+# uniform P, but nu = w/n: outside the matrix picture unless every weight is 1
+weighted_pairs = weighted_groupoids(st.integers(1, 4).map(c.pair_groupoid), uniform_P=True)
+pairs_or_any = st.one_of(uniform_pairs, weighted_pairs, groupoids())
+any_weights = st.one_of(groupoids(), weighted_groupoids())
 
 
 def vectors(draw, n, count=1):
@@ -175,16 +182,18 @@ tols = st.sampled_from([1e-12, 1e-9, 1e-6])
 
 
 @SETTINGS
-@given(groupoids(), st.sampled_from(["complex", "hermitian", "near", "shifted"]), tols,
-       st.data())
+@given(any_weights, st.sampled_from(["complex", "hermitian", "near", "shifted", "state"]),
+       tols, st.data())
 def test_check_state(G, kind, tol, data):
     """Arbitrary complex phi (non-Hermitian fibers report -inf), Hermitian phi
     (rarely PSD), Hermitian phi with asymmetry noise below the tolerance (the
-    fibers are symmetrized before the eigensolve), and Hermitian phi plus c on
+    fibers are symmetrized before the eigensolve), Hermitian phi plus c on
     the units, which adds c I to every fiber Gram (PSD once c passes the most
-    negative eigenvalue)."""
+    negative eigenvalue), and a state normalized by nu at the units."""
     phi = vectors(data.draw, len(G.elements))
-    if kind != "complex":
+    if kind == "state":
+        phi = vector_phi(G, phi)
+    elif kind != "complex":
         phi = hermitian_rows(G, phi)
     if kind == "near":
         phi += 1e-3 * tol * vectors(data.draw, len(G.elements))
@@ -260,7 +269,7 @@ def test_make_density(n, kind, data):
 
 
 @SETTINGS
-@given(groupoids(), groupoids(), tols, st.data())
+@given(any_weights, any_weights, tols, st.data())
 def test_kernel_axioms(G1, G2, tol, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shape = (len(G1.elements), len(G2.elements))
@@ -408,7 +417,7 @@ def test_ill_formed_tables_same_first_defect(G, defects, data):
         if table == "compose":
             compose = list(spec.compose)
             i = data.draw(st.integers(0, len(compose) - 1))
-            row = compose[i]
+            row = G.composable_pairs[i]  # a row hit twice stays ill-formed
             compose[i] = (data.draw(st.sampled_from([row[:2], (*row, row[0]), "abc"])) if drop
                           else (*row[:2], "undeclared"))
             spec = dataclasses.replace(spec, compose=compose)
@@ -594,7 +603,7 @@ def vector_phi(G, xi):
     terms = np.conj(xi[g]) * xi[a]
     n = len(G.elements)
     phi = np.bincount(b, terms.real, n) + 1j * np.bincount(b, terms.imag, n)
-    return phi / (phi[G.unit_ix] @ G.P_vec).real
+    return phi / (phi[G.unit_ix] @ G.nu_vec[G.unit_ix]).real
 
 
 @st.composite
@@ -663,6 +672,61 @@ def test_rank_threshold_is_global_over_blocks():
     assert 0.0 < top[3] < numkit.RANK_TOL * top[2]
     assert S.dim == D.dim == 4
     same_spectrum_and_views(S, D)
+
+
+# ---------------------------------------------------------------------------
+# one measure past the groupoid: states, kernels and the classical reduction
+# read nu, on any fiber weights
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(weighted_groupoids(), st.data())
+def test_state_normalized_by_nu_has_unit_expectation(G, data):
+    """A state normalized by nu at the units is a state, and rho(1) =
+    <1|1> = 1; the unit morphism is a kernel, as the oracle decides too, and
+    pushing through it returns the state."""
+    phi = vector_phi(G, vectors(data.draw, len(G.elements)))
+    rho = make_state(G, phi)
+    one = c.unit_element(G)
+    assert abs(c.expectation(rho, one) - 1.0) <= 1e-12
+    assert abs(c.gns_inner(c.build_gns(rho), one.coeff, one.coeff) - 1.0) <= 1e-12
+    Id = c.identity_kernel(G)
+    report = c.validate_kernel(Id)
+    assert report.passed
+    same_report(report, ref.validate_kernel(Id))
+    assert close(c.push_state(rho, Id).phi, phi)
+
+
+@SETTINGS
+@given(weighted_groupoids(st.integers(2, 4).map(c.trivial_groupoid)), st.data())
+def test_fisher_metric_is_classical_on_weighted_trivial_groupoids(G, data):
+    """On a trivial groupoid with any P and fiber weights, a curve of
+    probability vectors has the classical Fisher-Rao metric as its GNS
+    Fisher metric, and its states give back their probabilities."""
+    n = len(G.outcomes)
+    p0 = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    p0 /= p0.sum()
+    v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    v -= v.mean()
+    M = StatisticalModel(G, lambda s: c.classical_state(G, p0 + s * v), s0=0.0,
+                         interval=(-0.01, 0.01))
+    assert close(list(c.outcome_distribution(M.at(0.0)).values()), p0)
+    classical = c.classical_fisher_rao(M)
+    assert fisher_metric(M, c.build_gns(M.at(0.0))) == pytest.approx(classical, rel=1e-9)
+
+
+@SETTINGS
+@given(weighted_pairs, st.data())
+def test_matrix_picture_needs_unit_fiber_weights(G, data):
+    """A pair groupoid with uniform P and fiber weights w != 1 has nu = w/n
+    and delta != 1: the density dictionary and the Choi matrix refuse it."""
+    assume(np.abs(G.weight_vec - 1.0).max() > 1e-6)
+    n = len(G.outcomes)
+    with pytest.raises(NonUniformP):
+        c.state_from_density(np.eye(n) / n, G)
+    Pi = c.QuantumKernel(G, G, np.zeros((n * n, n * n)))
+    with pytest.raises(NonUniformP):
+        choi_matrix(Pi)
 
 
 # ---------------------------------------------------------------------------
