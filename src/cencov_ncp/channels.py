@@ -36,8 +36,6 @@ from .states import (
     phi_from_density_unchecked,
 )
 
-KERNEL_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # classical kernels
@@ -55,10 +53,10 @@ class ClassicalKernel:
             raise RowSumViolation("classical kernel must be a matrix")
         if not np.isfinite(M).all():
             raise RowSumViolation("classical kernel has non-finite entries")
-        if np.any(M < -1e-12):
+        if np.any(M < -numkit.STOCHASTIC_TOL):
             raise RowSumViolation("classical kernel has negative entries")
         rows = M.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-12:
+        if np.abs(rows - 1.0).max() > numkit.STOCHASTIC_TOL:
             raise RowSumViolation(f"row sums deviate by {np.abs(rows - 1.0).max():.3e}")
         object.__setattr__(self, "K", M)
 
@@ -99,7 +97,7 @@ class KernelReport:
         return self.normalization_ok and self.positivity_ok and self.hermiticity_ok
 
 
-def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
+def validate_kernel(Pi: QuantumKernel, tol: float = numkit.TOL) -> KernelReport:
     """Check the three kernel axioms and report the deficits."""
     G1, G2 = Pi.g1, Pi.g2
 
@@ -143,7 +141,7 @@ def push_state(phi1: State, Pi: QuantumKernel) -> State:
     return push_state_report(phi1, Pi)[0]
 
 
-def push_state_report(phi1: State, Pi: QuantumKernel, tol: float = KERNEL_TOL):
+def push_state_report(phi1: State, Pi: QuantumKernel, tol: float = numkit.TOL):
     """:func:`push_state` and the report of its one state check, at ``tol``."""
     if phi1.groupoid != Pi.g1:
         raise GroupoidMismatch("state groupoid does not match kernel source")
@@ -191,7 +189,7 @@ def embed_classical(K: ClassicalKernel, G1: FiniteGroupoid,
 
 
 def check_ncp_morphism(Pi: QuantumKernel, rho1: State, rho2: State,
-                       tol: float = KERNEL_TOL) -> bool:
+                       tol: float = numkit.TOL) -> bool:
     """True iff Pi maps rho1 to rho2, i.e. is a morphism of state couples."""
     if rho1.groupoid != Pi.g1 or rho2.groupoid != Pi.g2:
         raise GroupoidMismatch("state groupoids do not match kernel")
@@ -246,7 +244,7 @@ def _from_choi(C: np.ndarray, K: np.ndarray, G1: FiniteGroupoid,
 
 
 def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
-                   G2: FiniteGroupoid, tol: float = KERNEL_TOL) -> QuantumKernel:
+                   G2: FiniteGroupoid, tol: float = numkit.TOL) -> QuantumKernel:
     """Kernel of the channel ``D -> sum_a A_a D A_a†`` between pair groupoids
     with nu = 1/n: the inverse reshuffle of its Choi matrix,
     ``Pi((j,i),(l,k)) = m * sum_a A_a[k,i] conj(A_a[l,j])``.
@@ -283,10 +281,12 @@ def choi_matrix(Pi: QuantumKernel) -> np.ndarray:
     return Pi.pi.ravel()[K] / m
 
 
-def cp_verdict(Pi: QuantumKernel, psd_tol: float = numkit.PSD_TOL):
-    """``(is_cp, min_choi_eigenvalue)`` via the Choi criterion."""
+def cp_verdict(Pi: QuantumKernel, tol: float = numkit.TOL):
+    """``(is_cp, min_choi_eigenvalue)`` via the Choi criterion: the kernel is
+    CP when the least Choi eigenvalue is at least ``-tol * (1 + spectral
+    radius)``."""
     # the Choi matrix of a hermiticity-respecting kernel is Hermitian only up
     # to numerical noise, so no asymmetry bound; the eigensolve symmetrizes
     w = numkit.hermitian_spectra(choi_matrix(Pi))
     lo = float(w[0])
-    return lo >= -psd_tol * (1.0 + float(np.abs(w).max())), lo
+    return lo >= -tol * (1.0 + float(np.abs(w).max())), lo

@@ -14,7 +14,7 @@ import sys
 import click
 import numpy as np
 
-from . import fileio
+from . import fileio, numkit
 from .channels import (
     completeness_deficit,
     compose as compose_kernels,
@@ -96,10 +96,10 @@ def _finite(ctx, param, value):
 
 
 @click.group(cls=_Main)
-@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_finite,
+@click.option("--tol", type=float, default=numkit.TOL, show_default=True, callback=_finite,
               help="Validation tolerance.")
-@click.option("--h", "hstep", type=float, default=1e-5, show_default=True, callback=_finite,
-              help="Finite-difference step for model derivatives.")
+@click.option("--h", "hstep", type=float, default=numkit.DEFAULT_H, show_default=True,
+              callback=_finite, help="Finite-difference step for model derivatives.")
 @click.option("--json", "json_out", is_flag=True, help="Machine-readable output.")
 @click.pass_context
 def main(ctx, tol, hstep, json_out):
@@ -238,7 +238,7 @@ def gns(ctx, state):
     from .gns import build_gns
 
     rho = fileio.load_state(state, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = build_gns(rho)
+    S = build_gns(rho, ctx.obj["tol"])
     _emit(ctx, {
         "dim": S.dim,
         "ideal_dim": int(len(S.groupoid.elements) - S.dim),
@@ -255,7 +255,7 @@ def fisher(ctx, model):
     from .gns import build_gns
 
     M, _ = fileio.load_model(model, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = build_gns(M.at(M.s0))
+    S = build_gns(M.at(M.s0), ctx.obj["tol"])
     gf = fisher_metric(M, S, h=ctx.obj["h"])
     data = {"fisher": gf}
     if len(M.groupoid.elements) == len(M.groupoid.outcomes):
@@ -275,7 +275,7 @@ def crb(ctx, model, estimator):
     from .gns import build_gns
 
     M, _ = fileio.load_model(model, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = build_gns(M.at(M.s0))
+    S = build_gns(M.at(M.s0), ctx.obj["tol"])
     bound = cramer_rao_bound(M, S, h=ctx.obj["h"])
     data = {"bound": bound}
     if estimator:

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import numkit
 from .algebra import AlgebraElement, convolve, star
 from .channels import ClassicalKernel, embed_classical, push_state
 from .errors import (
@@ -29,12 +30,6 @@ from .errors import (
 from .gns import GnsSpace, gns_inner
 from .groupoid import FiniteGroupoid, trivial_groupoid
 from .states import State, classical_state, expectation, outcome_distribution
-
-DEFAULT_H = 1e-5
-FOLIUM_TOL = 1e-6
-BOUND_TOL = 1e-12
-SELFADJOINT_TOL = 1e-10
-P_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,20 +59,19 @@ class Estimator:
 
     def __post_init__(self):
         dev = np.abs(star(self.a).coeff - self.a.coeff).max()
-        if dev > SELFADJOINT_TOL * (1.0 + np.abs(self.a.coeff).max()):
+        if dev > numkit.SELFADJOINT_TOL * (1.0 + np.abs(self.a.coeff).max()):
             raise NotSelfAdjoint(
                 f"estimator is not self-adjoint (deviation {dev:.3e})"
             )
 
 
-def derivative_vector(M: StatisticalModel, h: float = DEFAULT_H) -> np.ndarray:
+def derivative_vector(M: StatisticalModel, h: float = numkit.DEFAULT_H) -> np.ndarray:
     """Central difference of ``s -> phi_s(alpha) nu(alpha)`` per element."""
     nu = M.groupoid.nu_vec
     return (M.at(M.s0 + h).phi * nu - M.at(M.s0 - h).phi * nu) / (2.0 * h)
 
 
-def riesz_representer(M: StatisticalModel, S: GnsSpace, h: float = DEFAULT_H,
-                      folium_tol: float = FOLIUM_TOL):
+def riesz_representer(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAULT_H):
     """Coordinate vector of the GNS representer of the derivative functional.
 
     Solves ``<l | delta_b> = v_b`` for all basis elements b, i.e.
@@ -95,26 +89,25 @@ def riesz_representer(M: StatisticalModel, S: GnsSpace, h: float = DEFAULT_H,
     b = np.conj(v)
     ell = S.solve(b)
     residual = float(np.linalg.norm(S.apply(ell) - b))
-    if residual > folium_tol * (1.0 + float(np.abs(v).max(initial=0.0))):
+    if residual > numkit.FOLIUM_TOL * (1.0 + float(np.abs(v).max(initial=0.0))):
         raise FoliumViolation(f"derivative leaves the folium (residual {residual:.3e})")
     return ell, float(residual)
 
 
-def fisher_metric(M: StatisticalModel, S: GnsSpace, h: float = DEFAULT_H) -> float:
+def fisher_metric(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAULT_H) -> float:
     """``G_F = <l | l>`` for the Riesz representer; real part, with the
     imaginary part required to be negligible."""
     ell, _ = riesz_representer(M, S, h=h)
     val = gns_inner(S, ell, ell)
-    if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
+    if abs(val.imag) > numkit.TOL * (1.0 + abs(val.real)):
         raise FoliumViolation(f"Fisher metric has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 
-def cramer_rao_bound(M: StatisticalModel, S: GnsSpace, h: float = DEFAULT_H,
-                     bound_tol: float = BOUND_TOL) -> float:
+def cramer_rao_bound(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAULT_H) -> float:
     """``1 / G_F``; raises ZeroInformation for a stationary curve."""
     gf = fisher_metric(M, S, h=h)
-    if gf <= bound_tol:
+    if gf <= numkit.BOUND_TOL:
         raise ZeroInformation(f"Fisher metric {gf:.3e} is numerically zero")
     return 1.0 / gf
 
@@ -129,14 +122,14 @@ class UnbiasednessReport:
         return all(d <= self.tol for d in self.deviations.values())
 
 
-def check_unbiased(M: StatisticalModel, A: Estimator, grid: Sequence[float],
-                   tol: float = 1e-8) -> UnbiasednessReport:
+def check_unbiased(M: StatisticalModel, A: Estimator,
+                   grid: Sequence[float]) -> UnbiasednessReport:
     """Per-grid-point deviation ``|rho_s(A) - s|``."""
     devs = {}
     for s in grid:
         val = expectation(M.at(s), A.a)
         devs[float(s)] = abs(val - s)
-    return UnbiasednessReport(deviations=devs, tol=tol)
+    return UnbiasednessReport(deviations=devs, tol=numkit.UNBIASED_TOL)
 
 
 @dataclass(frozen=True)
@@ -147,8 +140,7 @@ class CramerRaoAudit:
     saturated: bool
 
 
-def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float,
-                     saturation_tol: float = 1e-6) -> CramerRaoAudit:
+def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float) -> CramerRaoAudit:
     """Compare the second moment ``rho_0(A* A)`` against the Cramer-Rao bound."""
     rho0 = M.at(M.s0)
     second = expectation(rho0, convolve(star(A.a), A.a)).real
@@ -157,7 +149,7 @@ def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float,
         second_moment=float(second),
         bound=float(bound),
         slack=float(slack),
-        saturated=slack <= saturation_tol,
+        saturated=slack <= numkit.SATURATION_TOL,
     )
 
 
@@ -165,15 +157,14 @@ def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float,
 # classical Fisher-Rao and congruent-embedding invariance
 # ---------------------------------------------------------------------------
 
-def classical_fisher_rao(M: StatisticalModel, h: float = DEFAULT_H,
-                         p_floor: float = P_FLOOR) -> float:
+def classical_fisher_rao(M: StatisticalModel, h: float = numkit.DEFAULT_H) -> float:
     """``sum_x (dp/ds)^2 / p`` at the base point of a model on a trivial
     groupoid, with ``dp/ds`` the units' entries of :func:`derivative_vector`."""
     G = M.groupoid
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical Fisher-Rao needs a trivial groupoid")
     p0 = np.fromiter(outcome_distribution(M.at(M.s0)).values(), dtype=float)
-    if np.any(p0 <= p_floor):
+    if np.any(p0 <= numkit.P_FLOOR):
         raise SupportBoundary("probability mass at or below the support floor")
     dp = derivative_vector(M, h=h)[G.unit_ix].real
     return float(np.sum(dp * dp / p0))
@@ -187,8 +178,7 @@ class CongruenceReport:
 
 
 def congruent_invariance(M: StatisticalModel, K: ClassicalKernel,
-                         L: ClassicalKernel, h: float = DEFAULT_H,
-                         congruence_tol: float = 1e-10) -> CongruenceReport:
+                         L: ClassicalKernel, h: float = numkit.DEFAULT_H) -> CongruenceReport:
     """Fisher-Rao before and after pushing the whole curve through K.
 
     K must be a congruent embedding: the caller supplies a left inverse L with
@@ -196,8 +186,11 @@ def congruent_invariance(M: StatisticalModel, K: ClassicalKernel,
     :func:`embed_classical` of K, onto a trivial groupoid whose reference
     measure is the pushforward of the original one.
     """
+    if len(K.K) != len(M.groupoid.outcomes) or L.K.shape != K.K.shape[::-1]:
+        raise GroupoidMismatch(f"K {K.K.shape} and L {L.K.shape} do not fit "
+                               f"{len(M.groupoid.outcomes)} outcomes, L shaped as K transposed")
     KL = K.K @ L.K
-    if np.abs(KL - np.eye(KL.shape[0])).max() > congruence_tol:
+    if np.abs(KL - np.eye(KL.shape[0])).max() > numkit.CONGRUENCE_TOL:
         raise NotCongruent("K has no left inverse: K L != identity")
 
     before = classical_fisher_rao(M, h=h)

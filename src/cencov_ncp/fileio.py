@@ -26,7 +26,8 @@ from .algebra import AlgebraElement
 from .channels import ClassicalKernel, QuantumKernel
 from .errors import SchemaError
 from .groupoid import FiniteGroupoid, GroupoidSpec, _ix, validate
-from .states import NORM_TOL, State, make_state
+from .numkit import TOL
+from .states import State, make_state
 
 FMT = "cencov-ncp/1"
 
@@ -386,7 +387,7 @@ def load_state_file(path: str | Path, loaded: Optional[dict] = None):
     return _load(path, _coefficient_file, loaded)
 
 
-def load_state(path: str | Path, loaded: Optional[dict] = None, tol: float = NORM_TOL) -> State:
+def load_state(path: str | Path, loaded: Optional[dict] = None, tol: float = TOL) -> State:
     return make_state(*load_state_file(path, loaded), tol=tol)
 
 
@@ -545,7 +546,7 @@ def _cubic(x: np.ndarray, y: np.ndarray):
     return at
 
 
-def _model(path: Path, data: dict, loaded: dict, tol: float = NORM_TOL):
+def _model(path: Path, data: dict, loaded: dict, tol: float):
     from .estimation import StatisticalModel
 
     try:
@@ -579,7 +580,7 @@ def _model(path: Path, data: dict, loaded: dict, tol: float = NORM_TOL):
     return model, grid
 
 
-def load_model(path: str | Path, loaded: Optional[dict] = None, tol: float = NORM_TOL):
+def load_model(path: str | Path, loaded: Optional[dict] = None, tol: float = TOL):
     """Returns ``(model, audit_grid)`` with piecewise-cubic phi interpolation.
 
     Interpolated states are re-validated at ``tol`` on every curve evaluation.
@@ -624,7 +625,7 @@ def detect_kind(path: str | Path) -> str:
     return _kind(path, _read_json(Path(path)))[0]
 
 
-def load_file(path: str | Path, loaded: Optional[dict] = None, tol: float = NORM_TOL):
+def load_file(path: str | Path, loaded: Optional[dict] = None, tol: float = TOL):
     """Returns ``(kind, object)`` from one parse of a file of any kind; the
     object is what the kind's ``load_*`` function returns (with ``tol``)."""
     path = Path(path)

@@ -95,9 +95,10 @@ def gram_matrix(rho: State) -> np.ndarray:
     return M
 
 
-def build_gns(rho0: State, rank_tol: float = numkit.RANK_TOL) -> GnsSpace:
+def build_gns(rho0: State, tol: float = numkit.TOL) -> GnsSpace:
     """Eigendecompose the Gram block of every target fiber and split the
-    spectra at ``rank_tol * lam_max``, ``lam_max`` over all blocks."""
+    spectra at ``tol * lam_max``, ``lam_max`` over all blocks: eigenvalues
+    above the cut span the quotient, the rest the Gelfand ideal."""
     G = rho0.groupoid
     eig = []
     for _, F, T in G.fiber_blocks:
@@ -108,7 +109,7 @@ def build_gns(rho0: State, rank_tol: float = numkit.RANK_TOL) -> GnsSpace:
     lam_max = float(np.abs(spectrum).max())
     if lam_max <= 0.0:
         raise DegenerateState("Gram matrix is numerically zero")
-    cut = rank_tol * lam_max
+    cut = tol * lam_max
     blocks = tuple((F, B, w, V, w > cut) for F, B, w, V in eig)
     return GnsSpace(groupoid=G, base_state=rho0, blocks=blocks, gram_eigenvalues=spectrum,
                     dim=int(np.count_nonzero(spectrum > cut)))

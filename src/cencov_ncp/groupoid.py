@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import numkit
 from .errors import (
     AssociativityViolation,
     BadMeasure,
@@ -42,8 +43,6 @@ from .errors import (
     UnitViolation,
     UnknownOutcome,
 )
-
-MEASURE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -249,15 +248,9 @@ class FiniteGroupoid:
         weights, so that delta = 1; raises NotPairGroupoid or NonUniformP."""
         if self.pair_grid is None:
             raise NotPairGroupoid("the matrix picture needs a pair groupoid")
-        if np.any(np.abs(self.nu_vec - 1.0 / len(self.outcomes)) > MEASURE_TOL):
+        if np.any(np.abs(self.nu_vec - 1.0 / len(self.outcomes)) > numkit.TOL):
             raise NonUniformP("the matrix picture needs uniform P and unit fiber weights")
         return self.pair_grid
-
-
-def has_uniform_P(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
-    """Uniform outcome measure; with unit fiber weights, the matrix picture's
-    condition (:attr:`FiniteGroupoid.pair_index`)."""
-    return bool(np.all(np.abs(G.P_vec - 1.0 / len(G.outcomes)) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +265,7 @@ def _measure(outcomes: Sequence[str], P: Mapping[str, float]) -> np.ndarray:
         if not (P[x] > 0.0) or not math.isfinite(P[x]):
             raise BadMeasure(f"P({x!r}) = {P[x]} is not strictly positive")
     total = sum(P[x] for x in outcomes)
-    if abs(total - 1.0) > MEASURE_TOL:
+    if abs(total - 1.0) > numkit.TOL:
         raise BadMeasure(f"P sums to {total}, expected 1")
     return np.array([P[x] for x in outcomes], dtype=float)
 
@@ -438,7 +431,7 @@ def _checked(G: FiniteGroupoid, stray=np.empty(0, dtype=np.intp)) -> FiniteGroup
     if k is not None:
         raise BadWeight(f"fiber weight of {e[k]!r} must be a positive number")
     # left invariance of the Haar system: w(alpha o beta) = w(beta)
-    k = _first(np.abs(w[gamma] - w[alpha]) > MEASURE_TOL * (1.0 + np.abs(w[alpha])))
+    k = _first(np.abs(w[gamma] - w[alpha]) > numkit.TOL * (1.0 + np.abs(w[alpha])))
     if k is not None:
         raise BadWeight(f"fiber weights are not left-invariant at "
                         f"compose({e[beta[k]]!r},{e[alpha[k]]!r})")
@@ -491,12 +484,12 @@ def _first_nonassociative(G: FiniteGroupoid) -> Optional[tuple[int, int, int]]:
 def modular_function(G: FiniteGroupoid) -> dict[str, float]:
     """The modular map delta, verified to be a groupoid homomorphism."""
     delta = G.delta_vec
-    x = _first(np.abs(delta[G.unit_ix] - 1.0) > MEASURE_TOL)
+    x = _first(np.abs(delta[G.unit_ix] - 1.0) > numkit.TOL)
     if x is not None:
         raise HomomorphismViolation(f"delta(unit of {G.outcomes[x]!r}) != 1")
     b, a, g = G.triples
     deviation = np.abs(delta[g] - delta[b] * delta[a])
-    k = _first(deviation > MEASURE_TOL * (1.0 + np.abs(delta[g])))
+    k = _first(deviation > numkit.TOL * (1.0 + np.abs(delta[g])))
     if k is not None:
         e = G.elements
         raise HomomorphismViolation(

@@ -1,8 +1,10 @@
 """Batched Hermitian eigensolves and positive-semidefiniteness verdicts, and
-the shared PSD and rank tolerances.
+every tolerance of the package.
 
 Thin wrappers around LAPACK (via numpy): each call decides a whole stack of
-matrices with one eigensolve.
+matrices with one eigensolve.  Each verdict that takes a ``tol`` (the state,
+kernel, Kraus, CP and GNS rank verdicts) defaults to ``TOL``, and the CLI's
+``--tol`` sets it; the other bounds below are fixed.
 """
 from __future__ import annotations
 
@@ -10,8 +12,16 @@ import numpy as np
 
 from .errors import NoConvergence, NotHermitian
 
-PSD_TOL = 1e-9
-RANK_TOL = 1e-9
+TOL = 1e-9  # default verdict tolerance; fixed for groupoid measures and Fisher's imaginary part
+DEFAULT_H = 1e-5  # central-difference step of model derivatives (the CLI's --h)
+STOCHASTIC_TOL = 1e-12  # negative entry and row-sum deviation of a ClassicalKernel
+FOLIUM_TOL = 1e-6  # relative Riesz residual past which a derivative leaves the folium
+BOUND_TOL = 1e-12  # a Fisher metric at or below it has no Cramer-Rao bound
+SELFADJOINT_TOL = 1e-10  # relative |A* - A| of an Estimator
+UNBIASED_TOL = 1e-8  # |rho_s(A) - s| of an unbiased estimator at each grid point
+SATURATION_TOL = 1e-6  # Cramer-Rao slack at or below which an estimator saturates
+P_FLOOR = 1e-12  # outcome probability at or below which classical Fisher-Rao fails
+CONGRUENCE_TOL = 1e-10  # max |K L - I| of a congruent embedding K with left inverse L
 
 
 def hermitian_spectra(H, vectors: bool = False):

@@ -18,8 +18,6 @@ from .algebra import AlgebraElement
 from .errors import GroupoidMismatch, InvalidDensity, InvalidState
 from .groupoid import FiniteGroupoid
 
-NORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class StateReport:
@@ -63,7 +61,7 @@ def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, scale=Non
     return ok, lo
 
 
-def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
+def check_state(phi, G: FiniteGroupoid, tol: float = numkit.TOL) -> StateReport:
     """Report positive definiteness, normalization, and hermitian symmetry."""
     v = np.asarray(phi, dtype=complex).reshape(-1)
     if v.shape[0] != len(G.elements):
@@ -81,7 +79,7 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
     )
 
 
-def make_state(G: FiniteGroupoid, phi, tol: float = NORM_TOL) -> State:
+def make_state(G: FiniteGroupoid, phi, tol: float = numkit.TOL) -> State:
     """Construct a State, raising InvalidState when any invariant fails."""
     report = check_state(phi, G, tol=tol)
     if not report.passed:
@@ -118,7 +116,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
 
-def make_density(D, tol: float = NORM_TOL) -> DensityMatrix:
+def make_density(D, tol: float = numkit.TOL) -> DensityMatrix:
     M = np.asarray(D, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidDensity("density matrix must be square")

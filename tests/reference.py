@@ -61,12 +61,13 @@ from cencov_ncp.errors import (
     UnitViolation,
     ZeroInformation,
 )
-from cencov_ncp.estimation import BOUND_TOL, DEFAULT_H, FOLIUM_TOL
 from cencov_ncp.fileio import FMT
-from cencov_ncp.groupoid import MEASURE_TOL, FiniteGroupoid, GroupoidSpec
+from cencov_ncp.groupoid import FiniteGroupoid, GroupoidSpec
+from cencov_ncp.numkit import BOUND_TOL, DEFAULT_H, FOLIUM_TOL
 from cencov_ncp.states import DensityMatrix, State, StateReport, make_state
 
 KERNEL_TOL = 1e-9
+MEASURE_TOL = numkit.TOL
 NORM_TOL = 1e-9
 
 
@@ -524,7 +525,7 @@ class DenseGns:
     dim: int
 
 
-def build_gns(rho0: State, rank_tol: float = numkit.RANK_TOL) -> DenseGns:
+def build_gns(rho0: State, rank_tol: float = numkit.TOL) -> DenseGns:
     """Assemble the dense Gram matrix, eigendecompose it in one piece and split
     it spectrally at ``rank_tol * lam_max``."""
     gram = gram_matrix(rho0)
@@ -817,7 +818,7 @@ def hermitian_eigen(H, eig_tol: float = EIG_TOL) -> EigenResult:
     return EigenResult(eigenvalues=w, eigenvectors=V)
 
 
-def psd_verdict(H, psd_tol: float = numkit.PSD_TOL, eig_tol: float = EIG_TOL):
+def psd_verdict(H, psd_tol: float = numkit.TOL, eig_tol: float = EIG_TOL):
     """Return ``(is_psd, min_eigenvalue)`` for a Hermitian matrix.
 
     PSD means the minimum eigenvalue is at least
@@ -831,7 +832,7 @@ def psd_verdict(H, psd_tol: float = numkit.PSD_TOL, eig_tol: float = EIG_TOL):
     return lo >= -psd_tol * (1.0 + radius), lo
 
 
-def matrix_rank_hermitian(rows: np.ndarray, rank_tol: float = numkit.RANK_TOL) -> int:
+def matrix_rank_hermitian(rows: np.ndarray, rank_tol: float = numkit.TOL) -> int:
     """Rank of a (possibly rectangular) stack of row vectors.
 
     Computed from the spectrum of the Hermitian Gram matrix ``rows rows†``,
@@ -846,7 +847,7 @@ def matrix_rank_hermitian(rows: np.ndarray, rank_tol: float = numkit.RANK_TOL) -
 # minimum-norm solve (oracle for the Riesz representer)
 # ---------------------------------------------------------------------------
 
-def min_norm_solve(G, v, rank_tol: float = numkit.RANK_TOL):
+def min_norm_solve(G, v, rank_tol: float = numkit.TOL):
     """Minimum-norm solution of ``G x = v`` restricted to the range of G.
 
     G must be square Hermitian PSD.  Eigenvalues below ``rank_tol * lambda_max``

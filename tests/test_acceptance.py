@@ -38,6 +38,7 @@ from cencov_ncp.errors import (
     BadMeasure,
     BadWeight,
     CoherenceViolation,
+    GroupoidMismatch,
     InverseViolation,
     NotCongruent,
     UnitViolation,
@@ -375,6 +376,15 @@ def test_criterion_10():
     bad = c.ClassicalKernel(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(NotCongruent):
         congruent_invariance(M, bad, c.ClassicalKernel(np.eye(2)))
+
+    # K must have a row per outcome of the model, and L the shape of K transposed
+    G3 = c.trivial_groupoid(3)
+    M3 = StatisticalModel(groupoid=G3, s0=0.0, interval=(-0.1, 0.1),
+                          curve=lambda s: c.classical_state(G3, [0.2 + s, 0.3, 0.5 - s]))
+    I2, I3 = c.ClassicalKernel(np.eye(2)), c.ClassicalKernel(np.eye(3))
+    for K, L in ((I2, I2), (I3, I2)):
+        with pytest.raises(GroupoidMismatch):
+            congruent_invariance(M3, K, L)
 
 
 # --- 11: CLI ---------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import cencov_ncp as c
-from cencov_ncp import channels, cli, errors, estimation, fileio, gns, states
+from cencov_ncp import channels, cli, errors, estimation, fileio, gns, numkit, states
 from cencov_ncp.cli import main
 from cencov_ncp.gns import build_gns
 from conftest import spec_of
@@ -321,7 +321,7 @@ def test_each_state_checked_once_at_tol(runner, fixture_dir, monkeypatch, args, 
     tols = []
     check_state = states.check_state
 
-    def counting(phi, G, tol=states.NORM_TOL):
+    def counting(phi, G, tol=numkit.TOL):
         tols.append(tol)
         return check_state(phi, G, tol=tol)
 
@@ -376,8 +376,8 @@ def test_gns_commands_build_no_dense_gram(runner, fixture_dir, monkeypatch, args
     views ``gram``, ``quotient_basis`` and ``ideal_basis`` are never built."""
     spaces = []
 
-    def recording(rho0):
-        spaces.append(build_gns(rho0))
+    def recording(rho0, tol):
+        spaces.append(build_gns(rho0, tol))
         return spaces[-1]
 
     monkeypatch.setattr(gns, "build_gns", recording)

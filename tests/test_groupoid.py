@@ -20,7 +20,7 @@ from cencov_ncp.errors import (
     UnitViolation,
     UnknownOutcome,
 )
-from cencov_ncp.groupoid import has_uniform_P, validate
+from cencov_ncp.groupoid import validate
 from conftest import rows, spec_of
 
 
@@ -245,7 +245,7 @@ def test_disjoint_union_measure():
 def test_product_structure():
     G = c.product(c.trivial_groupoid(2), c.trivial_groupoid(3))
     assert len(G.outcomes) == 6 and len(G.elements) == 6
-    assert has_uniform_P(G)
+    assert np.allclose(G.P_vec, 1 / 6)
 
 
 # --- planted violations --------------------------------------------------

@@ -203,12 +203,12 @@ def test_check_state(G, kind, tol, data):
 
 
 @pytest.mark.parametrize("kind, phi, tol, verdict", [
-    # a fiber Gram [-5e-9] next to a fiber [100]: below -PSD_TOL * (1 + its
-    # spectral radius), so not PSD in a state, but above -PSD_TOL * (1 +
+    # a fiber Gram [-5e-9] next to a fiber [100]: below -TOL * (1 + its
+    # spectral radius), so not PSD in a state, but above -TOL * (1 +
     # max|phi|), so a positive kernel row
     ("state", [100.0, -5e-9], 1e-9, False),
     ("kernel", [100.0, -5e-9], 1e-9, True),
-    # below -tol but above -PSD_TOL: a tol under PSD_TOL tightens the bound
+    # below -tol but above -TOL: a tol under TOL tightens the bound
     ("state", [1.0, -5e-10], 1e-12, False),
     ("kernel", [1.0, -5e-10], 1e-12, False),
     # above -tol * (1 + spectral radius)
@@ -659,7 +659,7 @@ def test_block_gns_matches_dense_oracle(M):
 
 def test_rank_threshold_is_global_over_blocks():
     """The Z3 fibers of ``pair(2) + Z3`` carry a Gram block whose largest
-    eigenvalue is positive but below RANK_TOL times the pair block's: a
+    eigenvalue is positive but below numkit.TOL times the pair block's: a
     per-block threshold would keep it, the global one drops it."""
     G = c.disjoint_union(c.pair_groupoid(2, P={"1": 0.3, "2": 0.7}),
                          c.cyclic_group_groupoid(3), 0.4)
@@ -669,7 +669,7 @@ def test_rank_threshold_is_global_over_blocks():
     rho = make_state(G, vector_phi(G, xi))
     S, D = c.build_gns(rho), ref.build_gns(rho)
     top = {F.shape[1]: w.max() for F, _, w, _, _ in S.blocks}  # by fiber size
-    assert 0.0 < top[3] < numkit.RANK_TOL * top[2]
+    assert 0.0 < top[3] < numkit.TOL * top[2]
     assert S.dim == D.dim == 4
     same_spectrum_and_views(S, D)
 

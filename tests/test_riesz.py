@@ -12,13 +12,13 @@ import reference as ref
 from conftest import random_hermitian
 from cencov_ncp.errors import FoliumViolation
 from cencov_ncp.estimation import (
-    FOLIUM_TOL,
     StatisticalModel,
     derivative_vector,
     fisher_metric,
     riesz_representer,
 )
 from cencov_ncp.gns import build_gns
+from cencov_ncp.numkit import FOLIUM_TOL
 
 
 def pair_model(n: int, rank: int, kind: str, seed: int) -> StatisticalModel:

@@ -2,12 +2,15 @@
 every command that reads them, loaded states and model curves included; the
 eigensolvers do not apply a tighter tolerance of their own.  A ``--tol``
 below the default tightens the symmetry and PSD verdicts (no floor at 1e-9),
-and ``cp`` decides the Choi spectrum at ``--tol``."""
+``cp`` decides the Choi spectrum at ``--tol``, and ``gns`` splits the Gram
+spectrum at ``--tol`` times its largest eigenvalue."""
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cencov_ncp as c
 from cencov_ncp import fileio
 from cencov_ncp.channels import QuantumKernel
 from cencov_ncp.cli import main
@@ -113,3 +116,28 @@ def test_cp_decides_at_tol(fixture_dir, monkeypatch, weight, tol_args, is_cp):
     report = json.loads(result.output)
     assert report["is_cp"] is is_cp
     assert report["min_choi_eigenvalue"] == pytest.approx(-weight, rel=1e-3)
+
+
+def low_rank_state(G):
+    """D = diag(1 - 1e-5, 1e-5) on pair(2): its Gram spectrum holds two
+    eigenvalues about 1e-5 times the largest."""
+    return c.state_from_density(np.diag([1.0 - 1e-5, 1e-5]), G)
+
+
+@pytest.mark.parametrize("tol_args, dim", [([], 4), (["--tol", "1e-3"], 2)],
+                         ids=["default-tol", "tol-1e-3"])
+def test_gns_splits_the_gram_spectrum_at_tol(fixture_dir, monkeypatch, tol_args, dim):
+    fileio.save_state(low_rank_state(fileio.load_groupoid(fixture_dir / "pair2.json")),
+                      fixture_dir / "low.json", "pair2.json")
+    monkeypatch.chdir(fixture_dir)
+    result = CliRunner().invoke(main, ["--json", *tol_args, "gns", "low.json"],
+                                catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert (report["dim"], report["ideal_dim"]) == (dim, 4 - dim)
+
+
+def test_build_gns_splits_at_tol():
+    rho = low_rank_state(c.pair_groupoid(2))
+    assert c.build_gns(rho).dim == 4
+    assert c.build_gns(rho, tol=1e-3).dim == 2
