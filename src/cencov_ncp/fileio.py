@@ -3,10 +3,17 @@
 Every file carries ``"fmt": "cencov-ncp/1"``; unknown versions are rejected.
 Paths inside a file are resolved relative to the directory containing it.
 
-Loaders take an optional ``loaded`` map, resolved path -> FiniteGroupoid.  The
-CLI passes one map per invocation, so each groupoid file is read and validated
-once, and :func:`groupoid_ref` finds the file a loaded groupoid came from for
-the references in files written with ``-o``.  Parsed JSON is never kept.
+Every load takes one path: the file is parsed, its kind is read from the
+fields that mark it (``_KINDS``), and the object of that kind is built; a
+``load_*`` function refuses a file of another kind, naming both kinds.
+Loaders take an optional ``loaded`` map, resolved path -> ``(kind, object)``,
+that holds every file read through it, groupoids and the files that reference
+them alike.  The CLI passes one map per invocation, so each file is parsed,
+and each groupoid validated, once, repeats included, and
+:func:`groupoid_ref` finds the file a loaded groupoid came from for the
+references in files written with ``-o``.  A map serves one ``tol``: a model's
+curve checks its states at the ``tol`` it was loaded with.  Parsed JSON is
+never kept.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ import json
 import math
 import os
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import NamedTuple, Optional
@@ -148,10 +155,67 @@ def _resolve(base: Path, ref: str) -> Path:
     return p if p.is_absolute() else (base.parent / p)
 
 
-def _load(path: str | Path, build, loaded: Optional[dict]):
-    """Parse ``path`` once and build its object with ``build(path, data, loaded)``."""
-    path = Path(path)
-    return build(path, _read_json(path), {} if loaded is None else loaded)
+def _load(path: str | Path, loaded: Optional[dict], tol: float = TOL,
+          want: Optional[str] = None):
+    """``(kind, object)`` of the file ``path``, parsed and built once per
+    ``loaded`` map; SchemaError if ``want`` is given and the file is of
+    another kind.  A file that no field marks is read as kind ``want``."""
+    loaded, path = {} if loaded is None else loaded, Path(path)
+    key = path.resolve()
+    if key in loaded:
+        kind, obj = loaded[key]
+    else:
+        data = _read_json(path)
+        kind, obj = _kind(path, data, want), None
+    if want not in (None, kind):
+        raise SchemaError(f"{path}: {_a(kind)} file, not {_a(want)} file")
+    if obj is None:
+        build = _KINDS[kind][1]
+        obj = (partial(_model, tol=tol) if build is _model else build)(path, data, loaded)
+        loaded[key] = kind, obj
+    return kind, obj
+
+
+def _a(kind: str) -> str:
+    return f"{'an' if kind[0] in 'aeiou' else 'a'} {kind}"
+
+
+# the types of JSON numbers: a string, a boolean or null is not one
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _floats(path: Path, values, places, fmt: str = "{} is not a number") -> np.ndarray:
+    """The JSON values ``values`` (a sized collection, such as a table's
+    values) as a float array, when all are finite numbers: one type check and
+    one ``np.fromiter``, with no copy.  Else SchemaError ``path: fmt`` of the
+    place of the first that is not, from ``places``, read only then."""
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        try:
+            x = np.fromiter(values, float, len(values))
+        except OverflowError:  # an int beyond the doubles
+            pass
+        else:
+            if np.isfinite(x).all():
+                return x
+    for place, v in zip(places, values):
+        try:
+            if type(v) in _NUMBER_TYPES and math.isfinite(v):
+                continue
+        except OverflowError:
+            pass
+        raise SchemaError(f"{path}: {fmt.format(place)}")
+
+
+def _matrix(path: Path, value, name: str, fmt: str = "{} is not a number") -> np.ndarray:
+    """Nested lists of JSON numbers as a float array of their shape, by
+    :func:`_floats`, an entry named ``name[i][j]...``; ValueError if the lists
+    are ragged."""
+    items = np.array(value, dtype=object)
+    flat = items.ravel().tolist()
+    if list in set(map(type, flat)):
+        raise ValueError("nested lists of unequal lengths")
+    places = (name + "".join(map("[{}]".format, ix)) for ix in np.ndindex(items.shape))
+    return _floats(path, flat, places, fmt).reshape(items.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +234,13 @@ def _label_map(value) -> dict[str, str]:
     return dict(value)
 
 
-def _number_map(path: Path, data: dict, key: str) -> dict[str, float]:
-    """The table ``data[key]`` of finite numbers; SchemaError naming the first
-    entry that is not one."""
-    value = data[key]
-    if not isinstance(value, dict):
+def _number_table(path: Path, data: dict, key: str) -> dict[str, float]:
+    """The table ``data[key]`` of finite numbers, by :func:`_floats`."""
+    table = data[key]
+    if not isinstance(table, dict):
         raise TypeError("expected an object mapping ids to numbers")
-    numbers = dict(zip(value, map(_as_float, value.values())))
-    if all(map(math.isfinite, numbers.values())):
-        return numbers
-    label = next(k for k, v in value.items() if not _is_finite_number(v))
-    raise SchemaError(f"{path}: {key}[{label!r}] is not a number")
+    values = _floats(path, table.values(), map(f"{key}[{{!r}}]".format, table))
+    return dict(zip(table, values.tolist()))
 
 
 def _rows(rows) -> list[list[str]]:
@@ -201,8 +261,8 @@ def _groupoid(path: Path, data: dict, loaded: dict) -> FiniteGroupoid:
             inverse=_label_map(data["inverse"]),
             compose=_rows(data["compose"]),
             units=_label_map(data["units"]),
-            P=_number_map(path, data, "P"),
-            fiber_weight=_number_map(path, data, "fiber_weight")
+            P=_number_table(path, data, "P"),
+            fiber_weight=_number_table(path, data, "fiber_weight")
             if "fiber_weight" in data else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -215,11 +275,7 @@ def _groupoid(path: Path, data: dict, loaded: dict) -> FiniteGroupoid:
 
 def load_groupoid(path: str | Path, loaded: Optional[dict] = None) -> FiniteGroupoid:
     """The validated groupoid in ``path``, read once per ``loaded`` map."""
-    loaded = {} if loaded is None else loaded
-    key = Path(path).resolve()
-    if key not in loaded:
-        loaded[key] = _load(path, _groupoid, loaded)
-    return loaded[key]
+    return _load(path, loaded, want="groupoid")[1]
 
 
 def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
@@ -262,7 +318,7 @@ def _referenced_groupoid(path: Path, data: dict, key: str, loaded: dict) -> Fini
 def groupoid_ref(G: FiniteGroupoid, out: str | Path, loaded: dict) -> str:
     """Reference from a file written to ``out`` to the file that ``G`` was
     loaded from, found by identity in ``loaded``."""
-    file = next(p for p, H in loaded.items() if H is G)
+    file = next(p for p, (_, H) in loaded.items() if H is G)
     try:
         return os.path.relpath(file, Path(out).resolve().parent)
     except ValueError:  # no relative path, e.g. across drives
@@ -284,79 +340,20 @@ def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indice
             raise SchemaError(f"{path}: {key} must be an object")
         if not table:
             continue
+        place = f"{key}[{{!r}}]".format
         try:
             # one statement, so that no array of this table is alive while the
             # next table's labels are split
-            out[indices(table)] += factor * _numbers(table)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            _raise_first_bad_entry(table, key, indices, path)
+            out[indices(table)] += factor * _floats(path, table.values(), map(place, table))
+        except KeyError:  # an unknown label, or a bad value before it, is named
+            for n, label in enumerate(table):
+                try:
+                    indices((label,))
+                except KeyError:
+                    _floats(path, list(islice(table.values(), n)), map(place, table))
+                    raise SchemaError(f"{path}: unknown {key} key {label!r}") from None
             raise
     return out
-
-
-def _numbers(table: dict) -> np.ndarray:
-    """The values of ``table``; ValueError unless all are finite numbers."""
-    if not set(map(type, table.values())) <= _NUMBER_TYPES:  # one bulk type check
-        raise ValueError("not a number")
-    values = np.fromiter(table.values(), float, len(table))
-    if not np.isfinite(values).all():
-        raise ValueError("not a finite number")
-    return values
-
-
-def _raise_first_bad_entry(table: dict, key: str, indices, path: Path) -> None:
-    """Name the first entry of ``table`` with an unknown label or a value that
-    is not a finite number."""
-    for label, val in table.items():
-        try:
-            indices((label,))
-        except KeyError:
-            raise SchemaError(f"{path}: unknown {key} key {label!r}") from None
-        if not _is_finite_number(val):
-            raise SchemaError(f"{path}: {key}[{label!r}] is not a number")
-
-
-# the types of JSON numbers: a string, a boolean or null is not one
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _as_float(value) -> float:
-    """A JSON number as a float (inf beyond the doubles); NaN for anything else."""
-    if type(value) not in _NUMBER_TYPES:
-        return math.nan
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _is_finite_number(value) -> bool:
-    return math.isfinite(_as_float(value))
-
-
-def _number_array(value) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array, with NaN in place of
-    every entry that is not a number; ValueError if the lists are ragged."""
-    items = np.array(value, dtype=object)
-    values = list(items.flat)
-    if list in set(map(type, values)):
-        raise ValueError("nested lists of unequal lengths")
-    return np.fromiter(map(_as_float, values), float, len(values)).reshape(items.shape)
-
-
-def _first_non_finite(x: np.ndarray) -> Optional[str]:
-    """The position ``[i][j]...`` of the first entry of x that is not finite, or None."""
-    bad = np.argwhere(~np.isfinite(x))
-    return "".join(f"[{i}]" for i in bad[0]) if len(bad) else None
-
-
-def _number(value, name: str) -> float:
-    """A JSON number as a float (inf beyond the doubles); TypeError naming
-    ``name`` otherwise."""
-    x = _as_float(value)
-    if math.isnan(x):
-        raise TypeError(f"{name} is not a number")
-    return x
 
 
 def _tables(keys: tuple[str, str], v: np.ndarray, *axes) -> dict:
@@ -384,7 +381,7 @@ def _coefficient_file(path: Path, data: dict, loaded: dict,
 
 def load_state_file(path: str | Path, loaded: Optional[dict] = None):
     """Returns ``(groupoid, phi)`` without validating the state."""
-    return _load(path, _coefficient_file, loaded)
+    return _load(path, loaded, want="state")[1]
 
 
 def load_state(path: str | Path, loaded: Optional[dict] = None, tol: float = TOL) -> State:
@@ -403,7 +400,7 @@ def _algebra_element(path: Path, data: dict, loaded: dict) -> AlgebraElement:
 
 
 def load_algebra_element(path: str | Path, loaded: Optional[dict] = None) -> AlgebraElement:
-    return _load(path, _algebra_element, loaded)
+    return _load(path, loaded, want="algebra")[1]
 
 
 def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str) -> None:
@@ -437,7 +434,7 @@ def _kernel(path: Path, data: dict, loaded: dict) -> QuantumKernel:
 
 
 def load_kernel(path: str | Path, loaded: Optional[dict] = None) -> QuantumKernel:
-    return _load(path, _kernel, loaded)
+    return _load(path, loaded, want="kernel")[1]
 
 
 def save_kernel(Pi: QuantumKernel, path: str | Path,
@@ -457,19 +454,16 @@ def save_kernel(Pi: QuantumKernel, path: str | Path,
 
 def _classical_kernel(path: Path, data: dict, loaded: dict) -> ClassicalKernel:
     try:
-        K = _number_array(data["K"])
+        K = _matrix(path, data["K"], "K")
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed classical kernel: {exc}") from exc
-    at = _first_non_finite(K)  # a non-number reads as NaN, 1e400 as inf
-    if at is not None:
-        raise SchemaError(f"{path}: K{at} is not a number")
     if K.ndim != 2:
         raise SchemaError(f"{path}: classical kernel must be a matrix, not of shape {K.shape}")
     return ClassicalKernel(K)
 
 
 def load_classical_kernel(path: str | Path) -> ClassicalKernel:
-    return _load(path, _classical_kernel, None)
+    return _load(path, None, want="classical_kernel")[1]
 
 
 def save_classical_kernel(K: ClassicalKernel, path: str | Path) -> None:
@@ -477,15 +471,12 @@ def save_classical_kernel(K: ClassicalKernel, path: str | Path) -> None:
 
 
 def _kraus(path: Path, data: dict, loaded: dict) -> list[np.ndarray]:
-    ops = []
+    ops, fmt = [], "malformed Kraus file: entries must be finite numbers ({})"
     try:
         for k, entry in enumerate(data["kraus"]):
-            re = _number_array(entry["re"])
-            im = _number_array(entry["im"]) if "im" in entry else np.zeros_like(re)
-            for part, x in (("re", re), ("im", im)):
-                at = _first_non_finite(x)  # a non-number reads as NaN
-                if at is not None:
-                    raise ValueError(f"entries must be finite numbers (kraus[{k}].{part}{at})")
+            re = _matrix(path, entry["re"], f"kraus[{k}].re", fmt)
+            im = (_matrix(path, entry["im"], f"kraus[{k}].im", fmt) if "im" in entry
+                  else np.zeros_like(re))
             if im.shape != re.shape:
                 raise ValueError(f"kraus[{k}].im has shape {im.shape}, "
                                  f"kraus[{k}].re has shape {re.shape}")
@@ -500,7 +491,7 @@ def _kraus(path: Path, data: dict, loaded: dict) -> list[np.ndarray]:
 
 
 def load_kraus(path: str | Path) -> list[np.ndarray]:
-    return _load(path, _kraus, None)
+    return _load(path, None, want="kraus")[1]
 
 
 def save_kraus(ops, path: str | Path) -> None:
@@ -549,10 +540,13 @@ def _cubic(x: np.ndarray, y: np.ndarray):
 def _model(path: Path, data: dict, loaded: dict, tol: float):
     from .estimation import StatisticalModel
 
+    fmt = "malformed model file: {} is not a number"
     try:
-        s0 = _number(data["s0"], "s0")
-        lo, hi = (_number(x, f"interval[{i}]") for i, x in enumerate(data["interval"]))
-        grid = [_number(x, f"grid[{i}]") for i, x in enumerate(data.get("grid", []))]
+        [s0] = _floats(path, [data["s0"]], ["s0"], fmt).tolist()
+        lo, hi = _floats(path, list(data["interval"]), map("interval[{}]".format, count()),
+                         fmt).tolist()
+        grid = _floats(path, list(data.get("grid", [])), map("grid[{}]".format, count()),
+                       fmt).tolist()
         entries = sorted((float(k), v) for k, v in _label_map(data["states"]).items())
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc}") from exc
@@ -585,7 +579,7 @@ def load_model(path: str | Path, loaded: Optional[dict] = None, tol: float = TOL
 
     Interpolated states are re-validated at ``tol`` on every curve evaluation.
     """
-    return _load(path, partial(_model, tol=tol), loaded)
+    return _load(path, loaded, tol, want="model")[1]
 
 
 def load_pipeline(path: str | Path):
@@ -600,36 +594,34 @@ def load_pipeline(path: str | Path):
     return _resolve(path, state), [_resolve(path, k) for k in kernels]
 
 
-# files of any kind: the field that marks each kind, in order of precedence,
-# and the function that builds what the kind's ``load_*`` function returns
-_KINDS = (
-    ("compose", "groupoid", _groupoid),
-    ("phi_re", "state", _coefficient_file),
-    ("coeff_re", "algebra", _algebra_element),
-    ("pi_re", "kernel", _kernel),
-    ("kraus", "kraus", _kraus),
-    ("K", "classical_kernel", _classical_kernel),
-    ("states", "model", _model),
-)
+# files of any kind, in order of precedence: the fields that mark the kind
+# (any one of them), and the function that builds what its ``load_*`` returns
+_KINDS = {
+    "groupoid": (("compose",), _groupoid),
+    "state": (("phi_re", "phi_im"), _coefficient_file),
+    "algebra": (("coeff_re", "coeff_im"), _algebra_element),
+    "kernel": (("pi_re", "pi_im"), _kernel),
+    "kraus": (("kraus",), _kraus),
+    "classical_kernel": (("K",), _classical_kernel),
+    "model": (("states",), _model),
+}
 
 
-def _kind(path: Path, data: dict):
-    for field, kind, build in _KINDS:
-        if field in data:
-            return kind, build
-    raise SchemaError(f"{path}: unrecognized file contents")
+def _kind(path: Path, data: dict, default: Optional[str] = None) -> str:
+    kind = next((k for k, (fields, _) in _KINDS.items() if not data.keys().isdisjoint(fields)),
+                default)
+    if kind is None:
+        raise SchemaError(f"{path}: unrecognized file contents")
+    return kind
 
 
 def detect_kind(path: str | Path) -> str:
     """Classify a file by its distinguishing fields."""
-    return _kind(path, _read_json(Path(path)))[0]
+    return _kind(path, _read_json(Path(path)))
 
 
 def load_file(path: str | Path, loaded: Optional[dict] = None, tol: float = TOL):
-    """Returns ``(kind, object)`` from one parse of a file of any kind; the
-    object is what the kind's ``load_*`` function returns (with ``tol``)."""
-    path = Path(path)
-    data = _read_json(path)
-    kind, build = _kind(path, data)
-    build = partial(_model, tol=tol) if build is _model else build
-    return kind, build(path, data, {} if loaded is None else loaded)
+    """Returns ``(kind, object)`` of a file of any kind, parsed once per
+    ``loaded`` map; the object is what the kind's ``load_*`` function returns
+    (with ``tol``)."""
+    return _load(path, loaded, tol)

@@ -275,6 +275,48 @@ def test_cp_command(runner, fixture_dir):
     assert r.exit_code == 0 and jout(r)["is_cp"] is True
 
 
+# a file of another kind is refused with exit 2, naming the kind found: a
+# state is not an observable, and a kernel is neither
+@pytest.mark.parametrize("args, message", [
+    (["crb", "coin_model.json", "--estimator", "coin_0.0.json"],
+     "coin_0.0.json: a state file, not an algebra file"),
+    (["pull", "idk.json", "rho.json"], "rho.json: a state file, not an algebra file"),
+    (["pull", "idk.json", "idk.json"], "idk.json: a kernel file, not an algebra file"),
+    (["cp", "rho.json"], "rho.json: a state file, not a kernel file"),
+    (["fisher", "pair2.json"], "pair2.json: a groupoid file, not a model file"),
+], ids=["crb-estimator-state", "pull-state", "pull-kernel", "cp-state", "fisher-groupoid"])
+def test_file_of_another_kind_exits_2(runner, fixture_dir, args, message):
+    r = invoke(runner, *(fixture_dir / a if a.endswith(".json") else a for a in args))
+    assert r.exit_code == 2
+    assert f"error: {fixture_dir}/{message}" in r.output
+
+
+def test_algebra_file_with_only_imaginary_coefficients(runner, fixture_dir, pair2):
+    """A sigma_y estimator file that holds only ``coeff_im`` is an algebra
+    file, and audits as the file with both tables does."""
+    d = fixture_dir
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    states = {}
+    for s in (-0.3, -0.15, 0.0, 0.15, 0.3):
+        states[str(s)] = f"y_{s}.json"
+        fileio.save_state(c.state_from_density((np.eye(2) + s * sy) / 2, pair2),
+                          d / states[str(s)], "pair2.json")
+    (d / "y_model.json").write_text(json.dumps({
+        "fmt": fileio.FMT, "groupoid": "pair2.json", "s0": 0.0, "interval": [-0.3, 0.3],
+        "states": states}))
+    fileio.save_algebra_element(c.element_from_matrix(pair2, sy), d / "sy.json", "pair2.json")
+    data = json.loads((d / "sy.json").read_text())
+    assert data.pop("coeff_re") == {}
+    (d / "sy_im.json").write_text(json.dumps(data))
+    r = invoke(runner, "--json", "validate", d / "sy_im.json")
+    assert r.exit_code == 0 and jout(r, "validate")["kind"] == "algebra"
+    both, im = (invoke(runner, "--json", "crb", d / "y_model.json", "--estimator", d / name)
+                for name in ("sy.json", "sy_im.json"))
+    assert both.exit_code == im.exit_code == 0
+    assert im.output == both.output
+    assert jout(im, "crb")["second_moment"] == pytest.approx(1.0, abs=1e-9)
+
+
 def write_flat_model(d):
     """A constant model: the same state at every grid point."""
     grid = {s: "coin_0.0.json" for s in ("-0.2", "-0.1", "0.0", "0.1", "0.2")}

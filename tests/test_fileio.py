@@ -125,6 +125,17 @@ def test_malformed_files_rejected(tmp_path, pair2):
         fileio.load_state_file(path)  # missing groupoid reference
 
 
+def test_unmarked_file_reads_as_the_kind_asked_for(tmp_path, pair2):
+    """A file that no field marks (an algebra element with no tables: zero)
+    loads as the kind its loader asks for; ``load_file`` cannot tell its kind."""
+    fileio.save_groupoid(pair2, tmp_path / "g.json")
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"fmt": fileio.FMT, "groupoid": "g.json"}))
+    assert not fileio.load_algebra_element(path).coeff.any()
+    with pytest.raises(SchemaError, match="unrecognized file contents"):
+        fileio.load_file(path)
+
+
 def test_relative_paths_resolved_from_subdir(tmp_path, pair2):
     sub = tmp_path / "sub"
     sub.mkdir()

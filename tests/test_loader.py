@@ -1,5 +1,5 @@
-"""One CLI invocation parses each file it names once and validates each
-groupoid file once, and the references it writes with ``-o`` point at the
+"""One CLI invocation parses each file it names once, repeats included, and
+validates each groupoid file once, and the references it writes with ``-o`` point at the
 groupoid files it read, from any output directory."""
 import json
 import shutil
@@ -29,6 +29,11 @@ CASES = {
                  ["pipe2.json", "rho.json", "idk.json", "idk2.json"], ["pair2.json"]),
     "compose": (["compose", "idk.json", "idk2.json", "-o", "out.json"],
                 ["idk.json", "idk2.json"], ["pair2.json"]),
+    # a file named twice is parsed once
+    "compose-repeat": (["compose", "idk.json", "idk.json", "-o", "out.json"],
+                       ["idk.json"], ["pair2.json"]),
+    "pipeline-repeat": (["pipeline", "pipe.json", "-o", "out.json"],
+                        ["pipe.json", "rho.json", "idk.json"], ["pair2.json"]),
     "fisher": (["fisher", "coin_model.json"],
                ["coin_model.json", *COIN_STATES], ["triv2.json"]),
     "crb-estimator": (["crb", "coin_model.json", "--estimator", "pm_half.json"],
@@ -38,7 +43,8 @@ CASES = {
 
 @pytest.fixture
 def distinct_files(fixture_dir):
-    """The shared fixtures plus copies, so that no command names a file twice."""
+    """The shared fixtures plus copies, so that a command can name two
+    distinct files of one content."""
     d = fixture_dir
     shutil.copy(d / "idk.json", d / "idk2.json")
     shutil.copy(d / "triv2.json", d / "triv2b.json")
@@ -136,7 +142,10 @@ def test_loaders_share_one_groupoid_per_file(distinct_files):
     rho = fileio.load_state(d / "rho.json", loaded)
     Pi = fileio.load_kernel(d / "idk.json", loaded)
     assert rho.groupoid is Pi.g1 is Pi.g2
-    assert list(loaded) == [(d / "pair2.json").resolve()]
+    # the map holds every file read through it, each under its kind
+    assert {p: kind for p, (kind, _) in loaded.items()} == {
+        (d / "pair2.json").resolve(): "groupoid", (d / "rho.json").resolve(): "state",
+        (d / "idk.json").resolve(): "kernel"}
     # without a map every call builds its own copy
     assert fileio.load_kernel(d / "idk.json").g1 is not Pi.g1
 

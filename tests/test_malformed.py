@@ -244,6 +244,12 @@ NON_FINITE = {
     "kraus": ("kr.json", lambda d, x: {**d, "kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]],
                                                        "im": [[x, 0.0], [0.0, 0.0]]}]},
               (2, "malformed Kraus file: entries must be finite numbers")),
+    "model-s0": ("coin_model.json", lambda d, x: {**d, "s0": x},
+                 (2, "malformed model file: s0 is not a number")),
+    "model-interval": ("coin_model.json", lambda d, x: {**d, "interval": [-0.3, x]},
+                       (2, "malformed model file: interval[1] is not a number")),
+    "model-grid": ("coin_model.json", lambda d, x: {**d, "grid": [x, 0.0]},
+                   (2, "malformed model file: grid[0] is not a number")),
 }
 
 

@@ -1009,7 +1009,8 @@ def test_table_decoder_matches_oracle(G1, G2, data):
     """The ``np.fromiter`` decoder gives the Python-list decoder's array, or
     its error message, on kernel and state tables."""
     path = Path("k.json").resolve()  # never read: the groupoids are in ``loaded``
-    loaded = {path.with_name("g1.json"): G1, path.with_name("g2.json"): G2}
+    loaded = {path.with_name("g1.json"): ("groupoid", G1),
+              path.with_name("g2.json"): ("groupoid", G2)}
     pairs = tables([f"{a}|{b}" for a in G1.elements for b in G2.elements],
                    G1.elements + G2.elements)
     kernel = {"source_groupoid": "g1.json", "target_groupoid": "g2.json",
