@@ -7,13 +7,13 @@ Every load takes one path: the file is parsed, its kind is read from the
 fields that mark it (``_KINDS``), and the object of that kind is built; a
 ``load_*`` function refuses a file of another kind, naming both kinds.
 Loaders take an optional ``loaded`` map, resolved path -> ``(kind, object)``,
-that holds every file read through it, groupoids and the files that reference
-them alike.  The CLI passes one map per invocation, so each file is parsed,
-and each groupoid validated, once, repeats included, and
-:func:`groupoid_ref` finds the file a loaded groupoid came from for the
-references in files written with ``-o``.  A map serves one ``tol``: a model's
-curve checks its states at the ``tol`` it was loaded with.  Parsed JSON is
-never kept.
+that holds every file but a model read through it, groupoids and the files
+that reference them alike.  The CLI passes one map per invocation, so each of
+those files is parsed, and each groupoid validated, once, repeats included,
+and :func:`groupoid_ref` finds the file a loaded groupoid came from for the
+references in files written with ``-o``.  A model is built anew at each load,
+so that its curve checks states at the ``tol`` of that load; its state files
+stay in the map.  Parsed JSON is never kept.
 """
 from __future__ import annotations
 
@@ -58,12 +58,12 @@ def _read_json(path: Path) -> dict:
 
 
 def _write_json(path: Path, data: dict) -> None:
-    """Write ``{"fmt": FMT, **data}`` to ``path`` as the one line that
-    ``json.dumps(..., sort_keys=True)`` makes of it, with strict numbers.
+    """Write ``{"fmt": FMT, **data}`` to ``path`` as one line of JSON, with
+    strict numbers and the keys in the order given.
 
-    The top-level values are encoded in key order, each by one call of the C
+    The top-level values are encoded in turn, each by one call of the C
     encoder and written before the next is made; a :class:`_Table` is written
-    in chunks of its sorted keys, so that no table's whole text is held.  A
+    in chunks of its keys, so that no table's whole text is held.  A
     new file, or a regular file in a directory we may write, is written under
     a temporary name in its directory and renamed over ``path`` (or the file a
     link at ``path`` names) at the end, with the old file's mode, so a failure
@@ -108,14 +108,13 @@ def _names_regular_file(target: Path, st: os.stat_result) -> bool:
 
 def _write_values(fh, path: Path, data: dict) -> None:
     sep = "{"
-    for key in sorted(data):
+    for key, value in data.items():
         fh.write(f"{sep}{json.dumps(key)}: ")
-        value = data[key]
         try:
             if isinstance(value, _Table):
                 _write_table(fh, value)
             else:
-                fh.write(json.dumps(value, sort_keys=True, allow_nan=False))
+                fh.write(json.dumps(value, allow_nan=False))
         except ValueError as exc:
             raise SchemaError(f"{path}: cannot write {key}: {exc}") from exc
         sep = ", "
@@ -124,7 +123,7 @@ def _write_values(fh, path: Path, data: dict) -> None:
 
 class _Table(NamedTuple):
     """The table ``{k: x for k, x in zip(keys, values) if x != 0}`` of
-    :func:`_write_json`, where ``keys`` is sorted."""
+    :func:`_write_json`."""
     keys: list[str]
     values: np.ndarray
 
@@ -134,8 +133,8 @@ _CHUNK = 4096
 
 
 def _write_table(fh, table: _Table) -> None:
-    """Write the text that ``json.dumps(..., sort_keys=True)`` makes of
-    ``table``, one chunk of its sorted keys at a time."""
+    """Write the text that ``json.dumps`` makes of ``table``, one chunk of
+    its keys at a time."""
     sep = ""
     fh.write("{")
     for start in range(0, len(table.keys), _CHUNK):
@@ -157,9 +156,9 @@ def _resolve(base: Path, ref: str) -> Path:
 
 def _load(path: str | Path, loaded: Optional[dict], tol: float = TOL,
           want: Optional[str] = None):
-    """``(kind, object)`` of the file ``path``, parsed and built once per
-    ``loaded`` map; SchemaError if ``want`` is given and the file is of
-    another kind.  A file that no field marks is read as kind ``want``."""
+    """``(kind, object)`` of the file ``path``, built once per ``loaded`` map
+    (a model at each call, with ``tol``); SchemaError if ``want`` is given and
+    the file is of another kind.  A file that no field marks is read as ``want``."""
     loaded, path = {} if loaded is None else loaded, Path(path)
     key = path.resolve()
     if key in loaded:
@@ -169,9 +168,10 @@ def _load(path: str | Path, loaded: Optional[dict], tol: float = TOL,
         kind, obj = _kind(path, data, want), None
     if want not in (None, kind):
         raise SchemaError(f"{path}: {_a(kind)} file, not {_a(want)} file")
+    if kind == "model":
+        return kind, _model(path, data, loaded, tol)
     if obj is None:
-        build = _KINDS[kind][1]
-        obj = (partial(_model, tol=tol) if build is _model else build)(path, data, loaded)
+        obj = _KINDS[kind][1](path, data, loaded)
         loaded[key] = kind, obj
     return kind, obj
 
@@ -285,27 +285,11 @@ def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
         "source": dict(G.source),
         "target": dict(G.target),
         "inverse": dict(G.inverse_map),
-        "compose": _compose_rows(G),
+        "compose": G.composable_pairs,
         "units": dict(G.unit_of),
         "P": dict(G.P),
         "fiber_weight": dict(G.fiber_weight),
     })
-
-
-def _rank(labels) -> np.ndarray:
-    """``rank[i]``: the place of ``labels[i]`` in the order of Python strings."""
-    rank = np.empty(len(labels), dtype=np.intp)
-    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
-    return rank
-
-
-def _compose_rows(G: FiniteGroupoid) -> list[tuple[str, str, str]]:
-    """The rows ``(beta, alpha, beta o alpha)`` of the composable pairs, in the
-    order of the labels ``(beta, alpha)`` as Python strings."""
-    e, rank = G.elements, _rank(G.elements)
-    b, a, g = G.triples
-    order = np.lexsort((rank[a], rank[b]))
-    return list(zip(*(map(e.__getitem__, ix[order].tolist()) for ix in (b, a, g))))
 
 
 def _referenced_groupoid(path: Path, data: dict, key: str, loaded: dict) -> FiniteGroupoid:
@@ -358,15 +342,13 @@ def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indice
 
 def _tables(keys: tuple[str, str], v: np.ndarray, *axes) -> dict:
     """The tables ``keys[0]``, ``keys[1]`` of the real and imaginary parts of
-    ``v`` for :func:`_write_json`: the nonzero entries, each keyed by the join
-    of its labels along the axes of ``v`` (``axes[k][i]`` labels index i of
-    axis k), in the order of those keys.  The labels of every axis but the
-    last end in a character that no label holds, so the keys sort as the
-    tuples of the labels' ranks; each key is built once, for both tables."""
+    ``v`` for :func:`_write_json`: the nonzero entries in index order
+    (row-major), each keyed by the join of its labels along the axes of ``v``
+    (``axes[k][i]`` labels index i of axis k); each key is built once, for
+    both tables."""
     ix = np.nonzero(v)
-    order = np.lexsort([_rank(labels)[i] for labels, i in zip(axes, ix)][::-1])
-    values = v[ix][order]
-    table_keys = list(map("".join, zip(*(np.array(labels, dtype=object)[i[order]].tolist()
+    values = v[ix]
+    table_keys = list(map("".join, zip(*(np.array(labels, dtype=object)[i].tolist()
                                          for labels, i in zip(axes, ix)))))
     return {key: _Table(table_keys, part) for key, part in zip(keys, (values.real, values.imag))}
 
@@ -622,6 +604,6 @@ def detect_kind(path: str | Path) -> str:
 
 def load_file(path: str | Path, loaded: Optional[dict] = None, tol: float = TOL):
     """Returns ``(kind, object)`` of a file of any kind, parsed once per
-    ``loaded`` map; the object is what the kind's ``load_*`` function returns
-    (with ``tol``)."""
+    ``loaded`` map (a model at each call); the object is what the kind's
+    ``load_*`` function returns (with ``tol``)."""
     return _load(path, loaded, tol)

@@ -22,14 +22,20 @@ UNBIASED_TOL = 1e-8  # |rho_s(A) - s| of an unbiased estimator at each grid poin
 SATURATION_TOL = 1e-6  # Cramer-Rao slack at or below which an estimator saturates
 P_FLOOR = 1e-12  # outcome probability at or below which classical Fisher-Rao fails
 CONGRUENCE_TOL = 1e-10  # max |K L - I| of a congruent embedding K with left inverse L
+# relative size below which an entry is set to zero before an eigensolve: its square
+# underflows, and LAPACK's eigenvalue-only solver, which works with squares, loses digits
+_UNDERFLOW_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 def hermitian_spectra(H, vectors: bool = False):
     """Ascending eigenvalues, and with ``vectors`` the eigenvectors (columns),
-    of the Hermitian part of each matrix of a (..., s, s) stack."""
+    of the Hermitian part of each matrix of a (..., s, s) stack, its entries
+    below ``_UNDERFLOW_FLOOR * max|entry|`` of their matrix set to zero."""
     if not np.isfinite(H).all():
         raise NotHermitian("matrix contains non-finite entries")
     Hh = (H + H.conj().swapaxes(-1, -2)) / 2.0
+    size = np.abs(Hh)
+    Hh[size < _UNDERFLOW_FLOOR * size.max(axis=(-2, -1), keepdims=True, initial=0.0)] = 0.0
     try:
         return np.linalg.eigh(Hh) if vectors else np.linalg.eigvalsh(Hh)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails

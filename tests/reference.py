@@ -13,13 +13,13 @@ single-matrix Hermitian eigensolver, PSD verdict and numerical rank; the
 spectral minimum-norm solve that the Riesz representer in ``estimation``
 replaced by its projection onto the GNS quotient basis; the two scipy
 ``CubicSpline`` fits that model files were interpolated with before
-``fileio`` had its own cubic; and ``fileio``'s indented writer, the tables it
-was given, the groupoid writer that sorted the string compose table, and the
-table decoder through Python lists, which the one-line writer, the compose
-rows ordered by label rank and the ``np.fromiter`` decoder replaced.  The groupoid oracles read a
-``FiniteGroupoid`` only through its string tables and accessors
-(``validate`` fills in the index arrays by loops, only to construct its
-result), so the property tests in ``test_reference.py`` compare two
+``fileio`` had its own cubic; ``fileio``'s indented writer and the tables it
+was given, which the one-line writer replaced; a groupoid writer that lists
+the compose rows by loops over the elements; and the table decoder through
+Python lists, which the ``np.fromiter`` decoder replaced.  The groupoid
+oracles read a ``FiniteGroupoid`` only through its string tables and
+accessors (``validate`` fills in the index arrays by loops, only to construct
+its result), so the property tests in ``test_reference.py`` compare two
 independent implementations of each formula.
 """
 from __future__ import annotations
@@ -893,17 +893,18 @@ def cubic_interpolant(x: np.ndarray, y: np.ndarray) -> Callable[[float], np.ndar
 
 def write_json(path: Path, data: dict) -> None:
     """The indented writer: one ``json.dump(..., indent=2)``, which runs the
-    pure-Python encoder."""
+    pure-Python encoder, with the keys in the order given."""
     data = {"fmt": FMT, **data}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
 def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
-    """The string-sorted groupoid writer: the compose rows are the items of
-    the sorted string compose table, and the file is the one line that
-    ``json.dumps(..., sort_keys=True)`` makes of it."""
+    """The groupoid writer by loops: a compose row ``[beta, alpha, beta o
+    alpha]`` for each beta, then each alpha with ``t(alpha) = s(beta)``, in
+    element order, and the file is the one line that ``json.dumps`` makes of
+    it."""
     data = {
         "fmt": FMT,
         "outcomes": list(G.outcomes),
@@ -911,13 +912,14 @@ def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
         "source": dict(G.source),
         "target": dict(G.target),
         "inverse": dict(G.inverse_map),
-        "compose": [[b, a, g] for (b, a), g in sorted(G.compose_table.items())],
+        "compose": [[b, a, G.compose(b, a)] for b in G.elements for a in G.elements
+                    if G.target[a] == G.source[b]],
         "units": dict(G.unit_of),
         "P": dict(G.P),
         "fiber_weight": dict(G.fiber_weight),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, sort_keys=True, allow_nan=False) + "\n")
+        fh.write(json.dumps(data, allow_nan=False) + "\n")
 
 
 def split_tables(labels, values: np.ndarray) -> tuple[dict, dict]:

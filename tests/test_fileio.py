@@ -75,6 +75,32 @@ def test_kernel_round_trip(tmp_path, pair2):
     assert fileio.detect_kind(tmp_path / "k.json") == "kernel"
 
 
+def test_files_keep_fmt_first_and_element_order(tmp_path):
+    """``fmt`` comes first, then the keys in the order the ``save_*`` function
+    lists them; the compose rows are the composable pairs, and a table's keys
+    run in element order (row-major for a kernel), not in string order, where
+    ``(1,10)`` comes before ``(1,2)``."""
+    G = c.pair_groupoid(11)
+    rng = np.random.default_rng(11)
+    pi = np.where(rng.random((121, 121)) < 0.05, rng.normal(size=(121, 121)), 0.0)
+    Pi = c.QuantumKernel(G, G, pi + 1j * pi[::-1])
+    fileio.save_groupoid(G, tmp_path / "g.json")
+    rho = State(G, np.where(rng.random(121) < 0.5, 1.0 + 0j, 0.0))
+    fileio.save_state(rho, tmp_path / "s.json", "g.json")
+    fileio.save_kernel(Pi, tmp_path / "k.json", "g.json", "g.json")
+    g, s, k = (json.loads((tmp_path / f).read_text()) for f in ("g.json", "s.json", "k.json"))
+    assert list(g) == ["fmt", "outcomes", "elements", "source", "target", "inverse",
+                       "compose", "units", "P", "fiber_weight"]
+    assert g["compose"] == [list(row) for row in G.composable_pairs]
+    assert list(g["source"]) == list(g["elements"]) == list(G.elements)
+    assert list(s) == ["fmt", "groupoid", "phi_re", "phi_im"]
+    assert list(s["phi_re"]) == sorted(s["phi_re"], key=G.index.__getitem__)
+    assert list(k) == ["fmt", "source_groupoid", "target_groupoid", "pi_re", "pi_im"]
+    for key, part in (("pi_re", Pi.pi.real), ("pi_im", Pi.pi.imag)):
+        assert list(k[key]) == [f"{G.elements[i]}|{G.elements[j]}"
+                                for i, j in zip(*np.nonzero(part))]
+
+
 def test_classical_and_kraus_round_trip(tmp_path):
     K = c.ClassicalKernel(np.array([[0.3, 0.7], [0.6, 0.4]]))
     fileio.save_classical_kernel(K, tmp_path / "ck.json")

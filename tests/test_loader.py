@@ -150,6 +150,30 @@ def test_loaders_share_one_groupoid_per_file(distinct_files):
     assert fileio.load_kernel(d / "idk.json").g1 is not Pi.g1
 
 
+def test_model_loads_at_its_own_tol_on_one_map(fixture_dir, counted, monkeypatch):
+    """Two loads of one model on one map, at 1e-9 and at 0.5, give two
+    models whose curves check states at their own ``tol``; the model file is
+    parsed at each load, each of its state files once."""
+    parsed, _ = counted
+    tols, real = [], fileio.make_state
+
+    def make_state(G, phi, tol):
+        tols.append(tol)
+        return real(G, phi, tol=tol)
+
+    monkeypatch.setattr(fileio, "make_state", make_state)
+    d, loaded = fixture_dir, {}
+    M1, _ = fileio.load_model(d / "coin_model.json", loaded, tol=1e-9)
+    kind, (M2, _) = fileio.load_file(d / "coin_model.json", loaded, tol=0.5)
+    assert kind == "model" and M1 is not M2
+    for M in (M1, M2):
+        M.curve(0.0)
+    assert tols == [1e-9, 0.5]
+    assert parsed == Counter({(d / "coin_model.json").resolve(): 2,
+                              (d / "triv2.json").resolve(): 1,
+                              **{(d / f).resolve(): 1 for f in COIN_STATES}})
+
+
 def test_load_file_agrees_with_detect_kind(fixture_dir):
     for path in sorted(fixture_dir.glob("*.json")):
         if path.name == "pipe.json":

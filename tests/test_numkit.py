@@ -103,3 +103,16 @@ def test_hermitian_spectra_of_a_stack(A, B):
     H[1, 2, 3] = np.nan
     with pytest.raises(NotHermitian):
         numkit.hermitian_spectra(H)
+
+
+def test_tiny_entries_cost_eigvalsh_no_digits():
+    """Every entry 9.586e-158 but 3.0 at [0, 1]: eigvalsh alone gives
+    +-1.499999999949594, so entries that small beside the largest are set to
+    zero first, and both solvers agree with the oracle."""
+    H = np.full((1, 4, 4), 9.586e-158)
+    H[0, 0, 1] = 3.0
+    w, _ = numkit.hermitian_spectra(H, vectors=True)
+    scale = 1.0 + np.abs(H).max()
+    expected = hermitian_eigen((H[0] + H[0].T) / 2.0).eigenvalues
+    assert np.abs(numkit.hermitian_spectra(H)[0] - expected).max() < 1e-12 * scale
+    assert np.abs(w[0] - expected).max() < 1e-12 * scale
