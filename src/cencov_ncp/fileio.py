@@ -14,6 +14,12 @@ and :func:`groupoid_ref` finds the file a loaded groupoid came from for the
 references in files written with ``-o``.  A model is built anew at each load,
 so that its curve checks states at the ``tol`` of that load; its state files
 stay in the map.  Parsed JSON is never kept.
+
+A kernel's tables may list their ``a1|a2`` keys in any order.  Those in the
+writer's order are read by position, with no key split: a ``pi_re`` of every
+key in row-major order, and a ``pi_im`` whose keys are, in order, those of
+``pi_re`` where it has one, at ``pi_re``'s places; any other table's keys are
+split and looked up.
 """
 from __future__ import annotations
 
@@ -22,7 +28,8 @@ import json
 import math
 import os
 from functools import partial
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, product, repeat
+from operator import eq
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import NamedTuple, Optional
@@ -278,17 +285,24 @@ def load_groupoid(path: str | Path, loaded: Optional[dict] = None) -> FiniteGrou
     return _load(path, loaded, want="groupoid")[1]
 
 
+def _uncached(G: FiniteGroupoid, name: str) -> dict:
+    """The string table ``G.<name>`` as a dict, built from the arrays and not
+    cached on ``G``."""
+    return dict(getattr(FiniteGroupoid, name).func(G))
+
+
 def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
+    """Write ``G``; the tables are built for the write, and none stays on ``G``."""
     _write_json(Path(path), {
         "outcomes": list(G.outcomes),
         "elements": list(G.elements),
-        "source": dict(G.source),
-        "target": dict(G.target),
-        "inverse": dict(G.inverse_map),
+        "source": _uncached(G, "source"),
+        "target": _uncached(G, "target"),
+        "inverse": _uncached(G, "inverse_map"),
         "compose": G.composable_pairs,
-        "units": dict(G.unit_of),
-        "P": dict(G.P),
-        "fiber_weight": dict(G.fiber_weight),
+        "units": _uncached(G, "unit_of"),
+        "P": _uncached(G, "P"),
+        "fiber_weight": _uncached(G, "fiber_weight"),
     })
 
 
@@ -396,23 +410,53 @@ def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str)
 # kernels
 # ---------------------------------------------------------------------------
 
+def _decode_keys(labels, g1: FiniteGroupoid, g2: FiniteGroupoid) -> np.ndarray:
+    """Flat row-major indices of the ``a1|a2`` keys ``labels``; KeyError on an
+    unknown label or a key without exactly one bar.  Each key holds exactly
+    one bar iff each holds at least one and their join splits into twice as
+    many parts."""
+    parts = "|".join(labels).split("|")
+    if len(parts) != 2 * len(labels) or not all(map(str.__contains__, labels, repeat("|"))):
+        raise KeyError("|")
+    return (_ix(islice(parts, 0, None, 2), g1.index) * len(g2.elements)
+            + _ix(islice(parts, 1, None, 2), g2.index))
+
+
+def _row_major(table: dict, g1: FiniteGroupoid, g2: FiniteGroupoid) -> bool:
+    """Whether the keys of ``table`` are the writer's: ``a1|a2`` over every
+    pair of elements in row-major order, no label holding a bar.  Then
+    :func:`_decode_keys` would give ``arange``; the keys are compared one by
+    one as they are built."""
+    e1, e2 = g1.elements, g2.elements
+    return (len(table) == len(e1) * len(e2) and "|" not in "".join(e1 + e2)
+            and all(map(eq, table, map("".join, product([f"{a}|" for a in e1], e2)))))
+
+
 def _kernel(path: Path, data: dict, loaded: dict) -> QuantumKernel:
     g1 = _referenced_groupoid(path, data, "source_groupoid", loaded)
     g2 = _referenced_groupoid(path, data, "target_groupoid", loaded)
-
-    rows, cols = partial(_ix, index=g1.index), partial(_ix, index=g2.index)
+    re, im = data.get("pi_re"), data.get("pi_im")
+    re_ix = None  # the indices of pi_re's keys, once found
 
     def indices(labels):
-        """``a|b`` labels -> (rows, cols).  Each label holds exactly one bar iff
-        each holds at least one and their join splits into twice as many parts."""
-        parts = "|".join(labels).split("|")
-        if len(parts) != 2 * len(labels) or not all(map(str.__contains__, labels, repeat("|"))):
-            raise KeyError("|")
-        return rows(islice(parts, 0, None, 2)), cols(islice(parts, 1, None, 2))
+        """Flat indices of a table's keys: pi_re's by position when it is in
+        the writer's order, pi_im's as pi_re's at the places of its keys when
+        those are, in order, pi_re's keys where pi_im has one; any other keys
+        (and the error path's single labels) by :func:`_decode_keys`."""
+        nonlocal re_ix
+        if labels is re:
+            re_ix = np.arange(len(re)) if _row_major(re, g1, g2) else _decode_keys(re, g1, g2)
+            return re_ix
+        if labels is im and re_ix is not None:
+            mask = np.fromiter(map(im.__contains__, re), bool, len(re))
+            if np.count_nonzero(mask) == len(im) and all(map(eq, im, compress(re, mask))):
+                return re_ix[mask]
+        return _decode_keys(labels, g1, g2)
 
-    pi = np.zeros((len(g1.elements), len(g2.elements)), dtype=complex)
+    shape = len(g1.elements), len(g2.elements)
+    pi = np.zeros(shape[0] * shape[1], dtype=complex)
     _add_coefficients(pi, data, ("pi_re", "pi_im"), indices, path)
-    return QuantumKernel(g1, g2, pi)
+    return QuantumKernel(g1, g2, pi.reshape(shape))
 
 
 def load_kernel(path: str | Path, loaded: Optional[dict] = None) -> QuantumKernel:

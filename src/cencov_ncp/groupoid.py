@@ -146,9 +146,10 @@ class FiniteGroupoid:
         """Modular function delta(alpha) = nu(inv(alpha)) / nu(alpha)."""
         return self.nu(self.inverse_map[alpha]) / self.nu(alpha)
 
-    @cached_property
+    @property
     def composable_pairs(self) -> tuple[tuple[str, str, str], ...]:
-        """All triples ``(beta, alpha, beta o alpha)`` in canonical order."""
+        """All triples ``(beta, alpha, beta o alpha)`` in canonical order, built
+        at each access (``compose_table`` keeps its own)."""
         return tuple(zip(*(_names(self.elements, ix) for ix in self.triples)))
 
     def target_fiber(self, x: str) -> tuple[str, ...]:

@@ -48,6 +48,21 @@ def test_groupoid_load_memory_follows_the_parsed_file(tmp_path):
     assert not {"compose_table", "composable_pairs"} & set(G.__dict__)
 
 
+def test_save_groupoid_leaves_nothing_on_the_groupoid(tmp_path):
+    """pair(64): the compose list and the string tables are built for the
+    write and dropped; less than 1 MB stays allocated after the save."""
+    G = c.pair_groupoid(64)
+    cached = set(G.__dict__)
+    tracemalloc.start()
+    try:
+        fileio.save_groupoid(G, tmp_path / "g.json")
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
+    assert set(G.__dict__) == cached
+
+
 def test_state_round_trip(tmp_path, pair2):
     fileio.save_groupoid(pair2, tmp_path / "g.json")
     D = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
@@ -73,6 +88,34 @@ def test_kernel_round_trip(tmp_path, pair2):
     back = fileio.load_kernel(tmp_path / "k.json")
     assert np.abs(back.pi - Pi.pi).max() < 1e-15
     assert fileio.detect_kind(tmp_path / "k.json") == "kernel"
+
+
+def test_kernel_in_the_writers_order_is_read_by_position(tmp_path, monkeypatch):
+    """A dense kernel written by ``save_kernel`` (every ``pi_re`` key, and
+    ``pi_im`` missing some) loads without the key decoder.  With both tables
+    reversed, only ``pi_re`` is decoded, as ``pi_im`` lists its keys in its
+    order; with ``pi_im`` alone reversed, only ``pi_im`` is.  All three give
+    the same array."""
+    G = c.pair_groupoid(3)
+    rng = np.random.default_rng(3)
+    pi = rng.normal(size=(9, 9)) + 1j * np.where(rng.random((9, 9)) < 0.3, 0.0,
+                                                 rng.normal(size=(9, 9)))
+    fileio.save_groupoid(G, tmp_path / "g.json")
+    fileio.save_kernel(c.QuantumKernel(G, G, pi), tmp_path / "k.json", "g.json", "g.json")
+    data = json.loads((tmp_path / "k.json").read_text())
+    n_im = len(data["pi_im"])
+    for name, reversed_keys in (("both.json", ("pi_re", "pi_im")), ("im.json", ("pi_im",))):
+        (tmp_path / name).write_text(json.dumps(
+            {k: dict(reversed(v.items())) if k in reversed_keys else v for k, v in data.items()}))
+    decode = fileio._decode_keys
+    calls = []
+    monkeypatch.setattr(fileio, "_decode_keys",
+                        lambda labels, g1, g2: calls.append(len(labels)) or decode(labels, g1, g2))
+    for name, decoded in (("k.json", []), ("both.json", [81]), ("im.json", [n_im])):
+        calls.clear()
+        assert np.array_equal(fileio.load_kernel(tmp_path / name).pi, pi)
+        assert calls == decoded, name
+    assert 0 < n_im < 81
 
 
 def test_files_keep_fmt_first_and_element_order(tmp_path):

@@ -1010,18 +1010,73 @@ def tables(draw, keys, parts):
     return draw(st.dictionaries(mixed, values, max_size=8))
 
 
+def barred(G):
+    """``G`` with its first element relabelled to hold a bar, ``a`` -> ``a|``."""
+    old, new = G.elements[0], f"{G.elements[0]}|"
+
+    def r(e):
+        return new if e == old else e
+
+    spec = spec_of(G)
+    return validate(dataclasses.replace(
+        spec, elements=list(map(r, spec.elements)),
+        source={r(a): x for a, x in spec.source.items()},
+        target={r(a): x for a, x in spec.target.items()},
+        inverse={r(a): r(b) for a, b in spec.inverse.items()},
+        compose=[tuple(map(r, row)) for row in spec.compose],
+        units={x: r(u) for x, u in spec.units.items()},
+        fiber_weight={r(a): w for a, w in spec.fiber_weight.items()}))
+
+
+@st.composite
+def spoiled(draw, table):
+    """``table``, or a copy with two entries swapped in place, one key
+    replaced by an unknown one, or one value replaced by a non-number."""
+    how = draw(st.sampled_from(["as is", "swap", "unknown key", "bad value"]))
+    items = list(table.items())
+    if how == "as is" or len(items) < 2:
+        return table
+    i, j = draw(st.lists(st.integers(0, len(items) - 1), min_size=2, max_size=2, unique=True))
+    if how == "swap":
+        items[i], items[j] = items[j], items[i]
+    elif how == "unknown key":
+        items[i] = "zz|zz", items[i][1]
+    else:
+        items[i] = items[i][0], draw(st.sampled_from(["1.5", None, True]))
+    return dict(items)
+
+
+@st.composite
+def kernel_tables(draw, G1, G2):
+    """``(pi_re, pi_im)``: half the time the writer's layout, a ``pi_re`` of
+    every key in row-major order and a ``pi_im`` of an in-order sub-list of
+    its keys, each possibly spoiled; else two independent :func:`tables`."""
+    keys = [f"{a}|{b}" for a in G1.elements for b in G2.elements]
+    if draw(st.booleans()):
+        pairs = tables(keys, G1.elements + G2.elements)
+        return draw(pairs), draw(pairs)
+    n = len(keys)
+    re = dict(zip(keys, draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))))
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    im = {k: -x for k, x, keep in zip(keys, re.values(), kept) if keep}
+    return draw(spoiled(re)), draw(spoiled(im))
+
+
+maybe_barred = st.one_of(groupoids(), groupoids().map(barred))
+
+
 @settings(max_examples=150, deadline=None)
-@given(groupoids(), groupoids(), st.data())
+@given(maybe_barred, maybe_barred, st.data())
 def test_table_decoder_matches_oracle(G1, G2, data):
-    """The ``np.fromiter`` decoder gives the Python-list decoder's array, or
-    its error message, on kernel and state tables."""
+    """The ``np.fromiter`` decoder, and the positional reader of tables in
+    the writer's order, give the Python-list decoder's array, or its error
+    message, on kernel and state tables."""
     path = Path("k.json").resolve()  # never read: the groupoids are in ``loaded``
     loaded = {path.with_name("g1.json"): ("groupoid", G1),
               path.with_name("g2.json"): ("groupoid", G2)}
-    pairs = tables([f"{a}|{b}" for a in G1.elements for b in G2.elements],
-                   G1.elements + G2.elements)
+    pi_re, pi_im = data.draw(kernel_tables(G1, G2))
     kernel = {"source_groupoid": "g1.json", "target_groupoid": "g2.json",
-              "pi_re": data.draw(pairs), "pi_im": data.draw(pairs)}
+              "pi_re": pi_re, "pi_im": pi_im}
     new_msg, new = decoded(lambda: fileio._kernel(path, kernel, loaded).pi)
     old_msg, old = decoded(ref.kernel_tables, G1, G2, kernel, path)
     assert new_msg == old_msg
