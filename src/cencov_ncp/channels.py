@@ -218,9 +218,11 @@ def kernel_to_cp_map(Pi: QuantumKernel) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def completeness_deficit(kraus: Sequence[np.ndarray]) -> float:
-    """``max |sum_k A_k† A_k - I|``, zero for a trace-preserving Kraus family."""
+    """``max |sum_k A_k† A_k - I|``, zero for a trace-preserving Kraus family
+    of matrices of one shape; a stack of them, of shape ``(r, m, n)``, may be
+    empty, with sum 0."""
     total = sum(a.conj().T @ a for a in kraus)
-    return float(np.abs(total - np.eye(total.shape[0])).max())
+    return float(np.abs(total - np.eye(np.shape(kraus)[-1])).max())
 
 
 def _choi_index(G1: FiniteGroupoid, G2: FiniteGroupoid, what: str):
@@ -254,6 +256,7 @@ def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
     for a in A:
         if a.shape != (m, n):
             raise GroupoidMismatch(f"Kraus operator shape {a.shape}, expected {(m, n)}")
+    A = np.reshape(A, (len(A), m, n))  # of shape (0, m, n) for an empty family
     dev = completeness_deficit(A)
     if dev > tol:
         raise NonTracePreserving(f"sum A†A deviates from identity by {dev:.3e}")

@@ -15,11 +15,11 @@ references in files written with ``-o``.  A model is built anew at each load,
 so that its curve checks states at the ``tol`` of that load; its state files
 stay in the map.  Parsed JSON is never kept.
 
-A kernel's tables may list their ``a1|a2`` keys in any order.  Those in the
-writer's order are read by position, with no key split: a ``pi_re`` of every
-key in row-major order, and a ``pi_im`` whose keys are, in order, those of
-``pi_re`` where it has one, at ``pi_re``'s places; any other table's keys are
-split and looked up.
+A kernel's tables may list their ``a1|a2`` keys in any order.  Each table is
+read by one rule: when no element label holds a bar, a table whose keys come
+in the writer's row-major order takes its places from one walk of the
+writer's keys, with no key split; any other table's keys are split and
+looked up.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import math
 import os
 from functools import partial
 from itertools import chain, compress, count, islice, product, repeat
-from operator import eq
+from operator import indexOf
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import NamedTuple, Optional
@@ -422,40 +422,32 @@ def _decode_keys(labels, g1: FiniteGroupoid, g2: FiniteGroupoid) -> np.ndarray:
             + _ix(islice(parts, 1, None, 2), g2.index))
 
 
-def _row_major(table: dict, g1: FiniteGroupoid, g2: FiniteGroupoid) -> bool:
-    """Whether the keys of ``table`` are the writer's: ``a1|a2`` over every
-    pair of elements in row-major order, no label holding a bar.  Then
-    :func:`_decode_keys` would give ``arange``; the keys are compared one by
-    one as they are built."""
+def _kernel_indices(labels, g1: FiniteGroupoid, g2: FiniteGroupoid) -> np.ndarray:
+    """Flat row-major indices of the ``a1|a2`` keys ``labels``.  When no
+    element label of either groupoid holds a bar, the writer's keys are
+    walked once in row-major order, each key found by ``indexOf`` consuming
+    the walk up to its match; the walk reads at most ``2 * len(labels)``
+    keys.  Such a key splits into exactly its own two labels, so each place
+    found is the decoder's index.  Keys that the walk does not find, in
+    another order or unknown, go to :func:`_decode_keys`."""
     e1, e2 = g1.elements, g2.elements
-    return (len(table) == len(e1) * len(e2) and "|" not in "".join(e1 + e2)
-            and all(map(eq, table, map("".join, product([f"{a}|" for a in e1], e2)))))
+    if "|" not in "".join(e1 + e2):
+        walk = islice(map("".join, product([f"{a}|" for a in e1], e2)), 2 * len(labels))
+        try:
+            steps = np.fromiter(map(indexOf, repeat(walk), labels), np.intp, len(labels))
+        except ValueError:  # a key not in the rest of the walk
+            pass
+        else:
+            return np.cumsum(steps + 1) - 1
+    return _decode_keys(labels, g1, g2)
 
 
 def _kernel(path: Path, data: dict, loaded: dict) -> QuantumKernel:
     g1 = _referenced_groupoid(path, data, "source_groupoid", loaded)
     g2 = _referenced_groupoid(path, data, "target_groupoid", loaded)
-    re, im = data.get("pi_re"), data.get("pi_im")
-    re_ix = None  # the indices of pi_re's keys, once found
-
-    def indices(labels):
-        """Flat indices of a table's keys: pi_re's by position when it is in
-        the writer's order, pi_im's as pi_re's at the places of its keys when
-        those are, in order, pi_re's keys where pi_im has one; any other keys
-        (and the error path's single labels) by :func:`_decode_keys`."""
-        nonlocal re_ix
-        if labels is re:
-            re_ix = np.arange(len(re)) if _row_major(re, g1, g2) else _decode_keys(re, g1, g2)
-            return re_ix
-        if labels is im and re_ix is not None:
-            mask = np.fromiter(map(im.__contains__, re), bool, len(re))
-            if np.count_nonzero(mask) == len(im) and all(map(eq, im, compress(re, mask))):
-                return re_ix[mask]
-        return _decode_keys(labels, g1, g2)
-
     shape = len(g1.elements), len(g2.elements)
     pi = np.zeros(shape[0] * shape[1], dtype=complex)
-    _add_coefficients(pi, data, ("pi_re", "pi_im"), indices, path)
+    _add_coefficients(pi, data, ("pi_re", "pi_im"), partial(_kernel_indices, g1=g1, g2=g2), path)
     return QuantumKernel(g1, g2, pi.reshape(shape))
 
 
@@ -513,6 +505,8 @@ def _kraus(path: Path, data: dict, loaded: dict) -> list[np.ndarray]:
         raise SchemaError(f"{path}: empty Kraus list")
     if ops[0].ndim != 2 or any(a.shape != ops[0].shape for a in ops):
         raise SchemaError(f"{path}: Kraus operators must be matrices of one shape")
+    if 0 in ops[0].shape:
+        raise SchemaError(f"{path}: malformed Kraus file: empty operators of shape {ops[0].shape}")
     return ops
 
 

@@ -97,8 +97,10 @@ def test_choi_matrix_of_identity(pair2):
 
 
 def test_non_trace_preserving_rejected(pair2):
-    with pytest.raises(NonTracePreserving):
-        choi_to_kernel([np.eye(2) * 0.5], pair2, pair2)
+    """An empty family too: its sum is 0, not the identity."""
+    for kraus in ([np.eye(2) * 0.5], []):
+        with pytest.raises(NonTracePreserving):
+            choi_to_kernel(kraus, pair2, pair2)
 
 
 def test_push_pull_duality():

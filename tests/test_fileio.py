@@ -90,32 +90,53 @@ def test_kernel_round_trip(tmp_path, pair2):
     assert fileio.detect_kind(tmp_path / "k.json") == "kernel"
 
 
-def test_kernel_in_the_writers_order_is_read_by_position(tmp_path, monkeypatch):
-    """A dense kernel written by ``save_kernel`` (every ``pi_re`` key, and
-    ``pi_im`` missing some) loads without the key decoder.  With both tables
-    reversed, only ``pi_re`` is decoded, as ``pi_im`` lists its keys in its
-    order; with ``pi_im`` alone reversed, only ``pi_im`` is.  All three give
-    the same array."""
+@pytest.fixture
+def decoder_calls(monkeypatch):
+    """The sizes of the tables given to ``fileio._decode_keys``, in call order."""
+    decode, calls = fileio._decode_keys, []
+    monkeypatch.setattr(fileio, "_decode_keys",
+                        lambda labels, g1, g2: calls.append(len(labels)) or decode(labels, g1, g2))
+    return calls
+
+
+def test_kernel_in_the_writers_order_is_read_by_position(tmp_path, decoder_calls):
+    """Kernels written by ``save_kernel`` load without the key decoder: a
+    dense one (every ``pi_re`` key, and ``pi_im`` missing some) and one whose
+    real part has exact zeros.  Each table is decided from its own keys: with
+    both tables reversed, both are decoded; with ``pi_im`` alone reversed,
+    only ``pi_im`` is.  Every file gives the array written."""
     G = c.pair_groupoid(3)
     rng = np.random.default_rng(3)
     pi = rng.normal(size=(9, 9)) + 1j * np.where(rng.random((9, 9)) < 0.3, 0.0,
                                                  rng.normal(size=(9, 9)))
+    holed = np.where(rng.random((9, 9)) < 0.3, 0.0, pi.real) + 1j * pi.imag
     fileio.save_groupoid(G, tmp_path / "g.json")
     fileio.save_kernel(c.QuantumKernel(G, G, pi), tmp_path / "k.json", "g.json", "g.json")
+    fileio.save_kernel(c.QuantumKernel(G, G, holed), tmp_path / "holed.json", "g.json", "g.json")
     data = json.loads((tmp_path / "k.json").read_text())
     n_im = len(data["pi_im"])
     for name, reversed_keys in (("both.json", ("pi_re", "pi_im")), ("im.json", ("pi_im",))):
         (tmp_path / name).write_text(json.dumps(
             {k: dict(reversed(v.items())) if k in reversed_keys else v for k, v in data.items()}))
-    decode = fileio._decode_keys
-    calls = []
-    monkeypatch.setattr(fileio, "_decode_keys",
-                        lambda labels, g1, g2: calls.append(len(labels)) or decode(labels, g1, g2))
-    for name, decoded in (("k.json", []), ("both.json", [81]), ("im.json", [n_im])):
-        calls.clear()
-        assert np.array_equal(fileio.load_kernel(tmp_path / name).pi, pi)
-        assert calls == decoded, name
+    for name, decoded, want in (("k.json", [], pi), ("holed.json", [], holed),
+                                ("both.json", [81, n_im], pi), ("im.json", [n_im], pi)):
+        decoder_calls.clear()
+        assert np.array_equal(fileio.load_kernel(tmp_path / name).pi, want)
+        assert decoder_calls == decoded, name
     assert 0 < n_im < 81
+    assert 0 < len(json.loads((tmp_path / "holed.json").read_text())["pi_re"]) < 81
+
+
+def test_sparse_kernel_in_the_writers_order_goes_to_the_decoder(tmp_path, decoder_calls):
+    """``identity_kernel(pair(8))`` lists 64 of 4096 keys: the walk of the
+    writer's keys stops after 128 of them, short of the third key, and the
+    table is decoded."""
+    G = c.pair_groupoid(8)
+    Pi = c.identity_kernel(G)
+    fileio.save_groupoid(G, tmp_path / "g.json")
+    fileio.save_kernel(Pi, tmp_path / "k.json", "g.json", "g.json")
+    assert np.array_equal(fileio.load_kernel(tmp_path / "k.json").pi, Pi.pi)
+    assert decoder_calls == [64]
 
 
 def test_files_keep_fmt_first_and_element_order(tmp_path):

@@ -47,6 +47,11 @@ CASES = {
         [10 ** 400, 0.0], [0.0, 1.0]]}),
     "kraus-mixed-shapes": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
         {"re": [[1.0, 0.0], [0.0, 1.0]]}, {"re": [[0.0]]}]}),
+    # an operator with no entries has no completeness deficit to report
+    "kraus-empty-operator": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
+        {"re": [[]]}]}),
+    "kraus-empty-operator-2x0": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": [
+        {"re": [[], []], "im": [[], []]}]}),
     # an imaginary part of another shape is not broadcast over the real part
     "kraus-im-shape": ("pair2.json", lambda d: {"fmt": d["fmt"], "kraus": KRAUS_IM_SHAPE}),
     # a repeated (beta, alpha) pair, whichever copy comes first

@@ -1049,16 +1049,19 @@ def spoiled(draw, table):
 @st.composite
 def kernel_tables(draw, G1, G2):
     """``(pi_re, pi_im)``: half the time the writer's layout, a ``pi_re`` of
-    every key in row-major order and a ``pi_im`` of an in-order sub-list of
-    its keys, each possibly spoiled; else two independent :func:`tables`."""
+    every key or of an in-order sub-list of the keys in row-major order, and a
+    ``pi_im`` of an in-order sub-list of them, each possibly spoiled; else two
+    independent :func:`tables`."""
     keys = [f"{a}|{b}" for a in G1.elements for b in G2.elements]
     if draw(st.booleans()):
         pairs = tables(keys, G1.elements + G2.elements)
         return draw(pairs), draw(pairs)
     n = len(keys)
-    re = dict(zip(keys, draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))))
-    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    im = {k: -x for k, x, keep in zip(keys, re.values(), kept) if keep}
+    values = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    sub_list = st.lists(st.booleans(), min_size=n, max_size=n)
+    re_kept = draw(st.one_of(st.just([True] * n), sub_list))
+    re = {k: x for k, x, keep in zip(keys, values, re_kept) if keep}
+    im = {k: -x for k, x, keep in zip(keys, values, draw(sub_list)) if keep}
     return draw(spoiled(re)), draw(spoiled(im))
 
 
@@ -1068,9 +1071,9 @@ maybe_barred = st.one_of(groupoids(), groupoids().map(barred))
 @settings(max_examples=150, deadline=None)
 @given(maybe_barred, maybe_barred, st.data())
 def test_table_decoder_matches_oracle(G1, G2, data):
-    """The ``np.fromiter`` decoder, and the positional reader of tables in
-    the writer's order, give the Python-list decoder's array, or its error
-    message, on kernel and state tables."""
+    """The ``np.fromiter`` decoder, and the walk that reads tables in the
+    writer's order by position, give the Python-list decoder's array, or its
+    error message, on kernel and state tables."""
     path = Path("k.json").resolve()  # never read: the groupoids are in ``loaded``
     loaded = {path.with_name("g1.json"): ("groupoid", G1),
               path.with_name("g2.json"): ("groupoid", G2)}
