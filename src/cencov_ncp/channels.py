@@ -20,6 +20,7 @@ import numpy as np
 from . import numkit
 from .algebra import AlgebraElement
 from .errors import (
+    DimensionMismatch,
     GroupoidMismatch,
     NonTracePreserving,
     NormalizationLost,
@@ -218,11 +219,17 @@ def kernel_to_cp_map(Pi: QuantumKernel) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def completeness_deficit(kraus: Sequence[np.ndarray]) -> float:
-    """``max |sum_k A_k† A_k - I|``, zero for a trace-preserving Kraus family
-    of matrices of one shape; a stack of them, of shape ``(r, m, n)``, may be
-    empty, with sum 0."""
-    total = sum(a.conj().T @ a for a in kraus)
-    return float(np.abs(total - np.eye(np.shape(kraus)[-1])).max())
+    """``max |sum_k A_k† A_k - I|``, zero for a trace-preserving Kraus family:
+    nonempty matrices of one shape, in a non-empty list or an ``(r, m, n)``
+    stack, which may be empty, with sum 0.  DimensionMismatch on other input."""
+    try:
+        A = np.asarray(kraus)
+    except ValueError:  # operators of different shapes
+        A = np.empty(0)
+    if A.ndim != 3 or 0 in A.shape[1:]:
+        raise DimensionMismatch("Kraus operators must be nonempty matrices of one shape")
+    total = sum(a.conj().T @ a for a in A)
+    return float(np.abs(total - np.eye(A.shape[-1])).max())
 
 
 def _choi_index(G1: FiniteGroupoid, G2: FiniteGroupoid, what: str):

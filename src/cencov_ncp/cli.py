@@ -66,15 +66,9 @@ class _Main(click.Group):
         return result
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(ctx, data: dict) -> None:
     if ctx.obj["json"]:
-        click.echo(json.dumps(data, sort_keys=True, default=_json_default))
+        click.echo(json.dumps(data, sort_keys=True))
     else:
         for key in sorted(data):
             click.echo(f"{key}: {data[key]}")

@@ -15,11 +15,10 @@ references in files written with ``-o``.  A model is built anew at each load,
 so that its curve checks states at the ``tol`` of that load; its state files
 stay in the map.  Parsed JSON is never kept.
 
-A kernel's tables may list their ``a1|a2`` keys in any order.  Each table is
-read by one rule: when no element label holds a bar, a table whose keys come
-in the writer's row-major order takes its places from one walk of the
-writer's keys, with no key split; any other table's keys are split and
-looked up.
+A kernel's tables may list their ``a1|a2`` keys in any order.  A table of at
+least half of the ``n1 * n2`` keys, with no bar in any element label, is read
+by one walk of the writer's row-major keys if it lists them in that order, a
+choice made before any key is read; other tables' keys are split and looked up.
 """
 from __future__ import annotations
 
@@ -423,16 +422,15 @@ def _decode_keys(labels, g1: FiniteGroupoid, g2: FiniteGroupoid) -> np.ndarray:
 
 
 def _kernel_indices(labels, g1: FiniteGroupoid, g2: FiniteGroupoid) -> np.ndarray:
-    """Flat row-major indices of the ``a1|a2`` keys ``labels``.  When no
-    element label of either groupoid holds a bar, the writer's keys are
-    walked once in row-major order, each key found by ``indexOf`` consuming
-    the walk up to its match; the walk reads at most ``2 * len(labels)``
-    keys.  Such a key splits into exactly its own two labels, so each place
-    found is the decoder's index.  Keys that the walk does not find, in
-    another order or unknown, go to :func:`_decode_keys`."""
+    """Flat row-major indices of the ``a1|a2`` keys ``labels``.  When they are
+    at least half of the ``n1 * n2`` keys (tested first) and no element label
+    holds a bar, the writer's keys are walked once in row-major order, each
+    key found by ``indexOf`` consuming the walk up to its match; such a key
+    splits into its own two labels, so each place is the decoder's index.
+    Other tables, and keys the walk misses, go to :func:`_decode_keys`."""
     e1, e2 = g1.elements, g2.elements
-    if "|" not in "".join(e1 + e2):
-        walk = islice(map("".join, product([f"{a}|" for a in e1], e2)), 2 * len(labels))
+    if 2 * len(labels) >= len(e1) * len(e2) and "|" not in "".join(e1 + e2):
+        walk = map("".join, product([f"{a}|" for a in e1], e2))
         try:
             steps = np.fromiter(map(indexOf, repeat(walk), labels), np.intp, len(labels))
         except ValueError:  # a key not in the rest of the walk

@@ -11,6 +11,7 @@ from cencov_ncp.channels import (
     check_ncp_morphism,
     choi_matrix,
     choi_to_kernel,
+    completeness_deficit,
     compose,
     cp_verdict,
     embed_classical,
@@ -22,6 +23,7 @@ from cencov_ncp.channels import (
     validate_kernel,
 )
 from cencov_ncp.errors import (
+    DimensionMismatch,
     GroupoidMismatch,
     NonTracePreserving,
     PositivityLost,
@@ -101,6 +103,20 @@ def test_non_trace_preserving_rejected(pair2):
     for kraus in ([np.eye(2) * 0.5], []):
         with pytest.raises(NonTracePreserving):
             choi_to_kernel(kraus, pair2, pair2)
+
+
+def test_completeness_deficit_needs_matrices_of_one_shape():
+    """A non-empty list of nonempty matrices of one shape, or an ``(r, m, n)``
+    stack, which may be empty; any other input is a DimensionMismatch, not a
+    numpy error or a number."""
+    assert completeness_deficit(depolarizing_kraus(0.3)) < 1e-12
+    assert completeness_deficit(np.array(depolarizing_kraus(0.3))) < 1e-12
+    assert completeness_deficit(np.zeros((0, 2, 2))) == 1.0
+    assert completeness_deficit([np.zeros((2, 3))]) == 1.0
+    for kraus in ([], [np.eye(2), np.eye(3)], [np.ones(3)], np.ones((2, 2)),
+                  [np.zeros((0, 0))], np.zeros((1, 0, 2))):
+        with pytest.raises(DimensionMismatch):
+            completeness_deficit(kraus)
 
 
 def test_push_pull_duality():

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import stat
 import threading
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +101,15 @@ def decoder_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """One entry per walk of the writer's keys started, that is per call of
+    ``fileio.product``."""
+    calls = []
+    monkeypatch.setattr(fileio, "product", lambda *a: calls.append(1) or product(*a))
+    return calls
+
+
 def test_kernel_in_the_writers_order_is_read_by_position(tmp_path, decoder_calls):
     """Kernels written by ``save_kernel`` load without the key decoder: a
     dense one (every ``pi_re`` key, and ``pi_im`` missing some) and one whose
@@ -127,16 +138,36 @@ def test_kernel_in_the_writers_order_is_read_by_position(tmp_path, decoder_calls
     assert 0 < len(json.loads((tmp_path / "holed.json").read_text())["pi_re"]) < 81
 
 
-def test_sparse_kernel_in_the_writers_order_goes_to_the_decoder(tmp_path, decoder_calls):
-    """``identity_kernel(pair(8))`` lists 64 of 4096 keys: the walk of the
-    writer's keys stops after 128 of them, short of the third key, and the
-    table is decoded."""
+def test_sparse_kernel_in_the_writers_order_goes_to_the_decoder(tmp_path, decoder_calls,
+                                                                walks):
+    """``identity_kernel(pair(8))`` lists 64 of 4096 keys, fewer than half:
+    no walk of the writer's keys is started, and the table is decoded."""
     G = c.pair_groupoid(8)
     Pi = c.identity_kernel(G)
     fileio.save_groupoid(G, tmp_path / "g.json")
     fileio.save_kernel(Pi, tmp_path / "k.json", "g.json", "g.json")
     assert np.array_equal(fileio.load_kernel(tmp_path / "k.json").pi, Pi.pi)
     assert decoder_calls == [64]
+    assert walks == []
+
+
+def test_unknown_last_kernel_key_is_named_after_one_walk(tmp_path, walks):
+    """A dense pair(6) ``pi_re`` whose last key names no element: the table's
+    walk fails once, and each key then looked at alone goes to the decoder
+    with no walk of its own, so the error is found in linear time."""
+    G = c.pair_groupoid(6)
+    rng = np.random.default_rng(6)
+    fileio.save_groupoid(G, tmp_path / "g.json")
+    fileio.save_kernel(c.QuantumKernel(G, G, rng.normal(size=(36, 36)) + 0j),
+                       tmp_path / "k.json", "g.json", "g.json")
+    data = json.loads((tmp_path / "k.json").read_text())
+    table = data["pi_re"]
+    assert len(table) == 36 * 36
+    table["(99,99)|(1,1)"] = table.pop(list(table)[-1])
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=re.escape("unknown pi_re key '(99,99)|(1,1)'")):
+        fileio.load_kernel(tmp_path / "bad.json")
+    assert len(walks) <= 1
 
 
 def test_files_keep_fmt_first_and_element_order(tmp_path):
