@@ -149,7 +149,7 @@ def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float) -> CramerR
         second_moment=float(second),
         bound=float(bound),
         slack=float(slack),
-        saturated=slack <= numkit.SATURATION_TOL,
+        saturated=bool(slack <= numkit.SATURATION_TOL),
     )
 
 

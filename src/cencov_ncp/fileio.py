@@ -16,9 +16,9 @@ so that its curve checks states at the ``tol`` of that load; its state files
 stay in the map.  Parsed JSON is never kept.
 
 A kernel's tables may list their ``a1|a2`` keys in any order.  A table of at
-least half of the ``n1 * n2`` keys, with no bar in any element label, is read
-by one walk of the writer's row-major keys if it lists them in that order, a
-choice made before any key is read; other tables' keys are split and looked up.
+least half of the ``n1 * n2`` keys, with no bar in any label, is read by one
+walk of the writer's row-major keys if in that order, else split and looked
+up, in one call that names its first bad key, in table order, by one more pass.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import errno
 import json
 import math
 import os
+from contextlib import suppress
 from functools import partial
 from itertools import chain, compress, count, islice, product, repeat
 from operator import indexOf
@@ -156,6 +157,8 @@ def _write_table(fh, table: _Table) -> None:
 
 
 def _resolve(base: Path, ref: str) -> Path:
+    if "\0" in ref:  # no file name holds one
+        raise SchemaError(f"{base}: reference {ref!r} holds a null byte")
     p = Path(ref)
     return p if p.is_absolute() else (base.parent / p)
 
@@ -329,8 +332,8 @@ def groupoid_ref(G: FiniteGroupoid, out: str | Path, loaded: dict) -> str:
 def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indices,
                       path: Path) -> np.ndarray:
     """Add the real and imaginary tables ``data[keys[0]]``, ``data[keys[1]]``
-    into ``out``; ``indices(labels)`` maps a collection of labels to an index
-    of ``out`` and raises KeyError if one of them names no entry."""
+    into ``out``; ``indices(table)``, one call per table, maps its labels to an
+    index of ``out`` or raises KeyError naming its first label that names none."""
     for key, factor in zip(keys, (1.0, 1j)):
         table = data.get(key, {})
         if not isinstance(table, dict):
@@ -342,14 +345,10 @@ def _add_coefficients(out: np.ndarray, data: dict, keys: tuple[str, str], indice
             # one statement, so that no array of this table is alive while the
             # next table's labels are split
             out[indices(table)] += factor * _floats(path, table.values(), map(place, table))
-        except KeyError:  # an unknown label, or a bad value before it, is named
-            for n, label in enumerate(table):
-                try:
-                    indices((label,))
-                except KeyError:
-                    _floats(path, list(islice(table.values(), n)), map(place, table))
-                    raise SchemaError(f"{path}: unknown {key} key {label!r}") from None
-            raise
+        except KeyError as exc:  # one pass finds the label; a bad value before it is named
+            n = indexOf(table, exc.args[0])
+            _floats(path, list(islice(table.values(), n)), map(place, table))
+            raise SchemaError(f"{path}: unknown {key} key {exc.args[0]!r}") from None
     return out
 
 
@@ -410,24 +409,27 @@ def save_algebra_element(a: AlgebraElement, path: str | Path, groupoid_ref: str)
 # ---------------------------------------------------------------------------
 
 def _decode_keys(labels, g1: FiniteGroupoid, g2: FiniteGroupoid) -> np.ndarray:
-    """Flat row-major indices of the ``a1|a2`` keys ``labels``; KeyError on an
-    unknown label or a key without exactly one bar.  Each key holds exactly
-    one bar iff each holds at least one and their join splits into twice as
-    many parts."""
+    """Flat row-major indices of the ``a1|a2`` keys ``labels``, else KeyError
+    naming the first key, in table order, that is not two known labels joined
+    by exactly one bar, found by one more pass.  Each key holds exactly one bar
+    iff each holds at least one and their join splits into twice as many parts."""
     parts = "|".join(labels).split("|")
-    if len(parts) != 2 * len(labels) or not all(map(str.__contains__, labels, repeat("|"))):
-        raise KeyError("|")
-    return (_ix(islice(parts, 0, None, 2), g1.index) * len(g2.elements)
-            + _ix(islice(parts, 1, None, 2), g2.index))
+    if len(parts) == 2 * len(labels) and all(map(str.__contains__, labels, repeat("|"))):
+        with suppress(KeyError):
+            return (_ix(islice(parts, 0, None, 2), g1.index) * len(g2.elements)
+                    + _ix(islice(parts, 1, None, 2), g2.index))
+    for key in labels:
+        a1, bar, a2 = key.partition("|")
+        if not (bar and a1 in g1.index and a2 in g2.index) or "|" in a2:
+            raise KeyError(key)
 
 
 def _kernel_indices(labels, g1: FiniteGroupoid, g2: FiniteGroupoid) -> np.ndarray:
-    """Flat row-major indices of the ``a1|a2`` keys ``labels``.  When they are
-    at least half of the ``n1 * n2`` keys (tested first) and no element label
-    holds a bar, the writer's keys are walked once in row-major order, each
-    key found by ``indexOf`` consuming the walk up to its match; such a key
-    splits into its own two labels, so each place is the decoder's index.
-    Other tables, and keys the walk misses, go to :func:`_decode_keys`."""
+    """What :func:`_decode_keys` gives for the whole table ``labels``.  When it
+    holds at least half of the ``n1 * n2`` keys (tested first) and no element
+    label holds a bar, the writer's keys are walked once in row-major order,
+    each key found by ``indexOf`` consuming the walk up to its match (such a key
+    splits into its own two labels); other tables, and those the walk misses, are decoded."""
     e1, e2 = g1.elements, g2.elements
     if 2 * len(labels) >= len(e1) * len(e2) and "|" not in "".join(e1 + e2):
         walk = map("".join, product([f"{a}|" for a in e1], e2))

@@ -1,0 +1,120 @@
+"""Mutated demo files never end a command in a traceback: every command exits
+0, 1, 2 or 3, and raises nothing but ``SystemExit``."""
+import json
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cencov_ncp.cli import main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_files.py"
+
+# written as the JSON number text 1e400, which parses to an infinite float
+HUGE = "<1e400>"
+
+NAMES = ["pair2.json", "rho.json", "identity.json", "/dev/null", ".", "..", "",
+         "missing.json", "pipeline.json", "coin_model.json", "dir.json", "a|b", "(99,99)|(1,1)",
+         "(1,1)|(1,1)|(1,1)", "(99,99)", "1_1", "x\x00.json"]
+VALUES = st.one_of(
+    st.sampled_from(NAMES),
+    st.sampled_from([HUGE, None, True, False, 0, -1, 0.5, 10 ** 400, [], {}, [[]], [0.5],
+                     {"x": 1.0}, {"(1,1)": 1.0}, ["rho.json"], [["(1,1)"] * 3]]),
+)
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    """The files of ``scripts/make_demo_files.py``, as name -> parsed JSON."""
+    d = tmp_path_factory.mktemp("demo")
+    with mock.patch.object(sys, "argv", [str(SCRIPT), str(d)]):
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    return {p.name: json.loads(p.read_text()) for p in sorted(d.glob("*.json"))}
+
+
+def nodes(value, at=()):
+    """The path of every node in the JSON value, the root first."""
+    yield at
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from nodes(child, (*at, key))
+
+
+def mutate(root, at, how, new, name):
+    """``root`` with the node at ``at`` replaced by ``new``, deleted, or (in an
+    object) moved to the key ``name``; the root can only be replaced."""
+    if not at:
+        return new
+    parent = root
+    for key in at[:-1]:
+        parent = parent[key]
+    key = at[-1]
+    if how == "delete":
+        del parent[key]
+    elif how == "rename" and isinstance(parent, dict):
+        parent[name] = parent.pop(key)
+    else:
+        parent[key] = new
+    return root
+
+
+def invocations(f):
+    """Every fuzzed command, on the mutant ``f`` and on the demo files that
+    may reference it."""
+    return [["validate", f], ["cp", f], ["push", "rho.json", f], ["push", f, "identity.json"],
+            ["gns", f], ["fisher", f], ["crb", f], ["crb", "coin_model.json", "--estimator", f],
+            ["pipeline", f], ["cp", "depolarizing.json"], ["push", "rho.json", "identity.json"],
+            ["gns", "rho.json"], ["crb", "coin_model.json", "--estimator", "pm_half.json"],
+            ["pipeline", "pipeline.json"]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_demo_files_exit_with_a_code(demo, data):
+    name = data.draw(st.sampled_from(sorted(demo)), label="file")
+    root = json.loads(json.dumps(demo[name]))
+    at = data.draw(st.sampled_from(list(nodes(root))), label="node")
+    how = data.draw(st.sampled_from(["replace", "delete", "rename"]), label="how")
+    new = data.draw(VALUES, label="value")
+    key = data.draw(st.sampled_from(NAMES), label="key")
+    text = json.dumps(mutate(root, at, how, new, key)).replace(json.dumps(HUGE), "1e400")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "demo"
+        d.mkdir()
+        for other in demo:
+            (d / other).write_text(json.dumps(demo[other]))
+        (d / name).write_text(text)
+        (d / "dir.json").mkdir()  # a directory where a file is named
+        for args in invocations(name):
+            result = CliRunner().invoke(
+                main, ["--json", *(str(d / a) if a.endswith(".json") else a for a in args)])
+            assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+            assert isinstance(result.exception, (SystemExit, type(None))), (args, result.exception)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("rho.json", lambda d: {**d, "groupoid": "x\x00.json"}),
+    ("coin_model.json", lambda d: {**d, "states": {**d["states"], "0.0": "x\x00.json"}}),
+    ("pipeline.json", lambda d: {**d, "initial_state": "x\x00.json"}),
+    ("pipeline.json", lambda d: {**d, "kernels": ["x\x00.json"]}),
+], ids=["state-groupoid", "model-state", "pipeline-state", "pipeline-kernel"])
+def test_reference_with_a_null_byte_exits_2(demo, tmp_path, name, edit):
+    """A referenced file name that holds a null byte, a defect an unseeded run
+    of the test above found, is a schema error naming the referencing file."""
+    for other, data in demo.items():
+        (tmp_path / other).write_text(json.dumps(edit(data) if other == name else data))
+    command = {"rho.json": "gns", "coin_model.json": "fisher", "pipeline.json": "pipeline"}
+    result = CliRunner().invoke(main, ["--json", command[name], str(tmp_path / name)])
+    assert result.exit_code == 2
+    assert f"{tmp_path / name}: reference 'x\\x00.json' holds a null byte" in result.output

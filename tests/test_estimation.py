@@ -109,6 +109,17 @@ def test_qubit_sigma_z_saturates():
     assert audit.saturated
 
 
+def test_audit_verdict_is_a_python_bool():
+    """``saturated`` is a ``bool`` for a float bound and for a numpy one."""
+    M = qubit_z_model(0.0)
+    A = Estimator(c.element_from_matrix(M.groupoid, np.diag([1.0, -1.0])))
+    bound = cramer_rao_bound(M, gns_at_base(M))
+    for b in (float(bound), np.float64(bound)):
+        audit = cramer_rao_audit(M, A, b)
+        assert audit.saturated
+        assert type(audit.saturated) is bool
+
+
 def test_qubit_sigma_z_plus_x_slack_one():
     M = qubit_z_model(0.0)
     S = gns_at_base(M)

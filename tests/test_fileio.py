@@ -151,23 +151,36 @@ def test_sparse_kernel_in_the_writers_order_goes_to_the_decoder(tmp_path, decode
     assert walks == []
 
 
-def test_unknown_last_kernel_key_is_named_after_one_walk(tmp_path, walks):
-    """A dense pair(6) ``pi_re`` whose last key names no element: the table's
-    walk fails once, and each key then looked at alone goes to the decoder
-    with no walk of its own, so the error is found in linear time."""
-    G = c.pair_groupoid(6)
+def test_unknown_last_key_is_named_by_one_call_per_table(tmp_path, walks, decoder_calls,
+                                                         monkeypatch):
+    """A dense pair(6) ``pi_re`` and a pair(4) ``phi_re`` whose last key names
+    no element: each table's labels go to one call, which names the key, and
+    no key is looked at alone.  The kernel table's walk fails once and the
+    whole table goes to the decoder once; the state table goes to
+    ``fileio._ix`` once."""
     rng = np.random.default_rng(6)
+    G, H = c.pair_groupoid(6), c.pair_groupoid(4)
     fileio.save_groupoid(G, tmp_path / "g.json")
+    fileio.save_groupoid(H, tmp_path / "h.json")
     fileio.save_kernel(c.QuantumKernel(G, G, rng.normal(size=(36, 36)) + 0j),
                        tmp_path / "k.json", "g.json", "g.json")
-    data = json.loads((tmp_path / "k.json").read_text())
-    table = data["pi_re"]
-    assert len(table) == 36 * 36
-    table["(99,99)|(1,1)"] = table.pop(list(table)[-1])
-    (tmp_path / "bad.json").write_text(json.dumps(data))
+    fileio.save_state(State(H, np.arange(1.0, 17.0) + 0j), tmp_path / "s.json", "h.json")
+    for name, key, size, bad in (("k.json", "pi_re", 36 * 36, "(99,99)|(1,1)"),
+                                 ("s.json", "phi_re", 16, "(99,99)")):
+        data = json.loads((tmp_path / name).read_text())
+        table = data[key]
+        assert len(table) == size
+        table[bad] = table.pop(list(table)[-1])
+        (tmp_path / f"bad_{name}").write_text(json.dumps(data))
     with pytest.raises(SchemaError, match=re.escape("unknown pi_re key '(99,99)|(1,1)'")):
-        fileio.load_kernel(tmp_path / "bad.json")
-    assert len(walks) <= 1
+        fileio.load_kernel(tmp_path / "bad_k.json")
+    assert walks == [1]
+    assert decoder_calls == [36 * 36]
+    ix, calls = fileio._ix, []
+    monkeypatch.setattr(fileio, "_ix", lambda labels, index: calls.append(1) or ix(labels, index))
+    with pytest.raises(SchemaError, match=re.escape("unknown phi_re key '(99,99)'")):
+        fileio.load_state_file(tmp_path / "bad_s.json")
+    assert calls == [1]
 
 
 def test_files_keep_fmt_first_and_element_order(tmp_path):
