@@ -6,6 +6,9 @@ normalized so that the delta-weighted regular representation is an exact
 on each coefficient, the modular homomorphism makes the induced product the
 plain convolution ``(a.b)(gamma) = sum_{beta o alpha = gamma} a(beta) b(alpha)``
 and the involution ``a*(alpha) = conj(a(inv(alpha))) / delta(alpha)``.
+
+On pair groupoids with ``nu = 1/n``, :func:`fundamental_rep_pair` and its inverse
+are the one conversion between coefficients and n x n matrices.
 """
 from __future__ import annotations
 
@@ -116,6 +119,9 @@ def fundamental_rep_pair(a: AlgebraElement) -> np.ndarray:
 
 def element_from_matrix(G: FiniteGroupoid, F: np.ndarray) -> AlgebraElement:
     """Inverse of :func:`fundamental_rep_pair`, on the same pair groupoids."""
+    E = G.pair_index
+    if np.shape(F) != E.shape:
+        raise GroupoidMismatch(f"matrix shape {np.shape(F)}, expected {E.shape}")
     c = np.zeros(len(G.elements), dtype=complex)
-    c[G.pair_index] = np.asarray(F, dtype=complex)
+    c[E] = F
     return AlgebraElement(G, c)

@@ -29,13 +29,7 @@ from .errors import (
     RowSumViolation,
 )
 from .groupoid import FiniteGroupoid
-from .states import (
-    State,
-    check_state,
-    density_from_phi_unchecked,
-    fiber_psd_verdicts,
-    phi_from_density_unchecked,
-)
+from .states import State, check_state, fiber_psd_verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +46,8 @@ class ClassicalKernel:
         M = np.asarray(self.K, dtype=float)
         if M.ndim != 2:
             raise RowSumViolation("classical kernel must be a matrix")
+        if not M.shape[0]:
+            raise RowSumViolation("classical kernel has no rows")
         if not np.isfinite(M).all():
             raise RowSumViolation("classical kernel has non-finite entries")
         if np.any(M < -numkit.STOCHASTIC_TOL):
@@ -203,17 +199,17 @@ def check_ncp_morphism(Pi: QuantumKernel, rho1: State, rho2: State,
 # ---------------------------------------------------------------------------
 
 def kernel_to_cp_map(Pi: QuantumKernel) -> Callable[[np.ndarray], np.ndarray]:
-    """State-side (predual) linear map on matrices induced by the kernel.
-
-    Defined as the density dictionary conjugation of :func:`push_phi`, extended
-    by linearity to all of M_n.
+    """State-side (predual) linear map on n x n matrices induced by the kernel,
+    ``Phi_*(D)[k,l] = sum_ij D[i,j] C[(i,k),(j,l)]`` with C its Choi matrix: the
+    density dictionary conjugation of :func:`push_phi`, extended by linearity.
     """
-    G1, G2 = Pi.g1, Pi.g2
+    n, m = len(Pi.g1.outcomes), len(Pi.g2.outcomes)
+    C = choi_matrix(Pi).reshape(n, m, n, m)
 
     def phi_star(D: np.ndarray) -> np.ndarray:
-        phi1 = phi_from_density_unchecked(np.asarray(D, dtype=complex), G1)
-        phi2 = push_phi(phi1, Pi)
-        return density_from_phi_unchecked(phi2, G2)
+        if np.shape(D) != (n, n):
+            raise GroupoidMismatch(f"matrix shape {np.shape(D)}, expected {(n, n)}")
+        return np.einsum("ij,ikjl->kl", D, C)
 
     return phi_star
 
@@ -278,7 +274,11 @@ def kernel_from_matrix_map(phi_star: Callable[[np.ndarray], np.ndarray],
     """
     K, n, m = _choi_index(G1, G2, "matrix-map kernels")
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i * n + j
-    images = np.array([phi_star(E) for E in units], dtype=complex).reshape(n, n, m, m)
+    images = [np.asarray(phi_star(E), dtype=complex) for E in units]
+    for image in images:
+        if image.shape != (m, m):
+            raise GroupoidMismatch(f"matrix map image shape {image.shape}, expected {(m, m)}")
+    images = np.reshape(images, (n, n, m, m))
     return _from_choi(images.transpose(0, 2, 1, 3).reshape(K.shape), K, G1, G2)
 
 

@@ -80,18 +80,23 @@ class GnsSpace:
         return M
 
 
+def _gram_blocks(rho: State):
+    """``(F, B)`` per fiber size: the elements ``F`` (k, s) of k target fibers
+    and their Gram blocks ``B[i, k, l] = gram[F[i, k], F[i, l]]``."""
+    G = rho.groupoid
+    for _, F, T in G.fiber_blocks:
+        yield F, rho.phi[T] * G.nu_vec[T] / G.delta_vec[F][:, :, None]
+
+
 def gram_matrix(rho: State) -> np.ndarray:
     """``gram[a, b] = rho(star(delta_a) . delta_b)`` in canonical order.
 
     Closed form: ``[t(a) = t(b)] phi(inv(a) o b) nu(inv(a) o b) / delta(a)``.
     """
-    G = rho.groupoid
-    n = len(G.elements)
-    # every (a, b) with equal targets is (inv(x), y) for one composable pair (x, y)
-    x, y, g = G.triples
-    a = G.inv_ix[x]
+    n = len(rho.groupoid.elements)
     M = np.zeros((n, n), dtype=complex)
-    M[a, y] = rho.phi[g] * G.nu_vec[g] / G.delta_vec[a]
+    for F, B in _gram_blocks(rho):
+        M[F[:, :, None], F[:, None, :]] = B
     return M
 
 
@@ -99,20 +104,16 @@ def build_gns(rho0: State, tol: float = numkit.TOL) -> GnsSpace:
     """Eigendecompose the Gram block of every target fiber and split the
     spectra at ``tol * lam_max``, ``lam_max`` over all blocks: eigenvalues
     above the cut span the quotient, the rest the Gelfand ideal."""
-    G = rho0.groupoid
-    eig = []
-    for _, F, T in G.fiber_blocks:
-        B = rho0.phi[T] * G.nu_vec[T] / G.delta_vec[F][:, :, None]
-        # the state check has decided symmetry; eigendecompose the Hermitian part
-        eig.append((F, B, *numkit.hermitian_spectra(B, vectors=True)))
+    # the state check has decided symmetry; eigendecompose the Hermitian part
+    eig = [(F, B, *numkit.hermitian_spectra(B, vectors=True)) for F, B in _gram_blocks(rho0)]
     spectrum = np.sort(np.concatenate([w.ravel() for _, _, w, _ in eig]))
     lam_max = float(np.abs(spectrum).max())
     if lam_max <= 0.0:
         raise DegenerateState("Gram matrix is numerically zero")
     cut = tol * lam_max
     blocks = tuple((F, B, w, V, w > cut) for F, B, w, V in eig)
-    return GnsSpace(groupoid=G, base_state=rho0, blocks=blocks, gram_eigenvalues=spectrum,
-                    dim=int(np.count_nonzero(spectrum > cut)))
+    return GnsSpace(groupoid=rho0.groupoid, base_state=rho0, blocks=blocks,
+                    gram_eigenvalues=spectrum, dim=int(np.count_nonzero(spectrum > cut)))
 
 
 def gns_inner(S: GnsSpace, u, v) -> complex:

@@ -5,7 +5,8 @@ every target-fiber Gram matrix ``M[k,l] = phi(inv(a_k) o a_l)`` is Hermitian
 PSD, and normalized when ``sum_x phi(1_x) nu(1_x) = 1``.  On a pair groupoid
 with ``nu = 1/n`` (uniform P and unit fiber weights) these are exactly the
 density matrices under the dictionary ``phi(element y<-x) = n * D[x, y]`` (so
-that expectations become ``Tr(D A)`` in the fundamental representation).
+that expectations become ``Tr(D A)`` in the fundamental representation): phi
+is n times the element whose matrix picture (:mod:`.algebra`) is ``D^T``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, element_from_matrix, fundamental_rep_pair
 from .errors import GroupoidMismatch, InvalidDensity, InvalidState
 from .groupoid import FiniteGroupoid
 
@@ -120,6 +121,8 @@ def make_density(D, tol: float = numkit.TOL) -> DensityMatrix:
     M = np.asarray(D, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidDensity("density matrix must be square")
+    if not M.size:
+        raise InvalidDensity("density matrix is empty")
     (ok,), (lo,) = numkit.psd_verdicts(M[None], tol)
     if lo == -np.inf:
         raise InvalidDensity("density matrix is not Hermitian")
@@ -137,27 +140,14 @@ def density_from_state(rho: State) -> DensityMatrix:
     the matrix entry ``D[s, t]`` (this is the unique orientation for which the
     algebra expectation becomes ``Tr(D A)``).
     """
-    return make_density(density_from_phi_unchecked(rho.phi, rho.groupoid))
+    G = rho.groupoid
+    return make_density(fundamental_rep_pair(AlgebraElement(G, rho.phi)).T / len(G.outcomes))
 
 
 def state_from_density(D: DensityMatrix | np.ndarray, G: FiniteGroupoid) -> State:
     """Inverse dictionary: ``phi(element t<-s) = n * D[s, t]``."""
-    M = D.matrix if isinstance(D, DensityMatrix) else np.asarray(D, dtype=complex)
-    M = make_density(M).matrix
-    if G.pair_index.shape[0] != M.shape[0]:
-        raise GroupoidMismatch("density matrix size does not match outcome count")
-    return make_state(G, phi_from_density_unchecked(M, G))
-
-
-def phi_from_density_unchecked(M: np.ndarray, G: FiniteGroupoid) -> np.ndarray:
-    """Linear (unvalidated) half of the dictionary, for linear extensions."""
-    phi = np.zeros(len(G.elements), dtype=complex)
-    phi[G.pair_index] = len(G.outcomes) * np.asarray(M).T
-    return phi
-
-
-def density_from_phi_unchecked(phi: np.ndarray, G: FiniteGroupoid) -> np.ndarray:
-    return phi[G.pair_index].T / len(G.outcomes)
+    M = make_density(D.matrix if isinstance(D, DensityMatrix) else D).matrix
+    return make_state(G, len(G.outcomes) * element_from_matrix(G, M.T).coeff)
 
 
 def classical_state(G: FiniteGroupoid, p) -> State:
@@ -165,6 +155,8 @@ def classical_state(G: FiniteGroupoid, p) -> State:
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical_state needs a trivial groupoid")
     p = np.asarray(p, dtype=float).reshape(-1)
+    if p.shape[0] != len(G.outcomes):
+        raise GroupoidMismatch("probability vector length does not match outcome count")
     phi = np.zeros(len(G.elements), dtype=complex)
     phi[G.unit_ix] = p / G.nu_vec[G.unit_ix]
     return make_state(G, phi)

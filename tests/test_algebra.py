@@ -101,6 +101,10 @@ def test_fundamental_rep_guards():
     G = c.pair_groupoid(2, P={"1": 0.3, "2": 0.7})
     with pytest.raises(NonUniformP):
         fundamental_rep_pair(unit_element(G))
+    with pytest.raises(GroupoidMismatch, match=r"matrix shape \(3, 3\), expected \(2, 2\)"):
+        element_from_matrix(c.pair_groupoid(2), np.eye(3))
+    with pytest.raises(GroupoidMismatch):
+        element_from_matrix(c.pair_groupoid(2), np.ones(4))
 
 
 def test_groupoid_mismatch():

@@ -53,6 +53,8 @@ def test_classical_kernel_guards():
         ClassicalKernel(np.array([[1.5, -0.5], [0.5, 0.5]]))
     with pytest.raises(RowSumViolation, match="non-finite"):
         ClassicalKernel(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+    with pytest.raises(RowSumViolation, match="no rows"):
+        ClassicalKernel(np.zeros((0, 2)))
 
 
 def test_identity_kernel_axioms(pair2):
@@ -202,6 +204,10 @@ def test_kernel_to_cp_map_linear(pair2):
     out = phi_star(E)
     expect = sum(a @ E @ a.conj().T for a in depolarizing_kraus(0.5))
     assert np.abs(out - expect).max() < 1e-12
+    with pytest.raises(GroupoidMismatch, match=r"matrix shape \(3, 3\), expected \(2, 2\)"):
+        phi_star(np.eye(3))
+    with pytest.raises(GroupoidMismatch, match=r"image shape \(3, 3\), expected \(2, 2\)"):
+        kernel_from_matrix_map(lambda M: np.eye(3), pair2, pair2)
 
 
 @settings(max_examples=20, deadline=None)

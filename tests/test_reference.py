@@ -28,12 +28,7 @@ import cencov_ncp as c
 import reference as ref
 from cencov_ncp import fileio, numkit
 from cencov_ncp import groupoid as groupoid_module
-from cencov_ncp.channels import (
-    choi_matrix,
-    choi_to_kernel,
-    density_from_phi_unchecked,
-    phi_from_density_unchecked,
-)
+from cencov_ncp.channels import choi_matrix, choi_to_kernel
 from cencov_ncp.errors import CencovNcpError, NonUniformP, SchemaError
 from cencov_ncp.estimation import StatisticalModel, cramer_rao_bound, fisher_metric
 from cencov_ncp.groupoid import validate
@@ -294,9 +289,12 @@ def test_density_dictionary(G, data):
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     D = M @ M.conj().T / np.trace(M @ M.conj().T).real
     phi = vectors(data.draw, len(G.elements))
+    # the two linear halves of the dictionary, read through the matrix picture
     for new_fn, old_fn, arg in (
-        (phi_from_density_unchecked, ref.phi_from_density_unchecked, M),
-        (density_from_phi_unchecked, ref.density_from_phi_unchecked, phi),
+        (lambda M, G: n * c.element_from_matrix(G, M.T).coeff,
+         ref.phi_from_density_unchecked, M),
+        (lambda phi, G: c.fundamental_rep_pair(c.AlgebraElement(G, phi)).T / n,
+         ref.density_from_phi_unchecked, phi),
     ):
         (new_exc, new), (old_exc, old) = outcome(new_fn, arg, G), outcome(old_fn, arg, G)
         assert new_exc is old_exc
@@ -353,6 +351,9 @@ def test_matrix_map_kernel(G1, G2, data):
     assert new_exc is old_exc
     if old_exc is None:
         assert close(new.pi, old.pi)
+        # and the kernel's matrix map is phi_star again
+        D = vectors(data.draw, n * n).reshape(n, n)
+        assert close(c.kernel_to_cp_map(new)(D), phi_star(D))
 
 
 @SETTINGS

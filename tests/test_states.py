@@ -80,6 +80,8 @@ def test_make_density_guards():
         make_density(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not hermitian
     with pytest.raises(InvalidDensity):
         make_density(np.diag([0.8, 0.8]))  # trace 1.6
+    with pytest.raises(InvalidDensity, match="empty"):
+        make_density(np.zeros((0, 0)))
 
 
 def test_state_groupoid_mismatch(pair2, triv2):
@@ -87,6 +89,11 @@ def test_state_groupoid_mismatch(pair2, triv2):
     a = c.unit_element(pair2)
     with pytest.raises(GroupoidMismatch):
         expectation(rho, a)
+    for p in ([0.2, 0.3, 0.5], [1.0]):  # a probability per outcome
+        with pytest.raises(GroupoidMismatch):
+            classical_state(triv2, p)
+    with pytest.raises(GroupoidMismatch):
+        state_from_density(np.eye(3) / 3, pair2)
 
 
 def test_state_on_group_groupoid():
