@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numkit
 from .errors import GroupoidMismatch
 from .groupoid import FiniteGroupoid
 
@@ -28,10 +29,8 @@ class AlgebraElement:
     coeff: np.ndarray  # complex, canonical element order
 
     def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=complex).reshape(-1)
-        if c.shape[0] != len(self.groupoid.elements):
-            raise GroupoidMismatch("coefficient vector length does not match groupoid")
-        object.__setattr__(self, "coeff", c)
+        object.__setattr__(self, "coeff", numkit._as_array(
+            self.coeff, (len(self.groupoid.elements),), GroupoidMismatch, "coefficient vector"))
 
     def __getitem__(self, elem: str) -> complex:
         return complex(self.coeff[self.groupoid.index[elem]])
@@ -120,8 +119,6 @@ def fundamental_rep_pair(a: AlgebraElement) -> np.ndarray:
 def element_from_matrix(G: FiniteGroupoid, F: np.ndarray) -> AlgebraElement:
     """Inverse of :func:`fundamental_rep_pair`, on the same pair groupoids."""
     E = G.pair_index
-    if np.shape(F) != E.shape:
-        raise GroupoidMismatch(f"matrix shape {np.shape(F)}, expected {E.shape}")
     c = np.zeros(len(G.elements), dtype=complex)
-    c[E] = F
+    c[E] = numkit._as_array(F, E.shape, GroupoidMismatch, "matrix")
     return AlgebraElement(G, c)

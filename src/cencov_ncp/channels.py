@@ -43,9 +43,7 @@ class ClassicalKernel:
     K: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.K, dtype=float)
-        if M.ndim != 2:
-            raise RowSumViolation("classical kernel must be a matrix")
+        M = numkit._as_array(self.K, (-1, -1), RowSumViolation, "classical kernel", float)
         if not M.shape[0]:
             raise RowSumViolation("classical kernel has no rows")
         if not np.isfinite(M).all():
@@ -71,10 +69,8 @@ class QuantumKernel:
     pi: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.pi, dtype=complex)
-        if M.shape != (len(self.g1.elements), len(self.g2.elements)):
-            raise GroupoidMismatch("kernel array shape does not match groupoids")
-        object.__setattr__(self, "pi", M)
+        shape = (len(self.g1.elements), len(self.g2.elements))
+        object.__setattr__(self, "pi", numkit._as_array(self.pi, shape, GroupoidMismatch, "pi"))
 
     def value(self, a1: str, a2: str) -> complex:
         return complex(self.pi[self.g1.index[a1], self.g2.index[a2]])
@@ -207,9 +203,7 @@ def kernel_to_cp_map(Pi: QuantumKernel) -> Callable[[np.ndarray], np.ndarray]:
     C = choi_matrix(Pi).reshape(n, m, n, m)
 
     def phi_star(D: np.ndarray) -> np.ndarray:
-        if np.shape(D) != (n, n):
-            raise GroupoidMismatch(f"matrix shape {np.shape(D)}, expected {(n, n)}")
-        return np.einsum("ij,ikjl->kl", D, C)
+        return np.einsum("ij,ikjl->kl", numkit._as_array(D, (n, n), GroupoidMismatch, "matrix"), C)
 
     return phi_star
 
@@ -218,13 +212,11 @@ def completeness_deficit(kraus: Sequence[np.ndarray]) -> float:
     """``max |sum_k A_k† A_k - I|``, zero for a trace-preserving Kraus family:
     nonempty matrices of one shape, in a non-empty list or an ``(r, m, n)``
     stack, which may be empty, with sum 0.  DimensionMismatch on other input."""
-    try:
-        A = np.asarray(kraus)
-    except ValueError:  # operators of different shapes
-        A = np.empty(0)
-    if A.ndim != 3 or 0 in A.shape[1:]:
+    A = numkit._as_array(kraus, (-1, -1, -1), DimensionMismatch, "Kraus family")
+    if 0 in A.shape[1:]:
         raise DimensionMismatch("Kraus operators must be nonempty matrices of one shape")
-    total = sum(a.conj().T @ a for a in A)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan deficit, no warning
+        total = sum(a.conj().T @ a for a in A)
     return float(np.abs(total - np.eye(A.shape[-1])).max())
 
 
@@ -255,13 +247,10 @@ def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
     ``Pi((j,i),(l,k)) = m * sum_a A_a[k,i] conj(A_a[l,j])``.
     """
     K, n, m = _choi_index(G1, G2, "Kraus kernels")
-    A = [np.asarray(a, dtype=complex) for a in kraus]
-    for a in A:
-        if a.shape != (m, n):
-            raise GroupoidMismatch(f"Kraus operator shape {a.shape}, expected {(m, n)}")
+    A = [numkit._as_array(a, (m, n), GroupoidMismatch, "Kraus operator") for a in kraus]
     A = np.reshape(A, (len(A), m, n))  # of shape (0, m, n) for an empty family
     dev = completeness_deficit(A)
-    if dev > tol:
+    if not dev <= tol:  # a nan deficit too
         raise NonTracePreserving(f"sum A†A deviates from identity by {dev:.3e}")
     return _from_choi(np.einsum("aki,alj->ikjl", A, np.conj(A)).reshape(K.shape), K, G1, G2)
 
@@ -274,10 +263,8 @@ def kernel_from_matrix_map(phi_star: Callable[[np.ndarray], np.ndarray],
     """
     K, n, m = _choi_index(G1, G2, "matrix-map kernels")
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i * n + j
-    images = [np.asarray(phi_star(E), dtype=complex) for E in units]
-    for image in images:
-        if image.shape != (m, m):
-            raise GroupoidMismatch(f"matrix map image shape {image.shape}, expected {(m, m)}")
+    images = [numkit._as_array(phi_star(E), (m, m), GroupoidMismatch, "matrix map image")
+              for E in units]
     images = np.reshape(images, (n, n, m, m))
     return _from_choi(images.transpose(0, 2, 1, 3).reshape(K.shape), K, G1, G2)
 

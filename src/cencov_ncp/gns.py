@@ -118,11 +118,8 @@ def build_gns(rho0: State, tol: float = numkit.TOL) -> GnsSpace:
 
 def gns_inner(S: GnsSpace, u, v) -> complex:
     """``<u|v> = u† gram v`` on spanning-set coordinate vectors."""
-    uu = np.asarray(u, dtype=complex).reshape(-1)
-    vv = np.asarray(v, dtype=complex).reshape(-1)
-    n = len(S.groupoid.elements)
-    if uu.shape[0] != n or vv.shape[0] != n:
-        raise DimensionMismatch("coordinate vectors must have length |Gamma|")
+    uu, vv = (numkit._as_array(x, (len(S.groupoid.elements),), DimensionMismatch,
+                               "coordinate vector") for x in (u, v))
     return complex(uu.conj() @ S.apply(vv))
 
 

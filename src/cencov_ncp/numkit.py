@@ -1,10 +1,11 @@
-"""Batched Hermitian eigensolves and positive-semidefiniteness verdicts, and
-every tolerance of the package.
+"""Batched Hermitian eigensolves and positive-semidefiniteness verdicts, every
+tolerance of the package, and the one conversion of array arguments.
 
 Thin wrappers around LAPACK (via numpy): each call decides a whole stack of
 matrices with one eigensolve.  Each verdict that takes a ``tol`` (the state,
 kernel, Kraus, CP and GNS rank verdicts) defaults to ``TOL``, and the CLI's
-``--tol`` sets it; the other bounds below are fixed.
+``--tol`` sets it; the other bounds below are fixed.  ``_as_array`` converts
+every array argument of the library and raises its caller's error class.
 """
 from __future__ import annotations
 
@@ -25,6 +26,21 @@ CONGRUENCE_TOL = 1e-10  # max |K L - I| of a congruent embedding K with left inv
 # relative size below which an entry is set to zero before an eigensolve: its square
 # underflows, and LAPACK's eigenvalue-only solver, which works with squares, loses digits
 _UNDERFLOW_FLOOR = float(np.sqrt(np.finfo(float).tiny))
+_RANKS = {1: "a vector", 2: "a matrix", 3: "a stack of matrices"}
+
+
+def _as_array(x, shape: tuple, error: type, what: str, dtype=complex) -> np.ndarray:
+    """``np.asarray(x, dtype)``; ``error`` naming ``what`` if that fails (a ragged
+    nesting, an entry that is not a number) or the shape is not ``shape`` (-1: any)."""
+    try:
+        a = np.asarray(x, dtype)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} is not an array of numbers") from exc
+    if a.ndim != len(shape):
+        raise error(f"{what} must be {_RANKS[len(shape)]}, not of shape {a.shape}")
+    if any(want not in (-1, got) for want, got in zip(shape, a.shape)):
+        raise error(f"{what} shape {a.shape}, expected {shape}")
+    return a
 
 
 def hermitian_spectra(H, vectors: bool = False):

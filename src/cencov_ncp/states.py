@@ -50,7 +50,8 @@ class State:
 def fiber_gram(G: FiniteGroupoid, phi: np.ndarray, x: str) -> np.ndarray:
     """Gram matrix ``phi(inv(a_k) o a_l)`` over the target fiber of x."""
     fiber = G.fiber_ix(x)
-    return np.asarray(phi, dtype=complex)[G.composed(G.inv_ix[fiber][:, None], fiber)]
+    phi = numkit._as_array(phi, (len(G.elements),), GroupoidMismatch, "phi")
+    return phi[G.composed(G.inv_ix[fiber][:, None], fiber)]
 
 
 def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, scale=None):
@@ -64,9 +65,7 @@ def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, scale=Non
 
 def check_state(phi, G: FiniteGroupoid, tol: float = numkit.TOL) -> StateReport:
     """Report positive definiteness, normalization, and hermitian symmetry."""
-    v = np.asarray(phi, dtype=complex).reshape(-1)
-    if v.shape[0] != len(G.elements):
-        raise GroupoidMismatch("phi length does not match groupoid")
+    v = numkit._as_array(phi, (len(G.elements),), GroupoidMismatch, "phi")
     psd, fiber_min = fiber_psd_verdicts(G, v, tol)
     norm_deficit = abs(complex(v[G.unit_ix] @ G.nu_vec[G.unit_ix]) - 1.0)
     sym_deficit = float(np.abs(v[G.inv_ix] - np.conj(v)).max())
@@ -82,6 +81,9 @@ def check_state(phi, G: FiniteGroupoid, tol: float = numkit.TOL) -> StateReport:
 
 def make_state(G: FiniteGroupoid, phi, tol: float = numkit.TOL) -> State:
     """Construct a State, raising InvalidState when any invariant fails."""
+    phi = numkit._as_array(phi, (len(G.elements),), GroupoidMismatch, "phi")
+    if not np.isfinite(phi).all():
+        raise InvalidState("phi has non-finite entries")
     report = check_state(phi, G, tol=tol)
     if not report.passed:
         raise InvalidState(
@@ -89,7 +91,7 @@ def make_state(G: FiniteGroupoid, phi, tol: float = numkit.TOL) -> State:
             f"norm_deficit={report.normalization_deficit:.3e} "
             f"sym_deficit={report.symmetry_deficit:.3e}"
         )
-    return State(G, np.asarray(phi, dtype=complex).reshape(-1).copy())
+    return State(G, phi.copy())
 
 
 def expectation(rho: State, a: AlgebraElement) -> complex:
@@ -118,11 +120,13 @@ class DensityMatrix:
 
 
 def make_density(D, tol: float = numkit.TOL) -> DensityMatrix:
-    M = np.asarray(D, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    M = numkit._as_array(D, (-1, -1), InvalidDensity, "density matrix")
+    if M.shape[0] != M.shape[1]:
         raise InvalidDensity("density matrix must be square")
     if not M.size:
         raise InvalidDensity("density matrix is empty")
+    if not np.isfinite(M).all():
+        raise InvalidDensity("density matrix has non-finite entries")
     (ok,), (lo,) = numkit.psd_verdicts(M[None], tol)
     if lo == -np.inf:
         raise InvalidDensity("density matrix is not Hermitian")
@@ -154,9 +158,7 @@ def classical_state(G: FiniteGroupoid, p) -> State:
     """State on a trivial groupoid from a probability vector: phi(1_x) = p(x)/nu(1_x)."""
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical_state needs a trivial groupoid")
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if p.shape[0] != len(G.outcomes):
-        raise GroupoidMismatch("probability vector length does not match outcome count")
+    p = numkit._as_array(p, (len(G.outcomes),), GroupoidMismatch, "probability vector", float)
     phi = np.zeros(len(G.elements), dtype=complex)
     phi[G.unit_ix] = p / G.nu_vec[G.unit_ix]
     return make_state(G, phi)

@@ -101,9 +101,15 @@ def test_choi_matrix_of_identity(pair2):
 
 
 def test_non_trace_preserving_rejected(pair2):
-    """An empty family too: its sum is 0, not the identity."""
+    """An empty family too: its sum is 0, not the identity; and a family with
+    an entry that is not finite, whose deficit is nan or inf."""
     for kraus in ([np.eye(2) * 0.5], []):
         with pytest.raises(NonTracePreserving):
+            choi_to_kernel(kraus, pair2, pair2)
+    for bad in (np.nan, np.inf, 1e200):
+        kraus = [np.array([[bad, 0.0], [0.0, 1.0]])]
+        assert not np.isfinite(completeness_deficit(kraus))
+        with pytest.raises(NonTracePreserving, match="by (nan|inf)"):
             choi_to_kernel(kraus, pair2, pair2)
 
 

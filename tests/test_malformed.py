@@ -1,15 +1,23 @@
 """Malformed tables in otherwise readable files are schema errors (exit 2),
-and numbers that are not finite never pass."""
+numbers that are not finite never pass, and a malformed array argument of the
+library raises its documented class."""
 import json
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cencov_ncp as c
 from cencov_ncp import fileio
-from cencov_ncp.channels import ClassicalKernel
+from cencov_ncp.channels import ClassicalKernel, completeness_deficit
 from cencov_ncp.cli import main
-from cencov_ncp.errors import RowSumViolation
+from cencov_ncp.errors import (
+    DimensionMismatch,
+    GroupoidMismatch,
+    InvalidDensity,
+    RowSumViolation,
+)
 
 
 def repeated_compose_pair(d, first):
@@ -276,3 +284,56 @@ def test_non_finite_number_is_rejected(fixture_dir, case, token):
     result = CliRunner().invoke(main, ["validate", str(bad)], catch_exceptions=False)
     assert result.exit_code == code
     assert message in result.output
+
+
+RAGGED = [[1, 2], [3]]
+PAIR2, TRIV2 = c.pair_groupoid(2), c.trivial_groupoid(2)
+UNIT = c.unit_element(PAIR2).coeff
+MIXED = c.state_from_density(np.eye(2) / 2, PAIR2)
+
+
+def _gns_inner(u, v=UNIT):
+    return c.gns_inner(c.build_gns(MIXED), u, v)
+
+
+# every entry point that takes an array, called with x, and its documented class
+ARRAY_ARGUMENTS = {
+    "AlgebraElement": (lambda x: c.AlgebraElement(PAIR2, x), GroupoidMismatch),
+    "element_from_matrix": (lambda x: c.element_from_matrix(PAIR2, x), GroupoidMismatch),
+    "check_state": (lambda x: c.check_state(x, PAIR2), GroupoidMismatch),
+    "make_state": (lambda x: c.make_state(PAIR2, x), GroupoidMismatch),
+    "classical_state": (lambda x: c.classical_state(TRIV2, x), GroupoidMismatch),
+    "fiber_gram": (lambda x: c.fiber_gram(PAIR2, x, "1"), GroupoidMismatch),
+    "make_density": (c.make_density, InvalidDensity),
+    "ClassicalKernel": (ClassicalKernel, RowSumViolation),
+    "QuantumKernel": (lambda x: c.QuantumKernel(PAIR2, PAIR2, x), GroupoidMismatch),
+    "kernel_to_cp_map": (lambda x: c.kernel_to_cp_map(c.identity_kernel(PAIR2))(x),
+                         GroupoidMismatch),
+    "kernel_from_matrix_map": (lambda x: c.kernel_from_matrix_map(lambda D: x, PAIR2, PAIR2),
+                               GroupoidMismatch),
+    "choi_to_kernel": (lambda x: c.choi_to_kernel([x], PAIR2, PAIR2), GroupoidMismatch),
+    "completeness_deficit": (completeness_deficit, DimensionMismatch),
+    "gns_inner": (_gns_inner, DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_ARGUMENTS))
+def test_ragged_array_argument_raises_the_documented_class(case):
+    """A ragged nesting is named as such, in the entry point's own class, not
+    as numpy's ValueError."""
+    call, error = ARRAY_ARGUMENTS[case]
+    with pytest.raises(error, match="is not an array of numbers"):
+        call(RAGGED)
+
+
+@pytest.mark.parametrize("case, x, shape", [
+    ("AlgebraElement", np.eye(2), (2, 2)),
+    ("make_state", MIXED.phi.reshape(2, 2), (2, 2)),
+    ("classical_state", [[0.5], [0.5]], (2, 1)),
+    ("gns_inner", UNIT[:, None], (4, 1)),
+], ids=["AlgebraElement", "make_state", "classical_state", "gns_inner"])
+def test_matrix_where_a_vector_is_due_is_refused(case, x, shape):
+    """A 2-D array with as many entries as the vector is refused, not flattened."""
+    call, error = ARRAY_ARGUMENTS[case]
+    with pytest.raises(error, match=re.escape(f"must be a vector, not of shape {shape}")):
+        call(x)

@@ -60,6 +60,14 @@ def test_invalid_states_rejected(pair2):
     D = np.array([[0.5, 0.9], [0.9, 0.5]])
     with pytest.raises(InvalidDensity):
         state_from_density(D, pair2)
+    # a non-finite entry is decided before any arithmetic, so no RuntimeWarning
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidState, match="non-finite"):
+            make_state(pair2, [bad, 0.0, 0.0, 1.0])
+        with pytest.raises(InvalidState, match="non-finite"):
+            classical_state(c.trivial_groupoid(2), [bad, 0.5])
+        with pytest.raises(InvalidDensity, match="non-finite"):
+            state_from_density(np.array([[bad, 0.0], [0.0, 1.0]]), pair2)
 
 
 def test_check_state_report(pair2):
@@ -82,6 +90,9 @@ def test_make_density_guards():
         make_density(np.diag([0.8, 0.8]))  # trace 1.6
     with pytest.raises(InvalidDensity, match="empty"):
         make_density(np.zeros((0, 0)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidDensity, match="non-finite"):
+            make_density(np.array([[0.5, bad], [bad, 0.5]]))
 
 
 def test_state_groupoid_mismatch(pair2, triv2):
