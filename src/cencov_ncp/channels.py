@@ -186,7 +186,7 @@ def check_ncp_morphism(Pi: QuantumKernel, rho1: State, rho2: State,
     """True iff Pi maps rho1 to rho2, i.e. is a morphism of state couples."""
     if rho1.groupoid != Pi.g1 or rho2.groupoid != Pi.g2:
         raise GroupoidMismatch("state groupoids do not match kernel")
-    pushed = push_state(rho1, Pi)
+    pushed = push_state_report(rho1, Pi, tol)[0]
     return bool(np.abs(pushed.phi - rho2.phi).max() <= tol * (1 + np.abs(rho2.phi).max()))
 
 

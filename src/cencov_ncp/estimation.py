@@ -29,7 +29,7 @@ from .errors import (
 )
 from .gns import GnsSpace, gns_inner
 from .groupoid import FiniteGroupoid, trivial_groupoid
-from .states import State, classical_state, expectation, outcome_distribution
+from .states import State, classical_state, expectation
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def classical_fisher_rao(M: StatisticalModel, h: float = numkit.DEFAULT_H) -> fl
     G = M.groupoid
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical Fisher-Rao needs a trivial groupoid")
-    p0 = np.fromiter(outcome_distribution(M.at(M.s0)).values(), dtype=float)
+    p0 = M.at(M.s0).phi[G.unit_ix].real * G.nu_vec[G.unit_ix]
     if np.any(p0 <= numkit.P_FLOOR):
         raise SupportBoundary("probability mass at or below the support floor")
     dp = derivative_vector(M, h=h)[G.unit_ix].real

@@ -34,8 +34,12 @@ class GnsSpace:
     dim: int
 
     def apply(self, u) -> np.ndarray:
-        """``gram @ u`` for a vector or matrix u of |Gamma| rows."""
-        u = np.asarray(u, dtype=complex)
+        """``gram @ u`` for a vector (|Gamma|,) or a matrix (|Gamma|, k) u."""
+        n = len(self.groupoid.elements)
+        try:
+            u = numkit._as_array(u, (n, -1), DimensionMismatch, "coordinate vectors")
+        except DimensionMismatch:  # a vector, or the error that names it
+            u = numkit._as_array(u, (n,), DimensionMismatch, "coordinate vector")
         out = np.zeros_like(u)
         for F, B, *_ in self.blocks:
             out[F] = np.einsum("kij,kj...->ki...", B, u[F])
@@ -44,7 +48,9 @@ class GnsSpace:
     def solve(self, v) -> np.ndarray:
         """``Q Q† v``, the minimum-norm solution of ``gram x = v`` on the range
         of the Gram matrix: ``V diag(1/w) V† v_F`` on the kept block spectra."""
-        x = np.zeros(len(v), dtype=complex)
+        n = len(self.groupoid.elements)
+        v = numkit._as_array(v, (n,), DimensionMismatch, "coordinate vector")
+        x = np.zeros(n, dtype=complex)
         for F, _, w, V, keep in self.blocks:
             c = np.einsum("kji,kj->ki", V.conj(), v[F])
             x[F] = np.einsum("kij,kj->ki", V, np.divide(c, w, out=np.zeros_like(c), where=keep))

@@ -76,9 +76,11 @@ def _table(keys: str, labels: str, ix: str) -> cached_property:
         lambda G: _view(getattr(G, keys), _names(getattr(G, labels), getattr(G, ix))))
 
 
-# the stored arrays of a groupoid and their dtypes
-_ARRAYS = {"src": np.intp, "tgt": np.intp, "inv_ix": np.intp, "unit_ix": np.intp,
-           "compose_ix": np.int32, "P_vec": float, "weight_vec": float}
+# the stored arrays of a groupoid: their dtypes, and what they hold one entry per
+_ARRAYS = {"src": (np.intp, "element"), "tgt": (np.intp, "element"),
+           "inv_ix": (np.intp, "element"), "unit_ix": (np.intp, "outcome"),
+           "compose_ix": (np.int32, "composable pair"), "P_vec": (float, "outcome"),
+           "weight_vec": (float, "element")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +99,14 @@ class FiniteGroupoid:
     weight_vec: np.ndarray  # fiber weight w of each element
 
     def __post_init__(self):
-        for name, dtype in _ARRAYS.items():
-            a = np.asarray(getattr(self, name), dtype=dtype)
+        sizes = {"element": len(self.elements), "outcome": len(self.outcomes)}
+        for name, (dtype, per) in _ARRAYS.items():
+            # src and tgt come first: the composable pairs are counted from them
+            size = sizes[per] if per in sizes else int(self._rows[0][-1])
+            a = numkit._as_array(getattr(self, name), (size,), SchemaError,
+                                 f"{name} (one entry per {per})", dtype)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        if self.compose_ix.shape != (self._rows[0][-1],):
-            raise SchemaError(f"compose_ix of shape {self.compose_ix.shape}: it needs one "
-                              f"entry per composable pair, {self._rows[0][-1]}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroupoid):
@@ -122,29 +125,32 @@ class FiniteGroupoid:
     def outcome_index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.outcomes)}
 
+    # each reads the arrays at ``index``: KeyError for a label that is no element
     def s(self, alpha: str) -> str:
-        return self.source[alpha]
+        return self.outcomes[self.src[self.index[alpha]]]
 
     def t(self, alpha: str) -> str:
-        return self.target[alpha]
+        return self.outcomes[self.tgt[self.index[alpha]]]
 
     def inv(self, alpha: str) -> str:
-        return self.inverse_map[alpha]
+        return self.elements[self.inv_ix[self.index[alpha]]]
 
     def compose(self, beta: str, alpha: str) -> Optional[str]:
         """``beta o alpha``, or None when not composable."""
-        return self.compose_table.get((beta, alpha))
+        b, a = self.index[beta], self.index[alpha]
+        return self.elements[self.composed(b, a)] if self.src[b] == self.tgt[a] else None
 
     def is_unit(self, alpha: str) -> bool:
-        return self.unit_of[self.source[alpha]] == alpha
+        a = self.index[alpha]
+        return bool(self.unit_ix[self.src[a]] == a)
 
     def nu(self, alpha: str) -> float:
         """Total measure nu(alpha) = w(alpha) * P(t(alpha))."""
-        return self.fiber_weight[alpha] * self.P[self.target[alpha]]
+        return float(self.nu_vec[self.index[alpha]])
 
     def delta(self, alpha: str) -> float:
         """Modular function delta(alpha) = nu(inv(alpha)) / nu(alpha)."""
-        return self.nu(self.inverse_map[alpha]) / self.nu(alpha)
+        return float(self.delta_vec[self.index[alpha]])
 
     @property
     def composable_pairs(self) -> tuple[tuple[str, str, str], ...]:

@@ -31,10 +31,16 @@ _RANKS = {1: "a vector", 2: "a matrix", 3: "a stack of matrices"}
 
 def _as_array(x, shape: tuple, error: type, what: str, dtype=complex) -> np.ndarray:
     """``np.asarray(x, dtype)``; ``error`` naming ``what`` if that fails (a ragged
-    nesting, an entry that is not a number) or the shape is not ``shape`` (-1: any)."""
+    nesting, an entry that is not a number, a nonzero imaginary part where
+    ``dtype`` is real) or the shape is not ``shape`` (-1: any)."""
     try:
-        a = np.asarray(x, dtype)
-    except (TypeError, ValueError) as exc:
+        a = np.asarray(x)
+        if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+            if a.imag.any():  # refused, never dropped
+                raise error(f"{what} is not an array of real numbers")
+            a = a.real
+        a = np.asarray(a, dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} is not an array of numbers") from exc
     if a.ndim != len(shape):
         raise error(f"{what} must be {_RANKS[len(shape)]}, not of shape {a.shape}")

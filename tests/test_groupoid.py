@@ -121,6 +121,26 @@ def test_compose_ix_holds_one_entry_per_composable_pair():
             dataclasses.replace(G, compose_ix=C)
 
 
+def test_label_accessors_read_the_index_arrays():
+    """``s``, ``t``, ``inv``, ``compose``, ``is_unit``, ``nu`` and ``delta``
+    agree with the string tables without building them, and a label that is
+    no element is a KeyError, not an uncomposable pair."""
+    G = c.disjoint_union(c.pair_groupoid(2, {"1": 0.25, "2": 0.75}), c.trivial_groupoid(1), 0.4)
+    got = [(G.s(a), G.t(a), G.inv(a), G.is_unit(a), G.nu(a), G.delta(a),
+            [G.compose(b, a) for b in G.elements]) for a in G.elements]
+    assert not set(VIEWS) & set(G.__dict__)
+    assert got == [
+        (G.source[a], G.target[a], G.inverse_map[a], G.unit_of[G.source[a]] == a,
+         G.fiber_weight[a] * G.P[G.target[a]],
+         G.fiber_weight[G.inverse_map[a]] * G.P[G.source[a]]
+         / (G.fiber_weight[a] * G.P[G.target[a]]),
+         [G.compose_table.get((b, a)) for b in G.elements]) for a in G.elements]
+    for call in (G.s, G.t, G.inv, G.is_unit, G.nu, G.delta,
+                 lambda a: G.compose(a, "1:(1,1)"), lambda a: G.compose("1:(1,1)", a)):
+        with pytest.raises(KeyError):
+            call("nope")
+
+
 def test_pair_groupoid_memory_follows_the_composable_pairs():
     """pair(64) has 262 144 composable pairs but 16.8 M pairs of elements:
     building it, its triples and its fiber blocks stays under 40 MB traced,

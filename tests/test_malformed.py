@@ -1,6 +1,7 @@
 """Malformed tables in otherwise readable files are schema errors (exit 2),
 numbers that are not finite never pass, and a malformed array argument of the
 library raises its documented class."""
+import dataclasses
 import json
 import re
 
@@ -17,6 +18,7 @@ from cencov_ncp.errors import (
     GroupoidMismatch,
     InvalidDensity,
     RowSumViolation,
+    SchemaError,
 )
 
 
@@ -290,10 +292,11 @@ RAGGED = [[1, 2], [3]]
 PAIR2, TRIV2 = c.pair_groupoid(2), c.trivial_groupoid(2)
 UNIT = c.unit_element(PAIR2).coeff
 MIXED = c.state_from_density(np.eye(2) / 2, PAIR2)
+GNS = c.build_gns(MIXED)
 
 
 def _gns_inner(u, v=UNIT):
-    return c.gns_inner(c.build_gns(MIXED), u, v)
+    return c.gns_inner(GNS, u, v)
 
 
 # every entry point that takes an array, called with x, and its documented class
@@ -314,16 +317,49 @@ ARRAY_ARGUMENTS = {
     "choi_to_kernel": (lambda x: c.choi_to_kernel([x], PAIR2, PAIR2), GroupoidMismatch),
     "completeness_deficit": (completeness_deficit, DimensionMismatch),
     "gns_inner": (_gns_inner, DimensionMismatch),
+    "GnsSpace.apply": (GNS.apply, DimensionMismatch),
+    "GnsSpace.solve": (GNS.solve, DimensionMismatch),
+    **{f"FiniteGroupoid.{name}": (
+        lambda x, name=name: dataclasses.replace(PAIR2, **{name: x}), SchemaError)
+       for name in ("src", "tgt", "inv_ix", "unit_ix", "compose_ix", "P_vec", "weight_vec")},
+}
+
+COMPLEX = np.array([[1 + 1j, 0], [0, 1]])
+# malformed input besides a ragged nesting: the entry point, x and the message
+MALFORMED = {
+    "ClassicalKernel-complex-array": (
+        "ClassicalKernel", COMPLEX, "classical kernel is not an array of real numbers"),
+    "ClassicalKernel-complex-list": (
+        "ClassicalKernel", COMPLEX.tolist(), "classical kernel is not an array of real numbers"),
+    "classical_state-complex-array": (
+        "classical_state", COMPLEX[0], "probability vector is not an array of real numbers"),
+    "classical_state-complex-list": (
+        "classical_state", COMPLEX[0].tolist(),
+        "probability vector is not an array of real numbers"),
+    "FiniteGroupoid.weight_vec-length": (
+        "FiniteGroupoid.weight_vec", np.ones(5),
+        "weight_vec (one entry per element) shape (5,), expected (4,)"),
+    "FiniteGroupoid.P_vec-length": (
+        "FiniteGroupoid.P_vec", [1.0], "P_vec (one entry per outcome) shape (1,), expected (2,)"),
+    "FiniteGroupoid.tgt-string": (
+        "FiniteGroupoid.tgt", "abcd", "tgt (one entry per element) is not an array of numbers"),
+    "GnsSpace.apply-length-5": (
+        "GnsSpace.apply", np.ones(5), "coordinate vector shape (5,), expected (4,)"),
+    "GnsSpace.apply-length-3": (
+        "GnsSpace.apply", np.ones(3), "coordinate vector shape (3,), expected (4,)"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("case", sorted(ARRAY_ARGUMENTS) + sorted(MALFORMED))
 def test_ragged_array_argument_raises_the_documented_class(case):
     """A ragged nesting is named as such, in the entry point's own class, not
-    as numpy's ValueError."""
-    call, error = ARRAY_ARGUMENTS[case]
-    with pytest.raises(error, match="is not an array of numbers"):
-        call(RAGGED)
+    as numpy's ValueError; so are a wrong length and, where real numbers are
+    due, a nonzero imaginary part, refused rather than dropped with numpy's
+    ComplexWarning (an error under the pytest settings)."""
+    entry, x, message = MALFORMED.get(case, (case, RAGGED, "is not an array of numbers"))
+    call, error = ARRAY_ARGUMENTS[entry]
+    with pytest.raises(error, match=re.escape(message)):
+        call(x)
 
 
 @pytest.mark.parametrize("case, x, shape", [
@@ -331,7 +367,10 @@ def test_ragged_array_argument_raises_the_documented_class(case):
     ("make_state", MIXED.phi.reshape(2, 2), (2, 2)),
     ("classical_state", [[0.5], [0.5]], (2, 1)),
     ("gns_inner", UNIT[:, None], (4, 1)),
-], ids=["AlgebraElement", "make_state", "classical_state", "gns_inner"])
+    ("GnsSpace.solve", np.ones((4, 2)), (4, 2)),
+    ("FiniteGroupoid.unit_ix", [[0], [3]], (2, 1)),
+], ids=["AlgebraElement", "make_state", "classical_state", "gns_inner", "GnsSpace.solve",
+        "FiniteGroupoid.unit_ix"])
 def test_matrix_where_a_vector_is_due_is_refused(case, x, shape):
     """A 2-D array with as many entries as the vector is refused, not flattened."""
     call, error = ARRAY_ARGUMENTS[case]

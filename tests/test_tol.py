@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 import cencov_ncp as c
 from cencov_ncp import fileio
-from cencov_ncp.channels import QuantumKernel
+from cencov_ncp.channels import QuantumKernel, push_state_report
+from cencov_ncp.errors import PositivityLost
 from cencov_ncp.cli import main
 
 # file, table, key of an off-diagonal entry (of a unit row, for the kernel)
@@ -141,3 +142,18 @@ def test_build_gns_splits_at_tol():
     rho = low_rank_state(c.pair_groupoid(2))
     assert c.build_gns(rho).dim == 4
     assert c.build_gns(rho, tol=1e-3).dim == 2
+
+
+def test_check_ncp_morphism_checks_the_pushed_state_at_tol():
+    """rho = diag(1 - 1e-12, 1e-12) on pair(2) through D -> D + 1e-6 Tr(D)
+    diag(1, -1): the pushed state has the eigenvalue 1e-12 - 1e-6, PSD at
+    tol 1e-3 but not at the default 1e-9, in both checks alike."""
+    G = c.pair_groupoid(2)
+    rho = c.state_from_density(np.diag([1.0 - 1e-12, 1e-12]), G)
+    Pi = c.kernel_from_matrix_map(
+        lambda D: D + 1e-6 * np.trace(D) * np.diag([1.0, -1.0]), G, G)
+    pushed, report = push_state_report(rho, Pi, tol=1e-3)
+    assert report.psd_ok
+    assert c.check_ncp_morphism(Pi, rho, pushed, tol=1e-3) is True
+    with pytest.raises(PositivityLost):
+        c.check_ncp_morphism(Pi, rho, pushed)
