@@ -278,12 +278,9 @@ def choi_matrix(Pi: QuantumKernel) -> np.ndarray:
     return Pi.pi.ravel()[K] / m
 
 
-def cp_verdict(Pi: QuantumKernel, tol: float = numkit.TOL):
-    """``(is_cp, min_choi_eigenvalue)`` via the Choi criterion: the kernel is
-    CP when the least Choi eigenvalue is at least ``-tol * (1 + spectral
-    radius)``."""
-    # the Choi matrix of a hermiticity-respecting kernel is Hermitian only up
-    # to numerical noise, so no asymmetry bound; the eigensolve symmetrizes
-    w = numkit.hermitian_spectra(choi_matrix(Pi))
-    lo = float(w[0])
-    return lo >= -tol * (1.0 + float(np.abs(w).max())), lo
+def cp_verdict(Pi: QuantumKernel, tol: float = numkit.TOL) -> tuple[bool, float]:
+    """``(is_cp, min_choi_eigenvalue)`` via the Choi criterion: the
+    :func:`numkit.psd_verdicts` of the Choi matrix, so a Choi matrix that is
+    not Hermitian is not CP and has least eigenvalue -inf."""
+    (ok,), (lo,) = numkit.psd_verdicts(choi_matrix(Pi)[None], tol)
+    return bool(ok), float(lo)

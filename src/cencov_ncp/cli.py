@@ -68,7 +68,9 @@ class _Main(click.Group):
 
 def _emit(ctx, data: dict) -> None:
     if ctx.obj["json"]:
-        click.echo(json.dumps(data, sort_keys=True))
+        # a non-finite number is written as null, so that the line is JSON (RFC 8259)
+        data = json.loads(json.dumps(data), parse_constant=lambda _: None)
+        click.echo(json.dumps(data, sort_keys=True, allow_nan=False))
     else:
         for key in sorted(data):
             click.echo(f"{key}: {data[key]}")
@@ -290,7 +292,7 @@ def cp(ctx, kernel):
     """Choi complete-positivity verdict for a pair-groupoid kernel."""
     Pi = fileio.load_kernel(kernel, ctx.obj["loaded"])
     is_cp, min_eig = cp_verdict(Pi, ctx.obj["tol"])
-    _emit(ctx, {"is_cp": bool(is_cp), "min_choi_eigenvalue": float(min_eig)})
+    _emit(ctx, {"is_cp": is_cp, "min_choi_eigenvalue": min_eig})
 
 
 if __name__ == "__main__":

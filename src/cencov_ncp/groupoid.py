@@ -76,11 +76,15 @@ def _table(keys: str, labels: str, ix: str) -> cached_property:
         lambda G: _view(getattr(G, keys), _names(getattr(G, labels), getattr(G, ix))))
 
 
-# the stored arrays of a groupoid: their dtypes, and what they hold one entry per
-_ARRAYS = {"src": (np.intp, "element"), "tgt": (np.intp, "element"),
-           "inv_ix": (np.intp, "element"), "unit_ix": (np.intp, "outcome"),
-           "compose_ix": (np.int32, "composable pair"), "P_vec": (float, "outcome"),
-           "weight_vec": (float, "element")}
+# the stored arrays of a groupoid: their dtypes, what they hold one entry per,
+# and for an index array its least entry and what it indexes (-1 in compose_ix
+# marks a composable pair that no row lists, for _checked to name)
+_ARRAYS = {"src": (np.intp, "element", (0, "outcome")),
+           "tgt": (np.intp, "element", (0, "outcome")),
+           "inv_ix": (np.intp, "element", (0, "element")),
+           "unit_ix": (np.intp, "outcome", (0, "element")),
+           "compose_ix": (np.int32, "composable pair", (-1, "element")),
+           "P_vec": (float, "outcome", None), "weight_vec": (float, "element", None)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +104,17 @@ class FiniteGroupoid:
 
     def __post_init__(self):
         sizes = {"element": len(self.elements), "outcome": len(self.outcomes)}
-        for name, (dtype, per) in _ARRAYS.items():
+        for name, (dtype, per, indexes) in _ARRAYS.items():
             # src and tgt come first: the composable pairs are counted from them
             size = sizes[per] if per in sizes else int(self._rows[0][-1])
             a = numkit._as_array(getattr(self, name), (size,), SchemaError,
                                  f"{name} (one entry per {per})", dtype)
+            if indexes:
+                lo, hi = indexes[0], sizes[indexes[1]]
+                k = _first((a < lo) | (a >= hi))
+                if k is not None:
+                    raise SchemaError(f"{name} entry {a[k]} at position {k} "
+                                      f"is outside [{lo}, {hi})")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -546,11 +556,12 @@ def group_groupoid(table: Mapping[tuple[str, str], str],
     is not a group multiplication table.
     """
     labels = tuple(labels)
-    ix = {g: i for i, g in enumerate(labels)}
+    ix = _id_index(labels, "element")
     if len(ix) != len(labels):
         raise SchemaError("duplicate outcome or element ids")
     products = map(table.get, itertools.product(labels, repeat=2))
-    M = np.fromiter(map(ix.get, products, itertools.repeat(-1)), dtype=np.intp)
+    # -1 for a product that is no label, unhashable ones too
+    M = np.fromiter((ix[g] if _declared(g, ix) else -1 for g in products), dtype=np.intp)
     return _group(labels, M.reshape(len(labels), len(labels)))
 
 

@@ -32,14 +32,19 @@ _RANKS = {1: "a vector", 2: "a matrix", 3: "a stack of matrices"}
 def _as_array(x, shape: tuple, error: type, what: str, dtype=complex) -> np.ndarray:
     """``np.asarray(x, dtype)``; ``error`` naming ``what`` if that fails (a ragged
     nesting, an entry that is not a number, a nonzero imaginary part where
-    ``dtype`` is real) or the shape is not ``shape`` (-1: any)."""
+    ``dtype`` is real, a non-integral value where it is an integer type) or
+    the shape is not ``shape`` (-1: any)."""
     try:
         a = np.asarray(x)
         if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
             if a.imag.any():  # refused, never dropped
                 raise error(f"{what} is not an array of real numbers")
             a = a.real
-        a = np.asarray(a, dtype)
+        with np.errstate(invalid="ignore"):  # a nan or inf cast to an integer
+            b = np.asarray(a, dtype)
+        if a.dtype.kind == "f" and b.dtype.kind == "i" and (b != a).any():
+            raise error(f"{what} is not an array of integers")  # refused, never truncated
+        a = b
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} is not an array of numbers") from exc
     if a.ndim != len(shape):

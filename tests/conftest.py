@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cencov_ncp as c
-from cencov_ncp import fileio
+from cencov_ncp import channels, fileio
 from cencov_ncp.groupoid import GroupoidSpec
 
 
@@ -26,6 +26,24 @@ def random_kraus(rng, n, m, k=3):
     w, V = np.linalg.eigh(S)
     S_inv_half = V @ np.diag(1.0 / np.sqrt(w)) @ V.conj().T
     return [b @ S_inv_half for b in B]
+
+
+def strict_json(text):
+    """``json.loads`` of JSON as RFC 8259 has it: NaN, Infinity and -Infinity
+    are no JSON values."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def non_hermitian_choi(G):
+    """The identity kernel of the pair groupoid G with 0.1i (E_01 + E_10)
+    added to its Choi matrix: a Choi asymmetry of 0.2 and a hermiticity
+    deficit of 0.4, so neither a kernel nor CP."""
+    K, _, _ = channels._choi_index(G, G, "Choi matrices")
+    C = channels.choi_matrix(channels.identity_kernel(G))
+    C[[0, 1], [1, 0]] += 0.1j
+    return channels._from_choi(C, K, G, G)
 
 
 def spec_of(G):

@@ -30,7 +30,13 @@ from cencov_ncp.errors import (
     RowSumViolation,
 )
 
-from conftest import random_density, random_hermitian, random_kraus, random_stochastic
+from conftest import (
+    non_hermitian_choi,
+    random_density,
+    random_hermitian,
+    random_kraus,
+    random_stochastic,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -88,6 +94,14 @@ def test_transpose_kernel_not_cp(pair2):
     assert validate_kernel(Pi).passed  # passes the kernel axioms
     is_cp, lo = cp_verdict(Pi)
     assert not is_cp and lo < -0.5  # Choi eigenvalue -1 for the qubit transpose
+    # a Choi matrix that is not Hermitian is never CP: the gate of
+    # numkit.psd_verdicts marks it with least eigenvalue -inf
+    Pi = non_hermitian_choi(pair2)
+    C = choi_matrix(Pi)
+    assert np.abs(C - C.conj().T).max() == pytest.approx(0.2)
+    assert validate_kernel(Pi).hermiticity_deficit == pytest.approx(0.4)
+    assert cp_verdict(Pi) == (False, -np.inf)
+    assert all(type(x) in (bool, float) for x in cp_verdict(Pi))
 
 
 def test_choi_matrix_of_identity(pair2):

@@ -15,7 +15,7 @@ import cencov_ncp as c
 from cencov_ncp import channels, cli, errors, estimation, fileio, gns, numkit, states
 from cencov_ncp.cli import main
 from cencov_ncp.gns import build_gns
-from conftest import spec_of
+from conftest import non_hermitian_choi, spec_of, strict_json
 
 # machine-readable output contracts for the --json flag, by subcommand
 SCHEMAS = {
@@ -52,7 +52,7 @@ SCHEMAS = {
         "type": "object",
         "required": ["is_cp", "min_choi_eigenvalue"],
         "properties": {"is_cp": {"type": "boolean"},
-                       "min_choi_eigenvalue": {"type": "number"}},
+                       "min_choi_eigenvalue": {"type": ["number", "null"]}},
     },
     "pipeline": {
         "type": "object",
@@ -73,7 +73,7 @@ def invoke(runner, *args):
 
 
 def jout(result, schema=None):
-    data = json.loads(result.output)
+    data = strict_json(result.output)
     if schema is not None:
         jsonschema.validate(data, SCHEMAS[schema])
     return data
@@ -273,6 +273,34 @@ def test_cp_command(runner, fixture_dir):
     assert data["is_cp"] is False and data["min_choi_eigenvalue"] < -0.5
     r = invoke(runner, "--json", "cp", fixture_dir / "idk.json")
     assert r.exit_code == 0 and jout(r)["is_cp"] is True
+
+
+@pytest.mark.parametrize("command, name, code, key, text", [
+    ("validate", "asymmetric_state.json", 1, "min_fiber_eigenvalue", "-inf"),
+    ("validate", "non_hermitian_choi.json", 1, "min_fiber_eigenvalue", "-inf"),
+    ("cp", "non_hermitian_choi.json", 0, "min_choi_eigenvalue", "-inf"),
+    ("validate", "huge_kraus.json", 1, "completeness_deficit", "inf"),
+], ids=["state", "kernel", "cp", "kraus"])
+def test_non_finite_number_is_written_as_null(runner, fixture_dir, command, name, code, key,
+                                              text):
+    """A fiber Gram or Choi matrix that is not Hermitian has least eigenvalue
+    -inf, and sum A†A of a Kraus entry 1e200 overflows: under --json each is
+    null, as in RFC 8259 JSON, and the text output keeps the float."""
+    d = fixture_dir
+    (d / "asymmetric_state.json").write_text(json.dumps({
+        "fmt": fileio.FMT, "groupoid": "pair2.json",
+        "phi_re": {"(1,1)": 1.0, "(2,2)": 1.0}, "phi_im": {"(1,2)": 0.1, "(2,1)": 0.1}}))
+    fileio.save_kernel(non_hermitian_choi(c.pair_groupoid(2)), d / "non_hermitian_choi.json",
+                       "pair2.json", "pair2.json")
+    (d / "huge_kraus.json").write_text(json.dumps(
+        {"fmt": fileio.FMT, "kraus": [{"re": [[1e200, 0], [0, 1]]}]}))
+    r = invoke(runner, "--json", command, d / name)
+    assert (r.exit_code, r.stderr) == (code, "")
+    data = jout(r, command)
+    assert key in data and data[key] is None
+    assert data.get("passed", data.get("is_cp")) is False
+    r = invoke(runner, command, d / name)
+    assert r.exit_code == code and f"{key}: {text}\n" in r.output
 
 
 # a file of another kind is refused with exit 2, naming the kind found: a

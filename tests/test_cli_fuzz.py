@@ -1,5 +1,5 @@
 """Mutated demo files never end a command in a traceback: every command exits
-0, 1, 2 or 3, and raises nothing but ``SystemExit``."""
+0, 1, 2 or 3, raises nothing but ``SystemExit``, and writes strict JSON."""
 import json
 import runpy
 import sys
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cencov_ncp.cli import main
+from conftest import strict_json
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_files.py"
 
@@ -79,16 +80,9 @@ def invocations(f):
             ["pipeline", "pipeline.json"]]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_mutated_demo_files_exit_with_a_code(demo, data):
-    name = data.draw(st.sampled_from(sorted(demo)), label="file")
-    root = json.loads(json.dumps(demo[name]))
-    at = data.draw(st.sampled_from(list(nodes(root))), label="node")
-    how = data.draw(st.sampled_from(["replace", "delete", "rename"]), label="how")
-    new = data.draw(VALUES, label="value")
-    key = data.draw(st.sampled_from(NAMES), label="key")
-    text = json.dumps(mutate(root, at, how, new, key)).replace(json.dumps(HUGE), "1e400")
+def check_mutant(demo, name, text):
+    """Run every fuzzed command on the demo files with ``name`` holding
+    ``text``: each exits with a code, and what it writes is strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp) / "demo"
         d.mkdir()
@@ -101,6 +95,32 @@ def test_mutated_demo_files_exit_with_a_code(demo, data):
                 main, ["--json", *(str(d / a) if a.endswith(".json") else a for a in args)])
             assert result.exit_code in (0, 1, 2, 3), (args, result.output)
             assert isinstance(result.exception, (SystemExit, type(None))), (args, result.exception)
+            if result.exit_code in (0, 1) and result.stdout:  # a failed check reports on stdout
+                strict_json(result.stdout)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_demo_files_exit_with_a_code(demo, data):
+    name = data.draw(st.sampled_from(sorted(demo)), label="file")
+    root = json.loads(json.dumps(demo[name]))
+    at = data.draw(st.sampled_from(list(nodes(root))), label="node")
+    how = data.draw(st.sampled_from(["replace", "delete", "rename"]), label="how")
+    new = data.draw(VALUES, label="value")
+    key = data.draw(st.sampled_from(NAMES), label="key")
+    check_mutant(demo, name, json.dumps(mutate(root, at, how, new, key))
+                 .replace(json.dumps(HUGE), "1e400"))
+
+
+@pytest.mark.parametrize("name, at, how, new", [
+    ("rho.json", ("phi_im", "(1,2)"), "delete", None),
+    ("depolarizing_kraus.json", ("kraus", 0, "re", 0, 0), "replace", 1e200),
+], ids=["asymmetric-state", "overflowing-kraus"])
+def test_mutant_reported_with_a_non_finite_number(demo, name, at, how, new):
+    """Mutants whose report holds -inf (a fiber Gram that is not Hermitian)
+    or inf (sum A†A overflows): each number is written as null."""
+    root = mutate(json.loads(json.dumps(demo[name])), at, how, new, None)
+    check_mutant(demo, name, json.dumps(root))
 
 
 @pytest.mark.parametrize("name, edit", [

@@ -245,6 +245,18 @@ def test_unhashable_label_is_a_schema_error(table):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("table, labels, error, message", [
+    ({}, [["a"]], SchemaError, "element id ['a'] is not hashable"),
+    ({("a", "a"): ["a"]}, ["a"], NotAGroup, "product of 'a' and 'a' missing or out of range"),
+], ids=["label", "product"])
+def test_unhashable_group_label_or_product(table, labels, error, message):
+    """``group_groupoid`` indexes its labels as ``validate`` does its ids, and
+    a product that cannot be looked up (a list) is no label, like any other."""
+    with pytest.raises(error) as exc:
+        c.group_groupoid(table, labels)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("compose", [None, 5])
 def test_compose_that_is_not_iterable_is_a_schema_error(compose):
     spec = spec_of(c.pair_groupoid(2))

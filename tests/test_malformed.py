@@ -343,6 +343,15 @@ MALFORMED = {
         "FiniteGroupoid.P_vec", [1.0], "P_vec (one entry per outcome) shape (1,), expected (2,)"),
     "FiniteGroupoid.tgt-string": (
         "FiniteGroupoid.tgt", "abcd", "tgt (one entry per element) is not an array of numbers"),
+    "FiniteGroupoid.tgt-negative": (
+        "FiniteGroupoid.tgt", [0, -1, 0, 1], "tgt entry -1 at position 1 is outside [0, 2)"),
+    "FiniteGroupoid.inv_ix-out-of-range": (
+        "FiniteGroupoid.inv_ix", [0, 2, 1, 7], "inv_ix entry 7 at position 3 is outside [0, 4)"),
+    "FiniteGroupoid.unit_ix-out-of-range": (
+        "FiniteGroupoid.unit_ix", [0, 9], "unit_ix entry 9 at position 1 is outside [0, 4)"),
+    "FiniteGroupoid.src-non-integral": (
+        "FiniteGroupoid.src", [0.7, 0.2, 1.9, 1.0],
+        "src (one entry per element) is not an array of integers"),
     "GnsSpace.apply-length-5": (
         "GnsSpace.apply", np.ones(5), "coordinate vector shape (5,), expected (4,)"),
     "GnsSpace.apply-length-3": (
@@ -353,9 +362,11 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(ARRAY_ARGUMENTS) + sorted(MALFORMED))
 def test_ragged_array_argument_raises_the_documented_class(case):
     """A ragged nesting is named as such, in the entry point's own class, not
-    as numpy's ValueError; so are a wrong length and, where real numbers are
-    due, a nonzero imaginary part, refused rather than dropped with numpy's
-    ComplexWarning (an error under the pytest settings)."""
+    as numpy's ValueError; so are a wrong length, an index out of range, a
+    non-integral value where integers are due, refused rather than truncated,
+    and, where real numbers are due, a nonzero imaginary part, refused rather
+    than dropped with numpy's ComplexWarning (an error under the pytest
+    settings)."""
     entry, x, message = MALFORMED.get(case, (case, RAGGED, "is not an array of numbers"))
     call, error = ARRAY_ARGUMENTS[entry]
     with pytest.raises(error, match=re.escape(message)):
