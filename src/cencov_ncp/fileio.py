@@ -39,7 +39,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .channels import ClassicalKernel, QuantumKernel
 from .errors import SchemaError
-from .groupoid import FiniteGroupoid, GroupoidSpec, _ix, validate
+from .groupoid import FiniteGroupoid, GroupoidSpec, _ix, _names, validate
 from .numkit import TOL
 from .states import State, make_state
 
@@ -287,24 +287,19 @@ def load_groupoid(path: str | Path, loaded: Optional[dict] = None) -> FiniteGrou
     return _load(path, loaded, want="groupoid")[1]
 
 
-def _uncached(G: FiniteGroupoid, name: str) -> dict:
-    """The string table ``G.<name>`` as a dict, built from the arrays and not
-    cached on ``G``."""
-    return dict(getattr(FiniteGroupoid, name).func(G))
-
-
 def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
-    """Write ``G``; the tables are built for the write, and none stays on ``G``."""
+    """Write ``G``; its tables are built from the arrays for the write."""
+    e, o = G.elements, G.outcomes
     _write_json(Path(path), {
-        "outcomes": list(G.outcomes),
-        "elements": list(G.elements),
-        "source": _uncached(G, "source"),
-        "target": _uncached(G, "target"),
-        "inverse": _uncached(G, "inverse_map"),
+        "outcomes": list(o),
+        "elements": list(e),
+        "source": dict(zip(e, _names(o, G.src))),
+        "target": dict(zip(e, _names(o, G.tgt))),
+        "inverse": dict(zip(e, _names(e, G.inv_ix))),
         "compose": G.composable_pairs,
-        "units": _uncached(G, "unit_of"),
-        "P": _uncached(G, "P"),
-        "fiber_weight": _uncached(G, "fiber_weight"),
+        "units": dict(zip(o, _names(e, G.unit_ix))),
+        "P": dict(zip(o, G.P_vec.tolist())),
+        "fiber_weight": dict(zip(e, G.weight_vec.tolist())),
     })
 
 

@@ -13,8 +13,8 @@ composable pair, row b over the target fiber of s(b), rows and fibers in
 element order (the order of ``triples``), and :meth:`FiniteGroupoid.composed`
 looks pairs up.  String labels stay at the edge: :func:`validate` maps the
 tables of a :class:`GroupoidSpec` to arrays once, the constructions build
-arrays directly, and the string tables (``source``, ``compose_table``, ``P``,
-...) are read-only views of the arrays, built on first use.
+arrays directly, and a groupoid holds its labels only as ``elements`` and
+``outcomes``: a table by label is read from the arrays where it is needed.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -63,17 +62,6 @@ class GroupoidSpec:
 def _names(labels: Sequence[str], ix: np.ndarray) -> list[str]:
     """``labels[i]`` for every index in ``ix``."""
     return list(map(labels.__getitem__, ix.tolist()))
-
-
-def _view(keys, values) -> Mapping:
-    return MappingProxyType(dict(zip(keys, values)))
-
-
-def _table(keys: str, labels: str, ix: str) -> cached_property:
-    """The string table ``keys[i] -> labels[ix[i]]`` of a groupoid, as a
-    read-only view built on first use."""
-    return cached_property(
-        lambda G: _view(getattr(G, keys), _names(getattr(G, labels), getattr(G, ix))))
 
 
 # the stored arrays of a groupoid: their dtypes, what they hold one entry per,
@@ -125,7 +113,7 @@ class FiniteGroupoid:
             self.elements == other.elements and self.outcomes == other.outcomes
             and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAYS))
 
-    # -- basic accessors ---------------------------------------------------
+    # -- labels ------------------------------------------------------------
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -135,73 +123,17 @@ class FiniteGroupoid:
     def outcome_index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.outcomes)}
 
-    # each reads the arrays at ``index``: KeyError for a label that is no element
-    def s(self, alpha: str) -> str:
-        return self.outcomes[self.src[self.index[alpha]]]
-
-    def t(self, alpha: str) -> str:
-        return self.outcomes[self.tgt[self.index[alpha]]]
-
-    def inv(self, alpha: str) -> str:
-        return self.elements[self.inv_ix[self.index[alpha]]]
-
-    def compose(self, beta: str, alpha: str) -> Optional[str]:
-        """``beta o alpha``, or None when not composable."""
-        b, a = self.index[beta], self.index[alpha]
-        return self.elements[self.composed(b, a)] if self.src[b] == self.tgt[a] else None
-
-    def is_unit(self, alpha: str) -> bool:
-        a = self.index[alpha]
-        return bool(self.unit_ix[self.src[a]] == a)
-
-    def nu(self, alpha: str) -> float:
-        """Total measure nu(alpha) = w(alpha) * P(t(alpha))."""
-        return float(self.nu_vec[self.index[alpha]])
-
-    def delta(self, alpha: str) -> float:
-        """Modular function delta(alpha) = nu(inv(alpha)) / nu(alpha)."""
-        return float(self.delta_vec[self.index[alpha]])
-
     @property
     def composable_pairs(self) -> tuple[tuple[str, str, str], ...]:
         """All triples ``(beta, alpha, beta o alpha)`` in canonical order, built
-        at each access (``compose_table`` keeps its own)."""
+        at each access."""
         return tuple(zip(*(_names(self.elements, ix) for ix in self.triples)))
-
-    def target_fiber(self, x: str) -> tuple[str, ...]:
-        """Elements with target x, in canonical element order."""
-        return tuple(self.elements[i] for i in self.fiber_ix(x))
-
-    def source_fiber(self, x: str) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in np.flatnonzero(self.src == self._outcome(x)))
 
     def fiber_ix(self, x: str) -> np.ndarray:
         """Element indices of the target fiber of x, in canonical order."""
-        return np.flatnonzero(self.tgt == self._outcome(x))
-
-    def _outcome(self, x: str) -> int:
         if x not in self.outcome_index:
             raise UnknownOutcome(f"unknown outcome {x!r}")
-        return self.outcome_index[x]
-
-    # -- string tables: read-only views of the arrays, built on first use -----
-
-    source = _table("elements", "outcomes", "src")
-    target = _table("elements", "outcomes", "tgt")
-    inverse_map = _table("elements", "elements", "inv_ix")
-    unit_of = _table("outcomes", "elements", "unit_ix")
-
-    @cached_property
-    def compose_table(self) -> Mapping[tuple[str, str], str]:
-        return MappingProxyType({(b, a): g for b, a, g in self.composable_pairs})
-
-    @cached_property
-    def P(self) -> Mapping[str, float]:
-        return _view(self.outcomes, self.P_vec.tolist())
-
-    @cached_property
-    def fiber_weight(self) -> Mapping[str, float]:
-        return _view(self.elements, self.weight_vec.tolist())
+        return np.flatnonzero(self.tgt == self.outcome_index[x])
 
     # -- derived arrays --------------------------------------------------------
 

@@ -32,8 +32,8 @@ _RANKS = {1: "a vector", 2: "a matrix", 3: "a stack of matrices"}
 def _as_array(x, shape: tuple, error: type, what: str, dtype=complex) -> np.ndarray:
     """``np.asarray(x, dtype)``; ``error`` naming ``what`` if that fails (a ragged
     nesting, an entry that is not a number, a nonzero imaginary part where
-    ``dtype`` is real, a non-integral value where it is an integer type) or
-    the shape is not ``shape`` (-1: any)."""
+    ``dtype`` is real, a non-integral value, or an integer that does not fit,
+    where it is an integer type) or the shape is not ``shape`` (-1: any)."""
     try:
         a = np.asarray(x)
         if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
@@ -42,8 +42,10 @@ def _as_array(x, shape: tuple, error: type, what: str, dtype=complex) -> np.ndar
             a = a.real
         with np.errstate(invalid="ignore"):  # a nan or inf cast to an integer
             b = np.asarray(a, dtype)
-        if a.dtype.kind == "f" and b.dtype.kind == "i" and (b != a).any():
-            raise error(f"{what} is not an array of integers")  # refused, never truncated
+        if a.dtype.kind in "fiu" and b.dtype.kind == "i" and (b != a).any():
+            if a.dtype.kind == "f":
+                raise error(f"{what} is not an array of integers")  # refused, never truncated
+            raise error(f"{what} holds an integer outside the range of {b.dtype}")  # never wrapped
         a = b
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} is not an array of numbers") from exc

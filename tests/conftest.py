@@ -6,6 +6,7 @@ import pytest
 import cencov_ncp as c
 from cencov_ncp import channels, fileio
 from cencov_ncp.groupoid import GroupoidSpec
+from reference import label_tables
 
 
 def random_density(rng, n):
@@ -36,24 +37,32 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def non_hermitian_choi(G):
-    """The identity kernel of the pair groupoid G with 0.1i (E_01 + E_10)
-    added to its Choi matrix: a Choi asymmetry of 0.2 and a hermiticity
-    deficit of 0.4, so neither a kernel nor CP."""
+# asymmetry max|H - H^dagger| as a multiple of the bound tol * (1 + max|H|) of
+# numkit.psd_verdicts, and whether the matrix passes: between the bound and ten
+# times it a matrix is refused, so a gate at 10 tol would let it through
+GATE_RATIOS = [(0.5, True), (0.9, True), (1.5, False), (3.0, False), (9.0, False)]
+
+
+def non_hermitian_choi(G, eps=0.1):
+    """The identity kernel of the pair groupoid G with eps i (E_01 + E_10)
+    added to its Choi matrix, whose Hermitian part it keeps: a Choi asymmetry
+    of 2 eps; at eps = 0.1 a hermiticity deficit of 0.4, so neither a kernel
+    nor CP."""
     K, _, _ = channels._choi_index(G, G, "Choi matrices")
     C = channels.choi_matrix(channels.identity_kernel(G))
-    C[[0, 1], [1, 0]] += 0.1j
+    C[[0, 1], [1, 0]] += eps * 1j
     return channels._from_choi(C, K, G, G)
 
 
 def spec_of(G):
     """The string tables of a groupoid, as raw input to ``validate``."""
+    T = label_tables(G)
     return GroupoidSpec(
         outcomes=list(G.outcomes), elements=list(G.elements),
-        source=dict(G.source), target=dict(G.target),
-        inverse=dict(G.inverse_map), compose=list(G.composable_pairs),
-        units=dict(G.unit_of), P=dict(G.P),
-        fiber_weight=dict(G.fiber_weight),
+        source=T.source, target=T.target,
+        inverse=T.inverse, compose=list(G.composable_pairs),
+        units=T.units, P=T.P,
+        fiber_weight=T.fiber_weight,
     )
 
 

@@ -17,10 +17,10 @@ replaced by its projection onto the GNS quotient basis; the two scipy
 was given, which the one-line writer replaced; a groupoid writer that lists
 the compose rows by loops over the elements; and the table decoder through
 Python lists, which the ``np.fromiter`` decoder replaced.  The groupoid
-oracles read a ``FiniteGroupoid`` only through its string tables and
-accessors (``validate`` fills in the index arrays by loops, only to construct
-its result), so the property tests in ``test_reference.py`` compare two
-independent implementations of each formula.
+oracles read a ``FiniteGroupoid`` only through :func:`label_tables`, its
+string tables read from the arrays by loops (``validate`` fills in the index
+arrays by loops, only to construct its result), so the property tests in
+``test_reference.py`` compare two independent implementations of each formula.
 """
 from __future__ import annotations
 
@@ -69,6 +69,47 @@ from cencov_ncp.states import DensityMatrix, State, StateReport, make_state
 KERNEL_TOL = 1e-9
 MEASURE_TOL = numkit.TOL
 NORM_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the string tables of a groupoid
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LabelTables:
+    """A groupoid's tables keyed by label, each a new dict: ``compose`` maps
+    every composable pair ``(beta, alpha)`` to ``beta o alpha``, in canonical
+    order; ``nu`` and ``delta`` are the groupoid's ``nu_vec`` and ``delta_vec``."""
+
+    source: dict[str, str]
+    target: dict[str, str]
+    inverse: dict[str, str]
+    units: dict[str, str]
+    compose: dict[tuple[str, str], str]
+    P: dict[str, float]
+    fiber_weight: dict[str, float]
+    nu: dict[str, float]
+    delta: dict[str, float]
+
+
+def label_tables(G: FiniteGroupoid) -> LabelTables:
+    """The string tables of G, read from its arrays by loops; ``compose_ix``
+    lists ``b o a`` for each b, then each a of the target fiber of s(b), in
+    element order."""
+    e, o = G.elements, G.outcomes
+    source = {a: o[i] for a, i in zip(e, G.src.tolist())}
+    target = {a: o[i] for a, i in zip(e, G.tgt.tolist())}
+    fiber = {x: [a for a in e if target[a] == x] for x in o}
+    products = iter(G.compose_ix.tolist())
+    return LabelTables(
+        source=source, target=target,
+        inverse={a: e[i] for a, i in zip(e, G.inv_ix.tolist())},
+        units={x: e[i] for x, i in zip(o, G.unit_ix.tolist())},
+        compose={(b, a): e[next(products)] for b in e for a in fiber[source[b]]},
+        P=dict(zip(o, G.P_vec.tolist())),
+        fiber_weight=dict(zip(e, G.weight_vec.tolist())),
+        nu=dict(zip(e, G.nu_vec.tolist())),
+        delta=dict(zip(e, G.delta_vec.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +247,10 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
 
 def modular_function(G: FiniteGroupoid) -> dict[str, float]:
     """The modular map delta, verified to be a groupoid homomorphism."""
-    delta = {a: G.delta(a) for a in G.elements}
+    T = label_tables(G)
+    delta = T.delta
     for x in G.outcomes:
-        u = G.unit_of[x]
+        u = T.units[x]
         if abs(delta[u] - 1.0) > MEASURE_TOL:
             raise HomomorphismViolation(f"delta(unit of {x!r}) != 1")
     for b, a, g in G.composable_pairs:
@@ -225,8 +267,9 @@ def pair_structure(G: FiniteGroupoid) -> Optional[dict[tuple[str, str], str]]:
     if len(G.elements) != n * n:
         return None
     table: dict[tuple[str, str], str] = {}
+    T = label_tables(G)
     for a in G.elements:
-        key = (G.target[a], G.source[a])
+        key = (T.target[a], T.source[a])
         if key in table:
             return None
         table[key] = a
@@ -235,8 +278,8 @@ def pair_structure(G: FiniteGroupoid) -> Optional[dict[tuple[str, str], str]]:
 
 def has_uniform_nu(G: FiniteGroupoid, tol: float = MEASURE_TOL) -> bool:
     """``nu(a) = 1/n`` on every element: uniform P and unit fiber weights."""
-    n = len(G.outcomes)
-    return all(abs(G.nu(a) - 1.0 / n) <= tol for a in G.elements)
+    n, nu = len(G.outcomes), label_tables(G).nu
+    return all(abs(nu[a] - 1.0 / n) <= tol for a in G.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +376,23 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid, w: float) -> FiniteGr
     def r(x: str) -> str:
         return f"2:{x}"
 
+    T1, T2 = label_tables(G1), label_tables(G2)
     outcomes = [l(x) for x in G1.outcomes] + [r(x) for x in G2.outcomes]
     elements = [l(a) for a in G1.elements] + [r(a) for a in G2.elements]
-    source = {l(a): l(G1.source[a]) for a in G1.elements}
-    source.update({r(a): r(G2.source[a]) for a in G2.elements})
-    target = {l(a): l(G1.target[a]) for a in G1.elements}
-    target.update({r(a): r(G2.target[a]) for a in G2.elements})
-    inverse = {l(a): l(G1.inverse_map[a]) for a in G1.elements}
-    inverse.update({r(a): r(G2.inverse_map[a]) for a in G2.elements})
-    compose = [(l(b), l(a), l(g)) for (b, a), g in G1.compose_table.items()]
-    compose += [(r(b), r(a), r(g)) for (b, a), g in G2.compose_table.items()]
-    units = {l(x): l(G1.unit_of[x]) for x in G1.outcomes}
-    units.update({r(x): r(G2.unit_of[x]) for x in G2.outcomes})
-    P = {l(x): w * G1.P[x] for x in G1.outcomes}
-    P.update({r(x): (1.0 - w) * G2.P[x] for x in G2.outcomes})
-    weights = {l(a): G1.fiber_weight[a] for a in G1.elements}
-    weights.update({r(a): G2.fiber_weight[a] for a in G2.elements})
+    source = {l(a): l(T1.source[a]) for a in G1.elements}
+    source.update({r(a): r(T2.source[a]) for a in G2.elements})
+    target = {l(a): l(T1.target[a]) for a in G1.elements}
+    target.update({r(a): r(T2.target[a]) for a in G2.elements})
+    inverse = {l(a): l(T1.inverse[a]) for a in G1.elements}
+    inverse.update({r(a): r(T2.inverse[a]) for a in G2.elements})
+    compose = [(l(b), l(a), l(g)) for (b, a), g in T1.compose.items()]
+    compose += [(r(b), r(a), r(g)) for (b, a), g in T2.compose.items()]
+    units = {l(x): l(T1.units[x]) for x in G1.outcomes}
+    units.update({r(x): r(T2.units[x]) for x in G2.outcomes})
+    P = {l(x): w * T1.P[x] for x in G1.outcomes}
+    P.update({r(x): (1.0 - w) * T2.P[x] for x in G2.outcomes})
+    weights = {l(a): T1.fiber_weight[a] for a in G1.elements}
+    weights.update({r(a): T2.fiber_weight[a] for a in G2.elements})
     return validate(GroupoidSpec(
         outcomes=outcomes, elements=elements, source=source, target=target,
         inverse=inverse, compose=compose, units=units, P=P, fiber_weight=weights,
@@ -361,21 +405,22 @@ def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
     def po(x: str, y: str) -> str:
         return f"{x}*{y}"
 
+    T1, T2 = label_tables(G1), label_tables(G2)
     outcomes = [po(x, y) for x in G1.outcomes for y in G2.outcomes]
     elements = [po(a, b) for a in G1.elements for b in G2.elements]
-    source = {po(a, b): po(G1.source[a], G2.source[b])
+    source = {po(a, b): po(T1.source[a], T2.source[b])
               for a in G1.elements for b in G2.elements}
-    target = {po(a, b): po(G1.target[a], G2.target[b])
+    target = {po(a, b): po(T1.target[a], T2.target[b])
               for a in G1.elements for b in G2.elements}
-    inverse = {po(a, b): po(G1.inverse_map[a], G2.inverse_map[b])
+    inverse = {po(a, b): po(T1.inverse[a], T2.inverse[b])
                for a in G1.elements for b in G2.elements}
     compose = [(po(b1, b2), po(a1, a2), po(g1, g2))
-               for (b1, a1), g1 in G1.compose_table.items()
-               for (b2, a2), g2 in G2.compose_table.items()]
-    units = {po(x, y): po(G1.unit_of[x], G2.unit_of[y])
+               for (b1, a1), g1 in T1.compose.items()
+               for (b2, a2), g2 in T2.compose.items()]
+    units = {po(x, y): po(T1.units[x], T2.units[y])
              for x in G1.outcomes for y in G2.outcomes}
-    P = {po(x, y): G1.P[x] * G2.P[y] for x in G1.outcomes for y in G2.outcomes}
-    weights = {po(a, b): G1.fiber_weight[a] * G2.fiber_weight[b]
+    P = {po(x, y): T1.P[x] * T2.P[y] for x in G1.outcomes for y in G2.outcomes}
+    weights = {po(a, b): T1.fiber_weight[a] * T2.fiber_weight[b]
                for a in G1.elements for b in G2.elements}
     return validate(GroupoidSpec(
         outcomes=outcomes, elements=elements, source=source, target=target,
@@ -390,11 +435,12 @@ def product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
 
 def fiber_gram(G: FiniteGroupoid, phi: np.ndarray, x: str) -> np.ndarray:
     """Gram matrix ``phi(inv(a_k) o a_l)`` over the target fiber of x."""
-    fiber = G.target_fiber(x)
+    T = label_tables(G)
+    fiber = [a for a in G.elements if T.target[a] == x]
     M = np.zeros((len(fiber), len(fiber)), dtype=complex)
     for k, ak in enumerate(fiber):
         for l, al in enumerate(fiber):
-            g = G.compose(G.inv(ak), al)
+            g = T.compose.get((T.inverse[ak], al))
             M[k, l] = phi[G.index[g]]
     return M
 
@@ -420,8 +466,9 @@ def check_state(phi, G: FiniteGroupoid, tol: float = NORM_TOL) -> StateReport:
         fiber_min[x] = lo
         psd_ok = psd_ok and ok
 
-    norm_deficit = abs(sum(v[G.index[u]] * G.nu(u) for u in G.unit_of.values()) - 1.0)
-    sym_deficit = max(abs(v[G.index[G.inv(a)]] - np.conj(v[G.index[a]])) for a in G.elements)
+    T = label_tables(G)
+    norm_deficit = abs(sum(v[G.index[u]] * T.nu[u] for u in T.units.values()) - 1.0)
+    sym_deficit = max(abs(v[G.index[T.inverse[a]]] - np.conj(v[G.index[a]])) for a in G.elements)
     return StateReport(
         fiber_min_eigenvalue=fiber_min,
         normalization_deficit=float(norm_deficit),
@@ -465,9 +512,10 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def star(a: AlgebraElement) -> AlgebraElement:
     """Involution: ``a*(alpha) = conj(a(inv(alpha))) / delta(alpha)``."""
     G = a.groupoid
+    T = label_tables(G)
     c = np.zeros(len(G.elements), dtype=complex)
     for alpha in G.elements:
-        c[G.index[alpha]] = np.conj(a.coeff[G.index[G.inv(alpha)]]) / G.delta(alpha)
+        c[G.index[alpha]] = np.conj(a.coeff[G.index[T.inverse[alpha]]]) / T.delta[alpha]
     return AlgebraElement(G, c)
 
 
@@ -480,14 +528,14 @@ def left_regular_rep(a: AlgebraElement) -> np.ndarray:
     G = a.groupoid
     n = len(G.elements)
     M = np.zeros((n, n), dtype=complex)
-    idx = G.index
+    idx, T = G.index, label_tables(G)
     for beta in G.elements:
         for gamma in G.elements:
-            if G.s(gamma) != G.s(beta):
+            if T.source[gamma] != T.source[beta]:
                 continue
-            alpha = G.compose(beta, G.inv(gamma))
+            alpha = T.compose.get((beta, T.inverse[gamma]))
             M[idx[beta], idx[gamma]] = (
-                a.coeff[idx[alpha]] * math.sqrt(G.delta(alpha))
+                a.coeff[idx[alpha]] * math.sqrt(T.delta[alpha])
             )
     return M
 
@@ -502,13 +550,14 @@ def gram_matrix(rho: State) -> np.ndarray:
     G = rho.groupoid
     n = len(G.elements)
     M = np.zeros((n, n), dtype=complex)
+    T = label_tables(G)
     for a in G.elements:
         ia = G.index[a]
         for b in G.elements:
-            if G.t(a) != G.t(b):
+            if T.target[a] != T.target[b]:
                 continue
-            g = G.compose(G.inv(a), b)
-            M[ia, G.index[b]] = rho.phi[G.index[g]] * G.nu(g) / G.delta(a)
+            g = T.compose.get((T.inverse[a], b))
+            M[ia, G.index[b]] = rho.phi[G.index[g]] * T.nu[g] / T.delta[a]
     return M
 
 
@@ -632,19 +681,20 @@ def density_from_phi_unchecked(phi: np.ndarray, G: FiniteGroupoid) -> np.ndarray
 def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
     """Check the three kernel axioms and report the deficits."""
     G1, G2 = Pi.g1, Pi.g2
+    T1, T2 = label_tables(G1), label_tables(G2)
 
     # (i) sum_x Pi(a1, 1_x) nu2(1_x) = [a1 is a unit]
     norm_dev = 0.0
     for a1 in G1.elements:
-        total = sum(Pi.value(a1, u) * G2.nu(u) for u in G2.unit_of.values())
-        want = 1.0 if G1.is_unit(a1) else 0.0
+        total = sum(Pi.value(a1, u) * T2.nu[u] for u in T2.units.values())
+        want = 1.0 if T1.units[T1.source[a1]] == a1 else 0.0
         norm_dev = max(norm_dev, abs(total - want))
 
     # (ii) Pi(1_x, .) positive definite on Gamma_2, for every unit of Gamma_1
     pos_min: dict[str, float] = {}
     pos_ok = True
     for x1 in G1.outcomes:
-        u = G1.unit_of[x1]
+        u = T1.units[x1]
         phi = Pi.pi[G1.index[u], :]
         worst = np.inf
         for x2 in G2.outcomes:
@@ -663,7 +713,7 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
     for a1 in G1.elements:
         for a2 in G2.elements:
             lhs = np.conj(Pi.value(a1, a2))
-            rhs = G2.delta(a2) * Pi.value(G1.inv(a1), G2.inv(a2))
+            rhs = T2.delta[a2] * Pi.value(T1.inverse[a1], T2.inverse[a2])
             herm_dev = max(herm_dev, abs(lhs - rhs))
 
     scale = 1.0 + float(np.abs(Pi.pi).max(initial=0.0))
@@ -682,7 +732,7 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
 def push_phi(phi1: np.ndarray, Pi: QuantumKernel) -> np.ndarray:
     """Unvalidated pushforward ``(phi1 Pi)(a2) = sum phi1 Pi nu1``."""
     G1 = Pi.g1
-    nu1 = np.array([G1.nu(a) for a in G1.elements])
+    nu1 = np.array([label_tables(G1).nu[a] for a in G1.elements])
     return (phi1 * nu1) @ Pi.pi
 
 
@@ -901,22 +951,23 @@ def write_json(path: Path, data: dict) -> None:
 
 
 def save_groupoid(G: FiniteGroupoid, path: str | Path) -> None:
-    """The groupoid writer by loops: a compose row ``[beta, alpha, beta o
-    alpha]`` for each beta, then each alpha with ``t(alpha) = s(beta)``, in
-    element order, and the file is the one line that ``json.dumps`` makes of
-    it."""
+    """The groupoid writer by loops over :func:`label_tables`: a compose row
+    ``[beta, alpha, beta o alpha]`` for each beta, then each alpha with
+    ``t(alpha) = s(beta)``, in element order, and the file is the one line
+    that ``json.dumps`` makes of it."""
+    T = label_tables(G)
     data = {
         "fmt": FMT,
         "outcomes": list(G.outcomes),
         "elements": list(G.elements),
-        "source": dict(G.source),
-        "target": dict(G.target),
-        "inverse": dict(G.inverse_map),
-        "compose": [[b, a, G.compose(b, a)] for b in G.elements for a in G.elements
-                    if G.target[a] == G.source[b]],
-        "units": dict(G.unit_of),
-        "P": dict(G.P),
-        "fiber_weight": dict(G.fiber_weight),
+        "source": T.source,
+        "target": T.target,
+        "inverse": T.inverse,
+        "compose": [[b, a, T.compose[(b, a)]] for b in G.elements for a in G.elements
+                    if T.target[a] == T.source[b]],
+        "units": T.units,
+        "P": T.P,
+        "fiber_weight": T.fiber_weight,
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(data, allow_nan=False) + "\n")

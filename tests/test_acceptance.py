@@ -54,7 +54,7 @@ from cencov_ncp.estimation import (
 )
 from cencov_ncp.gns import build_gns, cyclic_vector, gns_represent
 from cencov_ncp.groupoid import validate
-from reference import matrix_rank_hermitian
+from reference import label_tables, matrix_rank_hermitian
 
 from conftest import (
     random_density, random_hermitian, random_kraus, random_stochastic, rows, spec_of,
@@ -101,44 +101,47 @@ def test_criterion_1():
         kind = mutations[i % len(mutations)]
         if kind == "measure":
             G = c.pair_groupoid(int(rng.integers(2, 5)))
-            P = dict(G.P)
+            P = label_tables(G).P
             x = str(rng.choice(G.outcomes))
             P[x] = P[x] + float(rng.uniform(0.1, 1.0))
             with pytest.raises(BadMeasure):
                 validate(dataclasses.replace(spec_of(G), P=P))
         elif kind == "unit":
             G = c.pair_groupoid(int(rng.integers(2, 5)))
-            units = dict(G.unit_of)
+            T = label_tables(G)
+            units = T.units
             x = str(rng.choice(G.outcomes))
-            others = [a for a in G.elements if G.s(a) != G.t(a)]
+            others = [a for a in G.elements if T.source[a] != T.target[a]]
             units[x] = str(rng.choice(others))
             with pytest.raises(UnitViolation):
                 validate(dataclasses.replace(spec_of(G), units=units))
         elif kind == "coherence":
             G = c.pair_groupoid(int(rng.integers(2, 5)))
-            comp = dict(G.compose_table)
+            T = label_tables(G)
+            comp = T.compose
             pairs = [(b, a) for (b, a) in comp
-                     if not G.is_unit(a) and not G.is_unit(b)]
+                     if T.units[T.source[a]] != a and T.units[T.source[b]] != b]
             key = pairs[int(rng.integers(len(pairs)))]
             del comp[key]
             with pytest.raises(CoherenceViolation):
                 validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
         elif kind == "inverse":
             G = c.cyclic_group_groupoid(int(rng.integers(3, 6)))
-            inv = dict(G.inverse_map)
+            inv = label_tables(G).inverse
             inv["g1"] = "g1"  # wrong in Z_n for n >= 3
             with pytest.raises(InverseViolation):
                 validate(dataclasses.replace(spec_of(G), inverse=inv))
         elif kind == "associativity":
             G = c.cyclic_group_groupoid(3)
-            comp = dict(G.compose_table)
+            comp = label_tables(G).compose
             comp[("g1", "g1")] = "g1"  # true product is g2
             with pytest.raises(AssociativityViolation):
                 validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
         else:
             G = c.pair_groupoid(int(rng.integers(2, 5)))
-            w = dict(G.fiber_weight)
-            a = str(rng.choice([e for e in G.elements if not G.is_unit(e)]))
+            T = label_tables(G)
+            w = T.fiber_weight
+            a = str(rng.choice([e for e in G.elements if T.units[T.source[e]] != e]))
             w[a] = float(rng.choice([-1.0, 0.0, 2.0]))
             with pytest.raises(BadWeight):
                 validate(dataclasses.replace(spec_of(G), fiber_weight=w))
@@ -215,7 +218,8 @@ def test_criterion_4():
         fe = c.AlgebraElement(G2, f.astype(complex))
         pulled = pull_observable(Pi, fe)
         # observable coefficients are function values; pullback is K f
-        got = np.array([pulled.coeff[G1.index[G1.unit_of[x]]].real
+        units = label_tables(G1).units
+        got = np.array([pulled.coeff[G1.index[units[x]]].real
                         for x in G1.outcomes])
         assert np.abs(got - K.K @ f).max() <= 1e-12
     # composition associativity

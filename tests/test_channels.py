@@ -31,6 +31,7 @@ from cencov_ncp.errors import (
 )
 
 from conftest import (
+    GATE_RATIOS,
     non_hermitian_choi,
     random_density,
     random_hermitian,
@@ -102,6 +103,18 @@ def test_transpose_kernel_not_cp(pair2):
     assert validate_kernel(Pi).hermiticity_deficit == pytest.approx(0.4)
     assert cp_verdict(Pi) == (False, -np.inf)
     assert all(type(x) in (bool, float) for x in cp_verdict(Pi))
+
+
+@pytest.mark.parametrize("ratio, passes", GATE_RATIOS)
+def test_cp_asymmetry_gate_is_tol_times_one_plus_max_entry(pair2, ratio, passes):
+    """The Choi matrix of the identity on pair(2) (max|C| = 1, so a bound of
+    2 tol) made asymmetric by ``ratio`` times the bound, its Hermitian part
+    kept: CP at least eigenvalue 0 below the bound, (False, -inf) past it."""
+    tol = 1e-6
+    Pi = non_hermitian_choi(pair2, ratio * tol)
+    C = choi_matrix(Pi)
+    assert np.abs(C - C.conj().T).max() == pytest.approx(ratio * 2 * tol)
+    assert cp_verdict(Pi, tol) == ((True, 0.0) if passes else (False, -np.inf))
 
 
 def test_choi_matrix_of_identity(pair2):

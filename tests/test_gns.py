@@ -124,3 +124,17 @@ def test_gns_on_group_groupoid():
     om = cyclic_vector(S)
     a = c.delta_element(G, "g1")
     assert abs(om.conj() @ gns_represent(S, a) @ om - c.expectation(rho, a)) < 1e-10
+
+
+def test_rank_cut_is_relative_to_the_largest_gram_eigenvalue():
+    """On pair(2) with P = (1e-3, 1 - 1e-3), the state phi = 500 at (1,1) and
+    0.5 / (1 - 1e-3) at (2,2) has Gram eigenvalues P(x) phi(1_y): 499.5, 0.5,
+    0.5 and 5.005e-4.  At tol = 1e-4 the cut is tol * 499.5 = 0.05, so the
+    last one, above tol but below the cut, joins the Gelfand ideal."""
+    G = c.pair_groupoid(2, {"1": 1e-3, "2": 1 - 1e-3})
+    phi = np.zeros(4, dtype=complex)
+    phi[G.index["(1,1)"]], phi[G.index["(2,2)"]] = 500.0, 0.5 / (1 - 1e-3)
+    S = build_gns(c.make_state(G, phi), tol=1e-4)
+    assert S.gram_eigenvalues == pytest.approx([5.005e-4, 0.5, 0.5, 499.5], rel=1e-3)
+    assert S.dim == 3
+    assert S.quotient_basis.shape == (4, 3) and S.ideal_basis.shape == (4, 1)

@@ -22,6 +22,7 @@ from cencov_ncp.errors import (
 )
 from cencov_ncp.groupoid import validate
 from conftest import rows, spec_of
+from reference import label_tables
 
 
 def test_standard_constructions_validate():
@@ -37,28 +38,31 @@ def test_standard_constructions_validate():
 
 def test_pair_groupoid_counts():
     G = c.pair_groupoid(3)
+    T = label_tables(G)
     assert len(G.outcomes) == 3 and len(G.elements) == 9
-    assert G.compose("(3,2)", "(2,1)") == "(3,1)"
-    assert G.compose("(3,2)", "(1,2)") is None
-    assert G.inv("(3,1)") == "(1,3)"
-    assert G.is_unit("(2,2)") and not G.is_unit("(2,1)")
+    assert T.compose.get(("(3,2)", "(2,1)")) == "(3,1)"
+    assert T.compose.get(("(3,2)", "(1,2)")) is None
+    assert T.inverse["(3,1)"] == "(1,3)"
+    assert T.units[T.source["(2,2)"]] == "(2,2)" and T.units[T.source["(2,1)"]] != "(2,1)"
 
 
 def test_measure_and_modular():
     G = c.pair_groupoid(2, P={"1": 0.25, "2": 0.75})
-    assert G.nu("(2,1)") == pytest.approx(0.75)
+    T = label_tables(G)
+    assert T.nu["(2,1)"] == pytest.approx(0.75)
     # delta(alpha) = P(s)/P(t) for counting weights
-    assert G.delta("(2,1)") == pytest.approx(0.25 / 0.75)
+    assert T.delta["(2,1)"] == pytest.approx(0.25 / 0.75)
     delta = c.modular_function(G)
     assert delta["(1,1)"] == pytest.approx(1.0)
 
 
 def test_fibers():
     G = c.pair_groupoid(2)
-    assert G.target_fiber("1") == ("(1,1)", "(1,2)")
-    assert G.source_fiber("2") == ("(1,2)", "(2,2)")
+    source = label_tables(G).source
+    assert tuple(G.elements[i] for i in G.fiber_ix("1")) == ("(1,1)", "(1,2)")
+    assert tuple(a for a in G.elements if source[a] == "2") == ("(1,2)", "(2,2)")
     with pytest.raises(UnknownOutcome):
-        G.target_fiber("99")
+        G.fiber_ix("99")
 
 
 def test_group_groupoid_rejects_non_group():
@@ -83,24 +87,11 @@ def test_product_rejects_colliding_labels():
         c.product(z2("x", "x*"), z2("*y", "y"))
 
 
-VIEWS = ("source", "target", "inverse_map", "compose_table", "unit_of", "P", "fiber_weight")
-
-
-def test_string_tables_are_read_only_views_built_on_first_use(tmp_path):
+def test_saved_groupoid_loads_equal_with_read_only_arrays(tmp_path):
     G = c.pair_groupoid(8)
     fileio.save_groupoid(G, tmp_path / "g.json")
-    for view in VIEWS:
-        getattr(G, view)
-    assert set(VIEWS) <= set(G.__dict__)
-    built = [c.pair_groupoid(8),
-             c.product(c.pair_groupoid(2), c.cyclic_group_groupoid(3)),
-             c.disjoint_union(c.pair_groupoid(2), c.trivial_groupoid(2), 0.3),
-             fileio.load_groupoid(tmp_path / "g.json")]
-    for H in built:
-        assert not set(VIEWS) & set(H.__dict__)
-    assert built[-1] == G and built[-1] is not G
-    with pytest.raises(TypeError):
-        G.source["(1,1)"] = "2"
+    H = fileio.load_groupoid(tmp_path / "g.json")
+    assert H == G and H is not G
     with pytest.raises(ValueError):
         G.compose_ix[0] = 1
 
@@ -119,26 +110,6 @@ def test_compose_ix_holds_one_entry_per_composable_pair():
     for C in (dense, G.compose_ix.reshape(3, 9), G.compose_ix[:-1]):
         with pytest.raises(SchemaError, match="one entry per composable pair"):
             dataclasses.replace(G, compose_ix=C)
-
-
-def test_label_accessors_read_the_index_arrays():
-    """``s``, ``t``, ``inv``, ``compose``, ``is_unit``, ``nu`` and ``delta``
-    agree with the string tables without building them, and a label that is
-    no element is a KeyError, not an uncomposable pair."""
-    G = c.disjoint_union(c.pair_groupoid(2, {"1": 0.25, "2": 0.75}), c.trivial_groupoid(1), 0.4)
-    got = [(G.s(a), G.t(a), G.inv(a), G.is_unit(a), G.nu(a), G.delta(a),
-            [G.compose(b, a) for b in G.elements]) for a in G.elements]
-    assert not set(VIEWS) & set(G.__dict__)
-    assert got == [
-        (G.source[a], G.target[a], G.inverse_map[a], G.unit_of[G.source[a]] == a,
-         G.fiber_weight[a] * G.P[G.target[a]],
-         G.fiber_weight[G.inverse_map[a]] * G.P[G.source[a]]
-         / (G.fiber_weight[a] * G.P[G.target[a]]),
-         [G.compose_table.get((b, a)) for b in G.elements]) for a in G.elements]
-    for call in (G.s, G.t, G.inv, G.is_unit, G.nu, G.delta,
-                 lambda a: G.compose(a, "1:(1,1)"), lambda a: G.compose("1:(1,1)", a)):
-        with pytest.raises(KeyError):
-            call("nope")
 
 
 def test_pair_groupoid_memory_follows_the_composable_pairs():
@@ -268,8 +239,9 @@ def test_compose_that_is_not_iterable_is_a_schema_error(compose):
 
 def test_disjoint_union_measure():
     G = c.disjoint_union(c.trivial_groupoid(2), c.trivial_groupoid(2), 0.25)
-    assert sum(G.P.values()) == pytest.approx(1.0)
-    assert G.P["1:1"] == pytest.approx(0.125)
+    P = label_tables(G).P
+    assert sum(P.values()) == pytest.approx(1.0)
+    assert P["1:1"] == pytest.approx(0.125)
     with pytest.raises(BadWeight):
         c.disjoint_union(c.trivial_groupoid(2), c.trivial_groupoid(2), 1.5)
 
@@ -294,7 +266,7 @@ def test_bad_measure():
 
 def test_unit_violation():
     G = c.pair_groupoid(2)
-    units = dict(G.unit_of)
+    units = label_tables(G).units
     units["1"] = "(1,2)"
     with pytest.raises(UnitViolation):
         validate(dataclasses.replace(spec_of(G), units=units))
@@ -302,7 +274,7 @@ def test_unit_violation():
 
 def test_coherence_violation_missing_entry():
     G = c.pair_groupoid(2)
-    comp = dict(G.compose_table)
+    comp = label_tables(G).compose
     del comp[("(1,2)", "(2,1)")]
     with pytest.raises(CoherenceViolation):
         validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
@@ -310,7 +282,7 @@ def test_coherence_violation_missing_entry():
 
 def test_coherence_violation_wrong_result():
     G = c.pair_groupoid(2)
-    comp = dict(G.compose_table)
+    comp = label_tables(G).compose
     comp[("(1,2)", "(2,1)")] = "(2,1)"
     with pytest.raises(CoherenceViolation):
         validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
@@ -318,7 +290,7 @@ def test_coherence_violation_wrong_result():
 
 def test_inverse_violation():
     G = c.cyclic_group_groupoid(3)
-    inv = dict(G.inverse_map)
+    inv = label_tables(G).inverse
     inv["g1"] = "g1"
     with pytest.raises(InverseViolation):
         validate(dataclasses.replace(spec_of(G), inverse=inv))
@@ -329,14 +301,14 @@ def test_inverse_outside_its_fibers():
     element of fiber rank 2 elsewhere: neither product composes, and looking
     either up would read past the compose array or an unrelated entry."""
     G = c.disjoint_union(c.pair_groupoid(3), c.pair_groupoid(1), 0.5)
-    inv = {**G.inverse_map, "2:(1,1)": "1:(1,3)"}
+    inv = {**label_tables(G).inverse, "2:(1,1)": "1:(1,3)"}
     with pytest.raises(InverseViolation, match="'2:\\(1,1\\)'"):
         validate(dataclasses.replace(spec_of(G), inverse=inv))
 
 
 def test_associativity_violation():
     G = c.cyclic_group_groupoid(3)
-    comp = dict(G.compose_table)
+    comp = label_tables(G).compose
     comp[("g1", "g1")] = "g1"
     with pytest.raises(AssociativityViolation):
         validate(dataclasses.replace(spec_of(G), compose=rows(comp)))
@@ -344,11 +316,11 @@ def test_associativity_violation():
 
 def test_bad_weight():
     G = c.pair_groupoid(2)
-    w = dict(G.fiber_weight)
+    w = label_tables(G).fiber_weight
     w["(1,2)"] = -1.0
     with pytest.raises(BadWeight):
         validate(dataclasses.replace(spec_of(G), fiber_weight=w))
-    w = dict(G.fiber_weight)
+    w = label_tables(G).fiber_weight
     w["(1,2)"] = 2.0  # breaks left invariance
     with pytest.raises(BadWeight):
         validate(dataclasses.replace(spec_of(G), fiber_weight=w))
@@ -382,4 +354,4 @@ def test_random_measures_validate(ps):
 def test_cyclic_groups_validate(n):
     G = c.cyclic_group_groupoid(n)
     assert len(G.elements) == n
-    assert all(G.delta(a) == pytest.approx(1.0) for a in G.elements)
+    assert all(d == pytest.approx(1.0) for d in label_tables(G).delta.values())

@@ -352,6 +352,14 @@ MALFORMED = {
     "FiniteGroupoid.src-non-integral": (
         "FiniteGroupoid.src", [0.7, 0.2, 1.9, 1.0],
         "src (one entry per element) is not an array of integers"),
+    # in int32, pair(2)'s compose_ix plus 2**32 would wrap to pair(2)'s own
+    "FiniteGroupoid.compose_ix-wrapping": (
+        "FiniteGroupoid.compose_ix", PAIR2.compose_ix.astype(np.int64) + 2 ** 32,
+        "compose_ix (one entry per composable pair) holds an integer outside the range of int32"),
+    # in int64, 2**63 would wrap to -2**63
+    "FiniteGroupoid.src-uint64": (
+        "FiniteGroupoid.src", np.array([2 ** 63, 0, 1, 1], dtype=np.uint64),
+        "src (one entry per element) holds an integer outside the range of int64"),
     "GnsSpace.apply-length-5": (
         "GnsSpace.apply", np.ones(5), "coordinate vector shape (5,), expected (4,)"),
     "GnsSpace.apply-length-3": (
@@ -364,6 +372,7 @@ def test_ragged_array_argument_raises_the_documented_class(case):
     """A ragged nesting is named as such, in the entry point's own class, not
     as numpy's ValueError; so are a wrong length, an index out of range, a
     non-integral value where integers are due, refused rather than truncated,
+    an integer that does not fit the integer type, refused rather than wrapped,
     and, where real numbers are due, a nonzero imaginary part, refused rather
     than dropped with numpy's ComplexWarning (an error under the pytest
     settings)."""

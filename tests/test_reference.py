@@ -90,9 +90,10 @@ def weighted_groupoids(draw, base=groupoids(), uniform_P=False):
     if not uniform_P:
         ps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     ws = dict(zip(G.outcomes, draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))))
+    source = ref.label_tables(G).source
     return validate(dataclasses.replace(
         spec_of(G), P={x: p / sum(ps) for x, p in zip(G.outcomes, ps)},
-        fiber_weight={a: ws[G.s(a)] for a in G.elements}))
+        fiber_weight={a: ws[source[a]] for a in G.elements}))
 
 
 uniform_pairs = st.integers(1, 5).map(c.pair_groupoid)
@@ -378,7 +379,7 @@ def test_planted_defect_same_exception(G, table, data):
     new_value = data.draw(st.sampled_from(G.elements))
     if table == "compose":
         key = data.draw(st.sampled_from([(b, a) for b in G.elements for a in G.elements]))
-        compose = dict(G.compose_table)
+        compose = ref.label_tables(G).compose
         if key in compose and data.draw(st.booleans()):
             del compose[key]
         else:
@@ -503,7 +504,7 @@ def test_planted_defect_classes_are_reached():
                        ("compose", ("g1", "g2")), ("inverse", "g1"), ("unit", "*")]:
         for value in G.elements:
             if table == "compose":
-                compose = rows({**G.compose_table, key: value})
+                compose = rows({**ref.label_tables(G).compose, key: value})
                 mutated = dataclasses.replace(spec, compose=compose)
             elif table == "inverse":
                 mutated = dataclasses.replace(spec, inverse={**spec.inverse, key: value})
@@ -520,7 +521,7 @@ def test_planted_defect_classes_are_reached():
     # g2 is a left inverse of g1 but not a right one; the inverse table is no
     # longer an involution, so only the right-inverse law catches it
     lopsided = dataclasses.replace(
-        spec, compose=rows({**G.compose_table, ("g1", "g2"): "g1", ("g2", "g2"): "g0"}),
+        spec, compose=rows({**ref.label_tables(G).compose, ("g1", "g2"): "g1", ("g2", "g2"): "g0"}),
         inverse={**spec.inverse, "g2": "g2"})
     exc, _ = outcome(validate, lopsided)
     assert exc is outcome(ref.validate, lopsided)[0] is c.InverseViolation
@@ -889,7 +890,7 @@ def corrupted(G, kind, data):
     outside the fibers it must lie in; None when G has no such pair or
     element (a single outcome)."""
     spec = spec_of(G)
-    compose, inverse = dict(G.compose_table), dict(spec.inverse)
+    compose, inverse = ref.label_tables(G).compose, dict(spec.inverse)
     s, t = spec.source, spec.target
     if kind == "changed":
         key = data.draw(st.sampled_from(sorted(compose)))
@@ -964,7 +965,7 @@ def test_associativity_defect_named_alike_at_every_chunk_size(case, chunk):
     changed, (c_, b, a) = DEFECTS[case]
     spec = spec_of(G)
     spec = dataclasses.replace(
-        spec, compose=rows({**G.compose_table, **{(g, g): g for g in changed}}))
+        spec, compose=rows({**ref.label_tables(G).compose, **{(g, g): g for g in changed}}))
     assert outcome(ref.validate, spec)[0] is c.AssociativityViolation
     with mock.patch.object(groupoid_module, "_CHUNK", chunk):
         with pytest.raises(c.AssociativityViolation) as exc:
@@ -975,10 +976,17 @@ def test_associativity_defect_named_alike_at_every_chunk_size(case, chunk):
 @SETTINGS
 @given(st.one_of(weighted_groupoids(), isotropic_groupoids(),
                  st.integers(2, 16).map(c.pair_groupoid)))
+@example(c.pair_groupoid(3))
+@example(c.product(c.pair_groupoid(2), c.cyclic_group_groupoid(3)))
+@example(c.disjoint_union(c.pair_groupoid(2), c.trivial_groupoid(3), 0.3))
+@example(c.cyclic_group_groupoid(5))
+@example(validate(dataclasses.replace(spec_of(c.trivial_groupoid(2)), P={"1": 0.25, "2": 0.75},
+                                      fiber_weight={"1_1": 2.0, "1_2": 0.5})))
 def test_groupoid_writer_matches_loop_oracle(G):
-    """The composable pairs give the bytes of the writer that lists the
-    compose rows by loops over the elements; ``save_groupoid`` builds no
-    string compose table."""
+    """``save_groupoid`` writes, byte for byte, what the writer that lists the
+    compose rows by loops over the elements makes of ``ref.label_tables``, on
+    the five groupoids above and on random ones; it builds no string compose
+    table."""
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new.json"), Path(tmp, "old.json")
         fileio.save_groupoid(G, new)

@@ -16,7 +16,7 @@ from cencov_ncp.states import (
     state_from_density,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import GATE_RATIOS, random_density, random_hermitian
 
 
 def test_classical_state_basic(triv2):
@@ -151,3 +151,19 @@ def test_one_eigensolve_per_fiber_size(monkeypatch):
     calls.clear()
     assert c.validate_kernel(c.identity_kernel(G)).positivity_ok
     assert len(calls) == len(G.outcomes) * 2
+
+
+@pytest.mark.parametrize("ratio, passes", GATE_RATIOS)
+def test_density_asymmetry_gate_is_tol_times_one_plus_max_entry(ratio, passes):
+    """diag(0.5, 0.5) (max|D| = 0.5, so a bound of 1.5 tol) made asymmetric by
+    ``ratio`` times the bound, its Hermitian part kept: a density below the
+    bound, refused as not Hermitian past it."""
+    tol = 1e-6
+    D = np.diag([0.5, 0.5]).astype(complex)
+    D[[0, 1], [1, 0]] = 0.75j * ratio * tol
+    assert np.abs(D - D.conj().T).max() == pytest.approx(ratio * 1.5 * tol)
+    if passes:
+        assert np.array_equal(make_density(D, tol).matrix, D)
+    else:
+        with pytest.raises(InvalidDensity, match="density matrix is not Hermitian"):
+            make_density(D, tol)
