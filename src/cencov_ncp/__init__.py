@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in {
         NoConvergence NonTracePreserving NonUniformP NormalizationLost
         NotAGroup NotCongruent NotHermitian NotPairGroupoid NotSelfAdjoint
         NotSquare PositivityLost RowSumViolation SchemaError SupportBoundary
-        UnitViolation UnknownOutcome ZeroInformation
+        UnitViolation ZeroInformation
     """,
     "groupoid": """
         FiniteGroupoid GroupoidSpec cyclic_group_groupoid disjoint_union
@@ -34,7 +34,7 @@ _EXPORTS = {name: module for module, names in {
     """,
     "states": """
         DensityMatrix State StateReport check_state classical_state
-        density_from_state expectation fiber_gram make_density make_state
+        density_from_state expectation make_density make_state
         outcome_distribution state_from_density
     """,
     "numkit": "",

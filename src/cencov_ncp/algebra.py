@@ -32,9 +32,6 @@ class AlgebraElement:
         object.__setattr__(self, "coeff", numkit._as_array(
             self.coeff, (len(self.groupoid.elements),), GroupoidMismatch, "coefficient vector"))
 
-    def __getitem__(self, elem: str) -> complex:
-        return complex(self.coeff[self.groupoid.index[elem]])
-
 
 def element_from_dict(G: FiniteGroupoid, coeff: dict[str, complex]) -> AlgebraElement:
     c = np.zeros(len(G.elements), dtype=complex)
@@ -45,9 +42,7 @@ def element_from_dict(G: FiniteGroupoid, coeff: dict[str, complex]) -> AlgebraEl
 
 def delta_element(G: FiniteGroupoid, elem: str) -> AlgebraElement:
     """The basis element supported on a single transition."""
-    c = np.zeros(len(G.elements), dtype=complex)
-    c[G.index[elem]] = 1.0
-    return AlgebraElement(G, c)
+    return element_from_dict(G, {elem: 1.0})
 
 
 def unit_element(G: FiniteGroupoid) -> AlgebraElement:

@@ -72,9 +72,6 @@ class QuantumKernel:
         shape = (len(self.g1.elements), len(self.g2.elements))
         object.__setattr__(self, "pi", numkit._as_array(self.pi, shape, GroupoidMismatch, "pi"))
 
-    def value(self, a1: str, a2: str) -> complex:
-        return complex(self.pi[self.g1.index[a1], self.g2.index[a2]])
-
 
 @dataclass(frozen=True)
 class KernelReport:

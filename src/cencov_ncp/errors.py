@@ -61,10 +61,6 @@ class HomomorphismViolation(GroupoidViolation):
     pass
 
 
-class UnknownOutcome(CencovNcpError):
-    pass
-
-
 # --- algebra / states -----------------------------------------------------
 
 class GroupoidMismatch(CencovNcpError):

@@ -26,9 +26,10 @@ import errno
 import json
 import math
 import os
+import re
 from contextlib import suppress
 from functools import partial
-from itertools import chain, compress, count, islice, product, repeat
+from itertools import chain, compress, count, filterfalse, islice, product, repeat
 from operator import indexOf
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
@@ -44,6 +45,8 @@ from .numkit import TOL
 from .states import State, make_state
 
 FMT = "cencov-ncp/1"
+# the text of a JSON number: the one form of a model's grid key, read as its s-value
+_JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 
 
 def _reject_constant(name: str):
@@ -562,7 +565,10 @@ def _model(path: Path, data: dict, loaded: dict, tol: float):
                          fmt).tolist()
         grid = _floats(path, list(data.get("grid", [])), map("grid[{}]".format, count()),
                        fmt).tolist()
-        entries = sorted((float(k), v) for k, v in _label_map(data["states"]).items())
+        states = _label_map(data["states"])
+        for key in filterfalse(_JSON_NUMBER.fullmatch, states):
+            raise ValueError(f"states key {key!r} is not a number")
+        entries = sorted((float(k), v) for k, v in states.items())
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc}") from exc
     if len(entries) < 2:

@@ -40,7 +40,6 @@ from .errors import (
     NotPairGroupoid,
     SchemaError,
     UnitViolation,
-    UnknownOutcome,
 )
 
 
@@ -119,21 +118,11 @@ class FiniteGroupoid:
     def index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.elements)}
 
-    @cached_property
-    def outcome_index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.outcomes)}
-
     @property
     def composable_pairs(self) -> tuple[tuple[str, str, str], ...]:
         """All triples ``(beta, alpha, beta o alpha)`` in canonical order, built
         at each access."""
         return tuple(zip(*(_names(self.elements, ix) for ix in self.triples)))
-
-    def fiber_ix(self, x: str) -> np.ndarray:
-        """Element indices of the target fiber of x, in canonical order."""
-        if x not in self.outcome_index:
-            raise UnknownOutcome(f"unknown outcome {x!r}")
-        return np.flatnonzero(self.tgt == self.outcome_index[x])
 
     # -- derived arrays --------------------------------------------------------
 

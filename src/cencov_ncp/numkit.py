@@ -36,6 +36,8 @@ def _as_array(x, shape: tuple, error: type, what: str, dtype=complex) -> np.ndar
     where it is an integer type) or the shape is not ``shape`` (-1: any)."""
     try:
         a = np.asarray(x)
+        if a.dtype.kind in "US":  # refused, never parsed
+            raise error(f"{what} is not an array of numbers")
         if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
             if a.imag.any():  # refused, never dropped
                 raise error(f"{what} is not an array of real numbers")

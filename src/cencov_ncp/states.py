@@ -43,16 +43,6 @@ class State:
     groupoid: FiniteGroupoid
     phi: np.ndarray  # complex, canonical element order
 
-    def __getitem__(self, elem: str) -> complex:
-        return complex(self.phi[self.groupoid.index[elem]])
-
-
-def fiber_gram(G: FiniteGroupoid, phi: np.ndarray, x: str) -> np.ndarray:
-    """Gram matrix ``phi(inv(a_k) o a_l)`` over the target fiber of x."""
-    fiber = G.fiber_ix(x)
-    phi = numkit._as_array(phi, (len(G.elements),), GroupoidMismatch, "phi")
-    return phi[G.composed(G.inv_ix[fiber][:, None], fiber)]
-
 
 def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, scale=None):
     """:func:`numkit.psd_verdicts` of the target-fiber Grams of the array phi,

@@ -683,10 +683,13 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
     G1, G2 = Pi.g1, Pi.g2
     T1, T2 = label_tables(G1), label_tables(G2)
 
+    def value(a1: str, a2: str) -> complex:
+        return complex(Pi.pi[G1.index[a1], G2.index[a2]])
+
     # (i) sum_x Pi(a1, 1_x) nu2(1_x) = [a1 is a unit]
     norm_dev = 0.0
     for a1 in G1.elements:
-        total = sum(Pi.value(a1, u) * T2.nu[u] for u in T2.units.values())
+        total = sum(value(a1, u) * T2.nu[u] for u in T2.units.values())
         want = 1.0 if T1.units[T1.source[a1]] == a1 else 0.0
         norm_dev = max(norm_dev, abs(total - want))
 
@@ -712,8 +715,8 @@ def validate_kernel(Pi: QuantumKernel, tol: float = KERNEL_TOL) -> KernelReport:
     herm_dev = 0.0
     for a1 in G1.elements:
         for a2 in G2.elements:
-            lhs = np.conj(Pi.value(a1, a2))
-            rhs = T2.delta[a2] * Pi.value(T1.inverse[a1], T2.inverse[a2])
+            lhs = np.conj(value(a1, a2))
+            rhs = T2.delta[a2] * value(T1.inverse[a1], T2.inverse[a2])
             herm_dev = max(herm_dev, abs(lhs - rhs))
 
     scale = 1.0 + float(np.abs(Pi.pi).max(initial=0.0))

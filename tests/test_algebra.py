@@ -118,7 +118,7 @@ def test_add_scale():
     G = c.pair_groupoid(2)
     a = delta_element(G, "(1,2)")
     s = add(scale(2.0, a), a)
-    assert s["(1,2)"] == pytest.approx(3.0)
+    assert s.coeff[G.index["(1,2)"]] == pytest.approx(3.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,7 +18,6 @@ from cencov_ncp.errors import (
     NotAGroup,
     SchemaError,
     UnitViolation,
-    UnknownOutcome,
 )
 from cencov_ncp.groupoid import validate
 from conftest import rows, spec_of
@@ -59,10 +58,9 @@ def test_measure_and_modular():
 def test_fibers():
     G = c.pair_groupoid(2)
     source = label_tables(G).source
-    assert tuple(G.elements[i] for i in G.fiber_ix("1")) == ("(1,1)", "(1,2)")
+    (xs, F, _), = G.fiber_blocks
+    assert xs.tolist() == [0, 1] and tuple(G.elements[i] for i in F[0]) == ("(1,1)", "(1,2)")
     assert tuple(a for a in G.elements if source[a] == "2") == ("(1,2)", "(2,2)")
-    with pytest.raises(UnknownOutcome):
-        G.fiber_ix("99")
 
 
 def test_group_groupoid_rejects_non_group():

@@ -29,7 +29,7 @@ PUBLIC = {
         InvalidState InverseViolation NoConvergence NonTracePreserving NonUniformP
         NormalizationLost NotAGroup NotCongruent NotHermitian NotPairGroupoid
         NotSelfAdjoint NotSquare PositivityLost RowSumViolation SchemaError
-        SupportBoundary UnitViolation UnknownOutcome ZeroInformation""",
+        SupportBoundary UnitViolation ZeroInformation""",
     "groupoid": """
         FiniteGroupoid GroupoidSpec cyclic_group_groupoid disjoint_union group_groupoid
         modular_function pair_groupoid product trivial_groupoid validate""",
@@ -38,7 +38,7 @@ PUBLIC = {
         fundamental_rep_pair left_regular_rep scale star unit_element""",
     "states": """
         DensityMatrix State StateReport check_state classical_state density_from_state
-        expectation fiber_gram make_density make_state outcome_distribution
+        expectation make_density make_state outcome_distribution
         state_from_density""",
     "numkit": "",
     "channels": """

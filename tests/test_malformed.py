@@ -103,6 +103,21 @@ def test_malformed_file_exits_2(fixture_dir, case):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("keys", [("0", "1_0", " 20 "), ("0", " 20 "), ("0", ".5")],
+                         ids=["underscore", "whitespace", "bare-point"])
+def test_model_grid_key_that_is_no_json_number_exits_2(fixture_dir, keys):
+    """A model's grid key is read as its s-value only if it is the text of a
+    JSON number; the first other key is named, as Python's float() would read
+    "1_0" as 10, " 20 " as 20 and ".5" as 0.5."""
+    model = json.loads((fixture_dir / "coin_model.json").read_text())
+    model["states"] = dict(zip(keys, model["states"].values()))
+    bad = fixture_dir / "bad_keys.json"
+    bad.write_text(json.dumps(model))
+    result = CliRunner().invoke(main, ["--json", "validate", str(bad)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert f"{bad}: malformed model file: states key {keys[1]!r} is not a number" in result.output
+
+
 def test_kraus_im_of_another_shape_is_named(tmp_path):
     bad = tmp_path / "kraus.json"
     bad.write_text(json.dumps({"fmt": fileio.FMT, "kraus": KRAUS_IM_SHAPE}))
@@ -306,7 +321,6 @@ ARRAY_ARGUMENTS = {
     "check_state": (lambda x: c.check_state(x, PAIR2), GroupoidMismatch),
     "make_state": (lambda x: c.make_state(PAIR2, x), GroupoidMismatch),
     "classical_state": (lambda x: c.classical_state(TRIV2, x), GroupoidMismatch),
-    "fiber_gram": (lambda x: c.fiber_gram(PAIR2, x, "1"), GroupoidMismatch),
     "make_density": (c.make_density, InvalidDensity),
     "ClassicalKernel": (ClassicalKernel, RowSumViolation),
     "QuantumKernel": (lambda x: c.QuantumKernel(PAIR2, PAIR2, x), GroupoidMismatch),
@@ -349,6 +363,15 @@ MALFORMED = {
         "FiniteGroupoid.inv_ix", [0, 2, 1, 7], "inv_ix entry 7 at position 3 is outside [0, 4)"),
     "FiniteGroupoid.unit_ix-out-of-range": (
         "FiniteGroupoid.unit_ix", [0, 9], "unit_ix entry 9 at position 1 is outside [0, 4)"),
+    # a string is never parsed as a number, in the entry point's own class
+    "make_density-numeric-strings": (
+        "make_density", [["0.5", "0"], ["0", "0.5"]], "density matrix is not an array of numbers"),
+    "FiniteGroupoid.src-numeric-strings": (
+        "FiniteGroupoid.src", ["0", "1", "0", "1"],
+        "src (one entry per element) is not an array of numbers"),
+    "make_state-bytes": ("make_state", [b"1", b"0", b"0", b"1"], "phi is not an array of numbers"),
+    "choi_to_kernel-numeric-strings": (
+        "choi_to_kernel", [["1", "0"], ["0", "1"]], "Kraus operator is not an array of numbers"),
     "FiniteGroupoid.src-non-integral": (
         "FiniteGroupoid.src", [0.7, 0.2, 1.9, 1.0],
         "src (one entry per element) is not an array of integers"),

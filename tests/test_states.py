@@ -29,7 +29,7 @@ def test_classical_state_basic(triv2):
 def test_classical_state_nonuniform_reference():
     G = c.trivial_groupoid(2, P={"1": 0.25, "2": 0.75})
     rho = classical_state(G, [0.5, 0.5])
-    assert rho["1_1"] == pytest.approx(2.0)
+    assert rho.phi[G.index["1_1"]] == pytest.approx(2.0)
     dist = outcome_distribution(rho)
     assert dist["1"] == pytest.approx(0.5)
 
