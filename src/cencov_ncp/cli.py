@@ -1,17 +1,23 @@
 """Command-line surface for validating, transforming, and reporting on
 groupoids, states, kernels, and statistical models.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or schema error,
-3 numerical failure.  Commands call the library directly; the ``main`` group
-maps a library error or OSError to its exit code, once, and prints
+Exit codes: 0 success, 1 validation failure, 2 usage, I/O or schema error,
+3 numerical failure.  Commands call the library directly; :func:`main` maps a
+library error or OSError to its exit code, once, and prints
 ``error: <message>``.  A closed stdout exits 1 with nothing on stderr.
+
+The command line is parsed with :mod:`argparse` in two stages: the options
+before the command, then the command's own arguments.  Help and usage errors
+keep the layout the CLI had under click: ``Usage: ...``, ``Try '... --help'
+for help.``, a blank line, then ``Error: ...``.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 
-import click
 import numpy as np
 
 from . import fileio, numkit
@@ -38,78 +44,243 @@ from .states import check_state
 EXIT_VALIDATION = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
+EXIT_USAGE = 2
 
 _NUMERICAL = (NoConvergence, FoliumViolation, ZeroInformation)
 
+_DESCRIPTION = "Finite groupoid algebras, states, kernels, and Cramer-Rao reports."
+# options as (flags, metavar, help); an option with no metavar is a flag
+_OPTIONS = [
+    (("--tol",), "FLOAT", f"Validation tolerance.  [default: {numkit.TOL}]"),
+    (("--h",), "FLOAT",
+     f"Finite-difference step for model derivatives.  [default: {numkit.DEFAULT_H}]"),
+    (("--json",), None, "Machine-readable output."),
+]
+_OUT = (("-o", "--out"), "PATH", "")
+_ESTIMATOR = (("--estimator",), "PATH", "")
+_COMMANDS = {}  # name: (function, positional arguments, options)
+
+
+def _echo(text: str, stream=None) -> None:
+    """Write ``text`` to ``stream`` (default stdout) and flush it; a stream
+    that is closed as a descriptor (None) takes nothing."""
+    stream = sys.stdout if stream is None else stream
+    if stream is not None:
+        stream.write(text)
+        stream.flush()
+
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}\n", sys.stderr)
     sys.exit(code)
 
 
-class _Main(click.Group):
-    def invoke(self, ctx):
-        try:
-            result = super().invoke(ctx)
-        except SchemaError as exc:
-            _fail(EXIT_SCHEMA, str(exc))
-        except _NUMERICAL as exc:
-            _fail(EXIT_NUMERICAL, str(exc))
-        except CencovNcpError as exc:
-            _fail(EXIT_VALIDATION, str(exc))
-        except BrokenPipeError:
-            raise  # a closed stdout: click exits 1 quietly
-        except OSError as exc:
-            _fail(EXIT_SCHEMA, str(exc))
-        if sys.stdout is None:  # stdout closed as a descriptor: click.echo wrote nothing
-            sys.exit(1)
-        return result
+class _UsageError(Exception):
+    """A command line that does not parse: the message, after the usage of
+    ``parser`` when there is one."""
+
+    def __init__(self, message: str, parser: _Parser | None = None):
+        super().__init__(message)
+        self.parser = parser
+
+    def __str__(self) -> str:
+        p, message = self.parser, self.args[0]
+        if p is None:
+            return f"Error: {message}\n"
+        return f"Usage: {p.usage}\nTry '{p.prog} --help' for help.\n\nError: {message}\n"
+
+
+def _did_you_mean(name: str, choices) -> str:
+    from difflib import get_close_matches
+
+    found = sorted(get_close_matches(name, choices))
+    quoted = ", ".join(map(repr, found))
+    if len(found) > 1:
+        return f" (Did you mean one of: {quoted}?)"
+    return f" Did you mean {quoted}?" if found else ""
+
+
+class _Parser(argparse.ArgumentParser):
+    """The options of the top level or of one command: ``--help`` is the only
+    help flag, no option is abbreviated, the help has click's layout, and an
+    error raises :class:`_UsageError`.  ``commands`` are the help rows of the
+    top level's commands."""
+
+    def __init__(self, prog: str, usage: str, doc: str, options, commands=()):
+        super().__init__(prog=prog, usage=usage, add_help=False, allow_abbrev=False)
+        self.doc, self.commands = doc, commands
+        options = [*options, (("--help",), None, "Show this message and exit.")]
+        self.rows = [(", ".join(flags) + (f" {metavar}" if metavar else ""), text)
+                     for flags, metavar, text in options]
+        self.flags = [flag for flags, _, _ in options for flag in flags]
+        self.valued = {flag for flags, metavar, _ in options if metavar for flag in flags}
+        for flags, metavar, _ in options:
+            self.add_argument(*flags, **({"metavar": metavar} if metavar
+                                         else {"action": "store_true"}))
+
+    def format_help(self) -> str:
+        lines = [line.strip() for line in (self.doc or "").strip().splitlines()]
+        text = f"Usage: {self.usage}\n" + ("\n" if lines else "")
+        text += "".join(f"  {x}\n" if x else "\n" for x in lines)
+        for title, rows in (("Options", self.rows), ("Commands", self.commands)):
+            if rows:
+                width = max(len(first) for first, _ in rows) + 2
+                text += f"\n{title}:\n" + "".join(f"  {first:<{width}}{second}".rstrip() + "\n"
+                                                   for first, second in rows)
+        return text
+
+    def error(self, message: str):
+        raise _UsageError(message, self)
+
+    def parse(self, args: list[str]) -> tuple[argparse.Namespace, list[str]]:
+        """The options in ``args`` and, in order, the arguments that are no
+        option; the top level stops at its command, the first of these.
+
+        As under click, an option's value may start with '-': ``--h -1e-5``
+        is passed to argparse as ``--h=-1e-5``, which would otherwise read
+        ``-1e-5`` as an option.  An unknown option is a usage error, and
+        ``--help`` prints the help and exits 0.  Every argument after ``--``
+        is no option."""
+        args, i = list(args), 0
+        while i < len(args) and args[i] != "--":
+            if args[i] in self.valued:
+                if i + 1 == len(args):
+                    raise _UsageError(f"Option {args[i]!r} requires an argument.")
+                args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
+            elif args[i][:2] in self.valued:  # ``-ox``: the rest is the value, '=' included
+                args[i] = f"{args[i][:2]}={args[i][2:]}"
+            elif "=" in args[i] and (flag := args[i].split("=", 1)[0]) in self.flags \
+                    and flag not in self.valued:
+                raise _UsageError(f"Option {flag!r} does not take a value.")
+            elif self.commands and (args[i][:1] != "-" or args[i] == "-"):
+                break
+            i += 1
+        ns, words = self.parse_known_args(args[:i])
+        for arg in words:
+            if arg[:2] == "--":  # an unknown long option, and the known ones it is close to
+                name = arg.split("=", 1)[0]
+                long = [flag for flag in self.flags if flag[:2] == "--"]
+                raise _UsageError(f"No such option {name!r}.{_did_you_mean(name, long)}", self)
+            if arg[:1] == "-" and arg != "-":  # short options: the first letter is unknown
+                raise _UsageError(f"No such option {arg[:2]!r}.", self)
+        if vars(ns).pop("help"):
+            _echo(self.format_help())
+            sys.exit(0)
+        return ns, words + args[i + (args[i:i + 1] == ["--"]):]
+
+
+def _command(*arguments: str, options=()):
+    """Register the decorated function as the command of its name, with its
+    positional ``arguments`` and its ``options``."""
+    def register(fn):
+        _COMMANDS[fn.__name__] = (fn, arguments, options)
+        return fn
+    return register
+
+
+def _finite(parser: _Parser, option: str, value, strict: bool = False) -> float:
+    """A finite ``--tol`` >= 0, or a finite ``--h`` > 0."""
+    try:
+        value = float(value)
+    except ValueError:
+        raise _UsageError(f"Invalid value for {option!r}: {value!r} is not a valid float.",
+                          parser) from None
+    if not np.isfinite(value) or value < 0 or (strict and value == 0):
+        raise _UsageError(f"Invalid value for {option!r}: must be finite and "
+                          f"{'>' if strict else '>='} 0", parser)
+    return value
+
+
+def _prog_name() -> str:
+    """The program's name as click gave it: the script's file name, or
+    ``python -m <module>`` for a module run with ``-m``."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    if not package:
+        return os.path.basename(sys.argv[0])
+    name = os.path.splitext(os.path.basename(sys.argv[0]))[0]
+    return f"python -m {package if name == '__main__' else f'{package}.{name}'}"
+
+
+def _run(args: list[str], prog: str) -> None:
+    # a command's first docstring line is its summary (none under python -OO)
+    commands = sorted((name, (fn.__doc__ or "").strip().split("\n")[0])
+                      for name, (fn, _, _) in _COMMANDS.items())
+    top = _Parser(prog, f"{prog} [OPTIONS] COMMAND [ARGS]...", _DESCRIPTION, _OPTIONS, commands)
+    if not args:  # the help, as a usage error
+        _echo(top.format_help(), sys.stderr)
+        sys.exit(EXIT_USAGE)
+    top.set_defaults(tol=numkit.TOL, h=numkit.DEFAULT_H)
+    ns, words = top.parse(args)
+    ctx = {"tol": _finite(top, "--tol", ns.tol), "h": _finite(top, "--h", ns.h, strict=True),
+           "json": ns.json, "loaded": {}}
+    if not words:
+        raise _UsageError("Missing command.", top)
+    name, *rest = words
+    if name not in _COMMANDS:
+        raise _UsageError(f"No such command {name!r}.{_did_you_mean(name, _COMMANDS)}", top)
+    fn, arguments, options = _COMMANDS[name]
+    metavars = [a.upper() for a in arguments]
+    parser = _Parser(f"{prog} {name}", f"{prog} {name} [OPTIONS] {' '.join(metavars)}",
+                     fn.__doc__, options)
+    ns, words = parser.parse(rest)
+    if len(words) < len(arguments):
+        raise _UsageError(f"Missing argument {metavars[len(words)]!r}.", parser)
+    if len(words) > len(arguments):
+        extra = words[len(arguments):]
+        s = "s" if len(extra) > 1 else ""
+        raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})", parser)
+    fn(ctx, *words, **vars(ns))
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run the command line ``args`` (default ``sys.argv[1:]``) and exit:
+    always by raising :class:`SystemExit` with the exit code."""
+    try:
+        _run(sys.argv[1:] if args is None else list(args), prog_name or _prog_name())
+    except _UsageError as exc:
+        _echo(str(exc), sys.stderr)
+        sys.exit(EXIT_USAGE)
+    except SchemaError as exc:
+        _fail(EXIT_SCHEMA, str(exc))
+    except _NUMERICAL as exc:
+        _fail(EXIT_NUMERICAL, str(exc))
+    except CencovNcpError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+    except BrokenPipeError:
+        # a closed stdout: exit 1 quietly, with stdout on devnull so that
+        # the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except OSError as exc:
+        _fail(EXIT_SCHEMA, str(exc))
+    except KeyboardInterrupt:
+        _echo("Aborted!\n", sys.stderr)
+        sys.exit(1)
+    # with stdout closed as a descriptor, the result could not be written
+    sys.exit(0 if sys.stdout is not None else 1)
 
 
 def _emit(ctx, data: dict) -> None:
-    if ctx.obj["json"]:
+    if ctx["json"]:
         # a non-finite number is written as null, so that the line is JSON (RFC 8259)
         data = json.loads(json.dumps(data), parse_constant=lambda _: None)
-        click.echo(json.dumps(data, sort_keys=True, allow_nan=False))
+        _echo(json.dumps(data, sort_keys=True, allow_nan=False) + "\n")
     else:
-        for key in sorted(data):
-            click.echo(f"{key}: {data[key]}")
+        _echo("".join(f"{key}: {data[key]}\n" for key in sorted(data)))
 
 
 def _save(ctx, data: dict, out, save, obj, *groupoids) -> None:
     """With ``-o``, write ``obj`` to ``out`` referencing its groupoids' files."""
     if out:
-        save(obj, out, *(fileio.groupoid_ref(G, out, ctx.obj["loaded"]) for G in groupoids))
+        save(obj, out, *(fileio.groupoid_ref(G, out, ctx["loaded"]) for G in groupoids))
         data["out"] = out
 
 
-def _finite(ctx, param, value):
-    """Option callback: a finite ``--tol`` >= 0, or a finite ``--h`` > 0."""
-    strict = param.name == "hstep"
-    if not np.isfinite(value) or value < 0 or (strict and value == 0):
-        raise click.BadParameter(f"must be finite and {'>' if strict else '>='} 0")
-    return value
-
-
-@click.group(cls=_Main)
-@click.option("--tol", type=float, default=numkit.TOL, show_default=True, callback=_finite,
-              help="Validation tolerance.")
-@click.option("--h", "hstep", type=float, default=numkit.DEFAULT_H, show_default=True,
-              callback=_finite, help="Finite-difference step for model derivatives.")
-@click.option("--json", "json_out", is_flag=True, help="Machine-readable output.")
-@click.pass_context
-def main(ctx, tol, hstep, json_out):
-    """Finite groupoid algebras, states, kernels, and Cramer-Rao reports."""
-    ctx.obj = {"tol": tol, "h": hstep, "json": json_out, "loaded": {}}
-
-
-@main.command()
-@click.argument("file", type=click.Path())
-@click.pass_context
+@_command("file")
 def validate(ctx, file):
     """Validate a groupoid, state, kernel, or model file."""
-    tol = ctx.obj["tol"]
-    kind, obj = fileio.load_file(file, ctx.obj["loaded"], tol=tol)
+    tol = ctx["tol"]
+    kind, obj = fileio.load_file(file, ctx["loaded"], tol=tol)
     data = {"file": file, "kind": kind}
 
     if kind == "groupoid":
@@ -148,16 +319,12 @@ def validate(ctx, file):
         sys.exit(EXIT_VALIDATION)
 
 
-@main.command()
-@click.argument("k1", type=click.Path())
-@click.argument("k2", type=click.Path())
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.pass_context
+@_command("k1", "k2", options=[_OUT])
 def compose(ctx, k1, k2, out):
     """Compose two kernel files (first applied first)."""
-    loaded = ctx.obj["loaded"]
+    loaded = ctx["loaded"]
     Pi = compose_kernels(fileio.load_kernel(k1, loaded), fileio.load_kernel(k2, loaded))
-    report = validate_kernel(Pi, tol=ctx.obj["tol"])
+    report = validate_kernel(Pi, tol=ctx["tol"])
     data = {
         "passed": report.passed,
         "normalization_deficit": report.normalization_deficit,
@@ -170,7 +337,7 @@ def compose(ctx, k1, k2, out):
 def _pushed(ctx, state, kernels):
     """The state of the file ``state`` pushed through each kernel file in
     turn, and the record of each push; a push that is no state raises."""
-    loaded, tol = ctx.obj["loaded"], ctx.obj["tol"]
+    loaded, tol = ctx["loaded"], ctx["tol"]
     rho, records = fileio.load_state(state, loaded, tol=tol), []
     for kp in kernels:
         rho, report = push_state_report(rho, fileio.load_kernel(kp, loaded), tol=tol)
@@ -181,11 +348,7 @@ def _pushed(ctx, state, kernels):
     return rho, records
 
 
-@main.command()
-@click.argument("state", type=click.Path())
-@click.argument("kernel", type=click.Path())
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.pass_context
+@_command("state", "kernel", options=[_OUT])
 def push(ctx, state, kernel, out):
     """Push a state forward through a kernel."""
     pushed, [record] = _pushed(ctx, state, [kernel])
@@ -194,14 +357,10 @@ def push(ctx, state, kernel, out):
     _emit(ctx, data)
 
 
-@main.command()
-@click.argument("kernel", type=click.Path())
-@click.argument("observable", type=click.Path())
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.pass_context
+@_command("kernel", "observable", options=[_OUT])
 def pull(ctx, kernel, observable, out):
     """Pull an observable back through a kernel."""
-    loaded = ctx.obj["loaded"]
+    loaded = ctx["loaded"]
     pulled = pull_observable(fileio.load_kernel(kernel, loaded),
                              fileio.load_algebra_element(observable, loaded))
     data = {"support": int(np.count_nonzero(pulled.coeff))}
@@ -209,10 +368,7 @@ def pull(ctx, kernel, observable, out):
     _emit(ctx, data)
 
 
-@main.command()
-@click.argument("config", type=click.Path())
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.pass_context
+@_command("config", options=[_OUT])
 def pipeline(ctx, config, out):
     """Run an ordered kernel pipeline on an initial state.
 
@@ -226,15 +382,13 @@ def pipeline(ctx, config, out):
     _emit(ctx, data)
 
 
-@main.command()
-@click.argument("state", type=click.Path())
-@click.pass_context
+@_command("state")
 def gns(ctx, state):
     """Report the GNS dimension, ideal dimension, and Gram spectrum."""
     from .gns import build_gns
 
-    rho = fileio.load_state(state, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = build_gns(rho, ctx.obj["tol"])
+    rho = fileio.load_state(state, ctx["loaded"], tol=ctx["tol"])
+    S = build_gns(rho, ctx["tol"])
     _emit(ctx, {
         "dim": S.dim,
         "ideal_dim": int(len(S.groupoid.elements) - S.dim),
@@ -242,40 +396,35 @@ def gns(ctx, state):
     })
 
 
-@main.command()
-@click.argument("model", type=click.Path())
-@click.pass_context
+@_command("model")
 def fisher(ctx, model):
     """Fisher metric of a model; classical value when applicable."""
     from .estimation import classical_fisher_rao, fisher_metric
     from .gns import build_gns
 
-    M, _ = fileio.load_model(model, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = build_gns(M.at(M.s0), ctx.obj["tol"])
-    gf = fisher_metric(M, S, h=ctx.obj["h"])
+    M, _ = fileio.load_model(model, ctx["loaded"], tol=ctx["tol"])
+    S = build_gns(M.at(M.s0), ctx["tol"])
+    gf = fisher_metric(M, S, h=ctx["h"])
     data = {"fisher": gf}
     if len(M.groupoid.elements) == len(M.groupoid.outcomes):
-        classical = classical_fisher_rao(M, h=ctx.obj["h"])
+        classical = classical_fisher_rao(M, h=ctx["h"])
         data["classical_fisher"] = classical
         data["agreement_deficit"] = abs(gf - classical)
     _emit(ctx, data)
 
 
-@main.command()
-@click.argument("model", type=click.Path())
-@click.option("--estimator", type=click.Path(), default=None)
-@click.pass_context
+@_command("model", options=[_ESTIMATOR])
 def crb(ctx, model, estimator):
     """Cramer-Rao bound; audit a self-adjoint estimator when given."""
     from .estimation import Estimator, cramer_rao_audit, cramer_rao_bound
     from .gns import build_gns
 
-    M, _ = fileio.load_model(model, ctx.obj["loaded"], tol=ctx.obj["tol"])
-    S = build_gns(M.at(M.s0), ctx.obj["tol"])
-    bound = cramer_rao_bound(M, S, h=ctx.obj["h"])
+    M, _ = fileio.load_model(model, ctx["loaded"], tol=ctx["tol"])
+    S = build_gns(M.at(M.s0), ctx["tol"])
+    bound = cramer_rao_bound(M, S, h=ctx["h"])
     data = {"bound": bound}
     if estimator:
-        a = fileio.load_algebra_element(estimator, ctx.obj["loaded"])
+        a = fileio.load_algebra_element(estimator, ctx["loaded"])
         audit = cramer_rao_audit(M, Estimator(a), bound)
         data.update(
             second_moment=audit.second_moment,
@@ -285,13 +434,11 @@ def crb(ctx, model, estimator):
     _emit(ctx, data)
 
 
-@main.command()
-@click.argument("kernel", type=click.Path())
-@click.pass_context
+@_command("kernel")
 def cp(ctx, kernel):
     """Choi complete-positivity verdict for a pair-groupoid kernel."""
-    Pi = fileio.load_kernel(kernel, ctx.obj["loaded"])
-    is_cp, min_eig = cp_verdict(Pi, ctx.obj["tol"])
+    Pi = fileio.load_kernel(kernel, ctx["loaded"])
+    is_cp, min_eig = cp_verdict(Pi, ctx["tol"])
     _emit(ctx, {"is_cp": is_cp, "min_choi_eigenvalue": min_eig})
 
 

@@ -33,10 +33,13 @@ def _as_array(x, shape: tuple, error: type, what: str, dtype=complex) -> np.ndar
     """``np.asarray(x, dtype)``; ``error`` naming ``what`` if that fails (a ragged
     nesting, an entry that is not a number, a nonzero imaginary part where
     ``dtype`` is real, a non-integral value, or an integer that does not fit,
-    where it is an integer type) or the shape is not ``shape`` (-1: any)."""
+    where it is an integer type) or the shape is not ``shape`` (-1: any).  Text,
+    bytes and None are refused, also as entries of an object array, whose other
+    entries (Fraction, Decimal, Python or numpy numbers) numpy casts one by one."""
     try:
         a = np.asarray(x)
-        if a.dtype.kind in "US":  # refused, never parsed
+        if a.dtype.kind in "US" or a.dtype.kind == "O" and any(  # refused, never parsed
+                v is None or isinstance(v, (str, bytes)) for v in a.flat):
             raise error(f"{what} is not an array of numbers")
         if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
             if a.imag.any():  # refused, never dropped

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +10,46 @@ import cencov_ncp as c
 from cencov_ncp import channels, fileio
 from cencov_ncp.groupoid import GroupoidSpec
 from reference import label_tables
+
+
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr, interleaved as written
+    exception: BaseException | None
+
+
+class CliRunner:
+    """Runs the CLI in this process with stdout and stderr captured.
+
+    ``invoke`` returns the exit code of the ``SystemExit`` that ends the run
+    (0 if none), and that ``SystemExit`` as ``exception`` when its code is
+    not 0.  Any other exception is re-raised with ``catch_exceptions=False``,
+    and otherwise returned as ``exception`` with exit code 1."""
+
+    def invoke(self, cli, args=(), catch_exceptions=True):
+        output = io.StringIO()
+
+        class Stream(io.StringIO):
+            def write(self, text):
+                output.write(text)
+                return super().write(text)
+
+        out, err = Stream(), Stream()
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli(list(args), prog_name="cencov-ncp")
+            except SystemExit as exc:
+                code = exc.code or 0
+                exception = exc if code else None
+            except Exception as exc:
+                if not catch_exceptions:
+                    raise
+                code, exception = 1, exc
+        return Result(code, out.getvalue(), err.getvalue(), output.getvalue(), exception)
 
 
 def random_density(rng, n):

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import cencov_ncp as c
 from cencov_ncp import fileio
@@ -57,7 +56,8 @@ from cencov_ncp.groupoid import validate
 from reference import label_tables, matrix_rank_hermitian
 
 from conftest import (
-    random_density, random_hermitian, random_kraus, random_stochastic, rows, spec_of,
+    CliRunner, random_density, random_hermitian, random_kraus, random_stochastic, rows,
+    spec_of,
 )
 
 

@@ -9,13 +9,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import cencov_ncp as c
 from cencov_ncp import channels, cli, errors, estimation, fileio, gns, numkit, states
 from cencov_ncp.cli import main
 from cencov_ncp.gns import build_gns
-from conftest import non_hermitian_choi, spec_of, strict_json
+from conftest import CliRunner, non_hermitian_choi, spec_of, strict_json
 
 # machine-readable output contracts for the --json flag, by subcommand
 SCHEMAS = {
@@ -428,6 +427,70 @@ def test_non_finite_or_out_of_range_step_and_tol_exit_2(runner, fixture_dir, mon
     r = runner.invoke(main, ["--json", option, value, *args])
     assert r.exit_code == 2, r.output
     assert r.stdout == "" and f"Invalid value for '{option}'" in r.stderr
+
+
+def test_help_and_no_arguments(runner):
+    """``--help`` prints the help on stdout and exits 0; with no arguments the
+    same help goes to stderr with exit 2; ``-h`` is no help flag."""
+    r = runner.invoke(main, ["--help"])
+    assert r.exit_code == 0 and r.stderr == ""
+    assert r.stdout.startswith("Usage: cencov-ncp [OPTIONS] COMMAND [ARGS]...\n\n")
+    assert "  --tol FLOAT  Validation tolerance.  [default: 1e-09]\n" in r.stdout
+    assert "  validate  Validate a groupoid, state, kernel, or model file.\n" in r.stdout
+    none = runner.invoke(main, [])
+    assert (none.exit_code, none.stdout, none.stderr) == (2, "", r.stdout)
+    r = runner.invoke(main, ["compose", "--help"])
+    assert (r.exit_code, r.stdout) == (0, "Usage: cencov-ncp compose [OPTIONS] K1 K2\n\n"
+                                          "  Compose two kernel files (first applied first).\n\n"
+                                          "Options:\n  -o, --out PATH\n"
+                                          "  --help          Show this message and exit.\n")
+    assert runner.invoke(main, ["-h"]).exit_code == 2
+
+
+TOP = "Usage: cencov-ncp [OPTIONS] COMMAND [ARGS]...\nTry 'cencov-ncp --help' for help.\n\n"
+COMPOSE = "Usage: cencov-ncp compose [OPTIONS] K1 K2\nTry 'cencov-ncp compose --help' for help.\n\n"
+
+
+@pytest.mark.parametrize("args, stderr", [
+    (["--json"], TOP + "Error: Missing command.\n"),
+    (["--js", "gns", "a.json"], TOP + "Error: No such option '--js'. Did you mean '--json'?\n"),
+    (["-x", "gns", "a.json"], TOP + "Error: No such option '-x'.\n"),
+    (["valid", "a.json"], TOP + "Error: No such command 'valid'. Did you mean 'validate'?\n"),
+    (["--tol", "x", "gns", "a.json"],
+     TOP + "Error: Invalid value for '--tol': 'x' is not a valid float.\n"),
+    (["compose", "a.json"], COMPOSE + "Error: Missing argument 'K2'.\n"),
+    (["compose", "a.json", "b.json", "c.json"], COMPOSE + "Error: Got unexpected extra argument (c.json)\n"),
+    (["compose", "a.json", "b.json", "--json"], COMPOSE + "Error: No such option '--json'.\n"),
+    (["compose", "a.json", "b.json", "-o"], "Error: Option '-o' requires an argument.\n"),
+    (["--json=1", "gns", "a.json"], "Error: Option '--json' does not take a value.\n"),
+], ids=["missing-command", "unknown-long-option", "unknown-short-option", "unknown-command",
+        "bad-float", "missing-argument", "extra-argument", "option-after-command",
+        "option-without-value", "flag-with-value"])
+def test_usage_error_layout(runner, args, stderr):
+    """A usage error exits 2 with nothing on stdout, and stderr holds the
+    usage, how to get help, a blank line and the error."""
+    r = runner.invoke(main, args)
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("args, written", [
+    (["-o", "x.json"], "x.json"), (["--out", "x.json"], "x.json"),
+    (["--out=x.json"], "x.json"), (["-ox.json"], "x.json"), (["-o=x.json"], "=x.json"),
+    (["-o", "-x.json"], "-x.json"),
+], ids=["short", "long", "long-equals", "short-attached", "short-equals", "dash-value"])
+def test_option_value_forms(runner, fixture_dir, monkeypatch, args, written):
+    """An option's value may follow it, be attached to it (all of it, as
+    under click: ``-o=x.json`` names ``=x.json``), or start with '-'."""
+    monkeypatch.chdir(fixture_dir)
+    r = runner.invoke(main, ["--json", "compose", "idk.json", "idk.json", *args])
+    assert r.exit_code == 0 and jout(r)["out"] == written
+    assert (fixture_dir / written).is_file()
+
+
+def test_arguments_after_double_dash_are_paths(runner, fixture_dir, monkeypatch):
+    monkeypatch.chdir(fixture_dir)
+    r = runner.invoke(main, ["compose", "idk.json", "--", "-o"])
+    assert r.exit_code == 2 and r.stderr.startswith("error: cannot read -o: ")
 
 
 def test_zero_tol_is_accepted(runner, fixture_dir):

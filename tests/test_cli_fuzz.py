@@ -8,12 +8,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cencov_ncp.cli import main
-from conftest import strict_json
+from conftest import CliRunner, strict_json
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_files.py"
 

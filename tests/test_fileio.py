@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import cencov_ncp as c
 from cencov_ncp import fileio
@@ -17,6 +16,7 @@ from cencov_ncp.cli import main
 from cencov_ncp.errors import SchemaError
 from cencov_ncp.groupoid import GroupoidSpec, validate
 from cencov_ncp.states import State
+from conftest import CliRunner
 
 
 def test_groupoid_round_trip(tmp_path, pair2):

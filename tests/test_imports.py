@@ -130,9 +130,12 @@ GNS_LAYERS = {"cencov_ncp.gns", "cencov_ncp.estimation"}
     (["pipeline", "pipe.json"], GNS_LAYERS),
     (["compose", "idk.json", "transpose.json"], GNS_LAYERS),
     (["gns", "rho.json"], {"cencov_ncp.estimation"}),
+    (["--help"], GNS_LAYERS),
 ])
 def test_commands_load_only_the_layers_they_run(command_files, args, unloaded):
-    code, loaded = _fresh("""
+    """Each command, and ``--help``, loads only the layers it runs, and no
+    click module: the command line is parsed with argparse."""
+    code, loaded, click = _fresh("""
         import json, os, sys
         from cencov_ncp.cli import main
         os.chdir(sys.argv[1])
@@ -140,8 +143,10 @@ def test_commands_load_only_the_layers_they_run(command_files, args, unloaded):
             main(["--json", *json.loads(sys.argv[2])])
         except SystemExit as exc:
             code = exc.code
-        print(json.dumps([code, [m for m in sys.modules if m.startswith("cencov_ncp.")]]))
+        print(json.dumps([code, [m for m in sys.modules if m.startswith("cencov_ncp.")],
+                          [m for m in sys.modules if m.split(".")[0] == "click"]]))
     """, str(command_files), json.dumps(args))
     assert code == 0
     assert {"cencov_ncp.cli", "cencov_ncp.fileio", "cencov_ncp.channels"} <= set(loaded)
     assert not unloaded & set(loaded)
+    assert click == []

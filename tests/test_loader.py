@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import cencov_ncp as c
 from cencov_ncp import fileio
 from cencov_ncp.cli import main
+from conftest import CliRunner
 
 COIN_STATES = [f"coin_{s}.json" for s in (-0.3, -0.15, 0.0, 0.15, 0.3)]
 

@@ -4,10 +4,11 @@ library raises its documented class."""
 import dataclasses
 import json
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import cencov_ncp as c
 from cencov_ncp import fileio
@@ -20,6 +21,7 @@ from cencov_ncp.errors import (
     RowSumViolation,
     SchemaError,
 )
+from conftest import CliRunner
 
 
 def repeated_compose_pair(d, first):
@@ -370,6 +372,14 @@ MALFORMED = {
         "FiniteGroupoid.src", ["0", "1", "0", "1"],
         "src (one entry per element) is not an array of numbers"),
     "make_state-bytes": ("make_state", [b"1", b"0", b"0", b"1"], "phi is not an array of numbers"),
+    # nor as an entry of an object array, and None is no nan
+    "make_density-fraction-and-strings": (
+        "make_density", [[Fraction(1, 2), "0"], ["0", Fraction(1, 2)]],
+        "density matrix is not an array of numbers"),
+    "make_state-object-strings": (
+        "make_state", np.array([1, "0", 0, 1], dtype=object), "phi is not an array of numbers"),
+    "make_density-none": (
+        "make_density", [[0.5, None], [0, 0.5]], "density matrix is not an array of numbers"),
     "choi_to_kernel-numeric-strings": (
         "choi_to_kernel", [["1", "0"], ["0", "1"]], "Kraus operator is not an array of numbers"),
     "FiniteGroupoid.src-non-integral": (
@@ -403,6 +413,15 @@ def test_ragged_array_argument_raises_the_documented_class(case):
     call, error = ARRAY_ARGUMENTS[entry]
     with pytest.raises(error, match=re.escape(message)):
         call(x)
+
+
+def test_object_array_of_numbers_converts():
+    """Fraction, Decimal, Python and numpy numbers in an object array are cast
+    one by one, as numbers."""
+    D = c.make_density([[Fraction(1, 2), 0], [0.0, Decimal("0.5")]])
+    assert np.array_equal(D.matrix, np.eye(2) / 2)
+    rho = c.make_state(PAIR2, np.array([Fraction(1), np.float64(0), 0j, 1], dtype=object))
+    assert np.array_equal(rho.phi, [1, 0, 0, 1])
 
 
 @pytest.mark.parametrize("case, x, shape", [

@@ -8,13 +8,13 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import cencov_ncp as c
 from cencov_ncp import fileio
 from cencov_ncp.channels import QuantumKernel, push_state_report
 from cencov_ncp.errors import PositivityLost
 from cencov_ncp.cli import main
+from conftest import CliRunner
 
 # file, table, key of an off-diagonal entry (of a unit row, for the kernel)
 TARGETS = {
