@@ -6,14 +6,13 @@ Exit codes: 0 success, 1 validation failure, 2 usage, I/O or schema error,
 library error or OSError to its exit code, once, and prints
 ``error: <message>``.  A closed stdout exits 1 with nothing on stderr.
 
-The command line is parsed with :mod:`argparse` in two stages: the options
-before the command, then the command's own arguments.  Help and usage errors
-keep the layout the CLI had under click: ``Usage: ...``, ``Try '... --help'
-for help.``, a blank line, then ``Error: ...``.
+The command line is read in two stages, each in one scan: the options before
+the command, then the command's own arguments.  Help and usage errors keep the
+layout the CLI had under click: ``Usage: ...``, ``Try '... --help' for
+help.``, a blank line, then ``Error: ...``.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -100,23 +99,19 @@ def _did_you_mean(name: str, choices) -> str:
     return f" Did you mean {quoted}?" if found else ""
 
 
-class _Parser(argparse.ArgumentParser):
+class _Parser:
     """The options of the top level or of one command: ``--help`` is the only
     help flag, no option is abbreviated, the help has click's layout, and an
     error raises :class:`_UsageError`.  ``commands`` are the help rows of the
     top level's commands."""
 
     def __init__(self, prog: str, usage: str, doc: str, options, commands=()):
-        super().__init__(prog=prog, usage=usage, add_help=False, allow_abbrev=False)
-        self.doc, self.commands = doc, commands
+        self.prog, self.usage, self.doc, self.commands = prog, usage, doc, commands
         options = [*options, (("--help",), None, "Show this message and exit.")]
         self.rows = [(", ".join(flags) + (f" {metavar}" if metavar else ""), text)
                      for flags, metavar, text in options]
-        self.flags = [flag for flags, _, _ in options for flag in flags]
+        self.names = {flag: flags[-1][2:] for flags, _, _ in options for flag in flags}
         self.valued = {flag for flags, metavar, _ in options if metavar for flag in flags}
-        for flags, metavar, _ in options:
-            self.add_argument(*flags, **({"metavar": metavar} if metavar
-                                         else {"action": "store_true"}))
 
     def format_help(self) -> str:
         lines = [line.strip() for line in (self.doc or "").strip().splitlines()]
@@ -129,44 +124,47 @@ class _Parser(argparse.ArgumentParser):
                                                    for first, second in rows)
         return text
 
-    def error(self, message: str):
-        raise _UsageError(message, self)
+    def parse(self, args: list[str]) -> tuple[dict, list[str]]:
+        """The options given in ``args``, by name, and, in order, the
+        arguments that are no option; the top level stops at its command, the
+        first of these, and every argument after ``--`` is no option.
 
-    def parse(self, args: list[str]) -> tuple[argparse.Namespace, list[str]]:
-        """The options in ``args`` and, in order, the arguments that are no
-        option; the top level stops at its command, the first of these.
-
-        As under click, an option's value may start with '-': ``--h -1e-5``
-        is passed to argparse as ``--h=-1e-5``, which would otherwise read
-        ``-1e-5`` as an option.  An unknown option is a usage error, and
-        ``--help`` prints the help and exits 0.  Every argument after ``--``
-        is no option."""
-        args, i = list(args), 0
-        while i < len(args) and args[i] != "--":
-            if args[i] in self.valued:
-                if i + 1 == len(args):
-                    raise _UsageError(f"Option {args[i]!r} requires an argument.")
-                args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
-            elif args[i][:2] in self.valued:  # ``-ox``: the rest is the value, '=' included
-                args[i] = f"{args[i][:2]}={args[i][2:]}"
-            elif "=" in args[i] and (flag := args[i].split("=", 1)[0]) in self.flags \
-                    and flag not in self.valued:
-                raise _UsageError(f"Option {flag!r} does not take a value.")
-            elif self.commands and (args[i][:1] != "-" or args[i] == "-"):
+        As under click, an option's value is the next argument, whatever it
+        is (``--h -1e-5``, ``-o --``), or is attached to it (``--out=x``,
+        ``-ox``; ``-o=x`` gives ``=x``).  A missing value, or a value given to
+        a flag, fails at once; an unknown option once the stage is read, and
+        only then does ``--help`` print the help."""
+        given, words, unknown, rest = {}, [], None, iter(args)
+        for arg in rest:
+            if arg == "--":
                 break
-            i += 1
-        ns, words = self.parse_known_args(args[:i])
-        for arg in words:
-            if arg[:2] == "--":  # an unknown long option, and the known ones it is close to
-                name = arg.split("=", 1)[0]
-                long = [flag for flag in self.flags if flag[:2] == "--"]
-                raise _UsageError(f"No such option {name!r}.{_did_you_mean(name, long)}", self)
-            if arg[:1] == "-" and arg != "-":  # short options: the first letter is unknown
-                raise _UsageError(f"No such option {arg[:2]!r}.", self)
-        if vars(ns).pop("help"):
+            flag, eq, value = arg.partition("=")
+            if arg in self.valued:
+                if (value := next(rest, None)) is None:
+                    raise _UsageError(f"Option {arg!r} requires an argument.")
+                given[self.names[arg]] = value
+            elif arg[:2] in self.valued:  # ``-ox``: the rest is the value, '=' included
+                given[self.names[arg[:2]]] = arg[2:]
+            elif eq and flag in self.names:
+                if flag not in self.valued:
+                    raise _UsageError(f"Option {flag!r} does not take a value.")
+                given[self.names[flag]] = value
+            elif arg in self.names:
+                given[self.names[arg]] = True
+            elif arg[:1] == "-" and arg != "-":  # of a short option, only its letter
+                unknown = unknown or (flag if arg[:2] == "--" else arg[:2])
+            else:
+                words.append(arg)
+                if self.commands:
+                    break
+        if unknown:  # a long option is named with the known ones close to it
+            long = [flag for flag in self.names if flag[:2] == "--"]
+            hint = _did_you_mean(unknown, long) if unknown[:2] == "--" else ""
+            raise _UsageError(f"No such option {unknown!r}.{hint}", self)
+        if given.pop("help", False):
             _echo(self.format_help())
             sys.exit(0)
-        return ns, words + args[i + (args[i:i + 1] == ["--"]):]
+        return given, words + list(rest)
 
 
 def _command(*arguments: str, options=()):
@@ -209,10 +207,10 @@ def _run(args: list[str], prog: str) -> None:
     if not args:  # the help, as a usage error
         _echo(top.format_help(), sys.stderr)
         sys.exit(EXIT_USAGE)
-    top.set_defaults(tol=numkit.TOL, h=numkit.DEFAULT_H)
-    ns, words = top.parse(args)
-    ctx = {"tol": _finite(top, "--tol", ns.tol), "h": _finite(top, "--h", ns.h, strict=True),
-           "json": ns.json, "loaded": {}}
+    given, words = top.parse(args)
+    ctx = {"tol": _finite(top, "--tol", given.get("tol", numkit.TOL)),
+           "h": _finite(top, "--h", given.get("h", numkit.DEFAULT_H), strict=True),
+           "json": given.get("json", False), "loaded": {}}
     if not words:
         raise _UsageError("Missing command.", top)
     name, *rest = words
@@ -222,14 +220,14 @@ def _run(args: list[str], prog: str) -> None:
     metavars = [a.upper() for a in arguments]
     parser = _Parser(f"{prog} {name}", f"{prog} {name} [OPTIONS] {' '.join(metavars)}",
                      fn.__doc__, options)
-    ns, words = parser.parse(rest)
+    given, words = parser.parse(rest)
     if len(words) < len(arguments):
         raise _UsageError(f"Missing argument {metavars[len(words)]!r}.", parser)
     if len(words) > len(arguments):
         extra = words[len(arguments):]
         s = "s" if len(extra) > 1 else ""
         raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})", parser)
-    fn(ctx, *words, **vars(ns))
+    fn(ctx, *words, **given)
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
@@ -320,7 +318,7 @@ def validate(ctx, file):
 
 
 @_command("k1", "k2", options=[_OUT])
-def compose(ctx, k1, k2, out):
+def compose(ctx, k1, k2, out=None):
     """Compose two kernel files (first applied first)."""
     loaded = ctx["loaded"]
     Pi = compose_kernels(fileio.load_kernel(k1, loaded), fileio.load_kernel(k2, loaded))
@@ -349,7 +347,7 @@ def _pushed(ctx, state, kernels):
 
 
 @_command("state", "kernel", options=[_OUT])
-def push(ctx, state, kernel, out):
+def push(ctx, state, kernel, out=None):
     """Push a state forward through a kernel."""
     pushed, [record] = _pushed(ctx, state, [kernel])
     data = {"passed": True, **record}
@@ -358,7 +356,7 @@ def push(ctx, state, kernel, out):
 
 
 @_command("kernel", "observable", options=[_OUT])
-def pull(ctx, kernel, observable, out):
+def pull(ctx, kernel, observable, out=None):
     """Pull an observable back through a kernel."""
     loaded = ctx["loaded"]
     pulled = pull_observable(fileio.load_kernel(kernel, loaded),
@@ -369,7 +367,7 @@ def pull(ctx, kernel, observable, out):
 
 
 @_command("config", options=[_OUT])
-def pipeline(ctx, config, out):
+def pipeline(ctx, config, out=None):
     """Run an ordered kernel pipeline on an initial state.
 
     Config file: {"fmt": ..., "initial_state": path, "kernels": [paths]}.
@@ -414,7 +412,7 @@ def fisher(ctx, model):
 
 
 @_command("model", options=[_ESTIMATOR])
-def crb(ctx, model, estimator):
+def crb(ctx, model, estimator=None):
     """Cramer-Rao bound; audit a self-adjoint estimator when given."""
     from .estimation import Estimator, cramer_rao_audit, cramer_rao_bound
     from .gns import build_gns

@@ -463,9 +463,13 @@ COMPOSE = "Usage: cencov-ncp compose [OPTIONS] K1 K2\nTry 'cencov-ncp compose --
     (["compose", "a.json", "b.json", "--json"], COMPOSE + "Error: No such option '--json'.\n"),
     (["compose", "a.json", "b.json", "-o"], "Error: Option '-o' requires an argument.\n"),
     (["--json=1", "gns", "a.json"], "Error: Option '--json' does not take a value.\n"),
+    (["--tol", "--", "gns", "a.json"],
+     TOP + "Error: Invalid value for '--tol': '--' is not a valid float.\n"),
+    (["--h=--", "gns", "a.json"],
+     TOP + "Error: Invalid value for '--h': '--' is not a valid float.\n"),
 ], ids=["missing-command", "unknown-long-option", "unknown-short-option", "unknown-command",
         "bad-float", "missing-argument", "extra-argument", "option-after-command",
-        "option-without-value", "flag-with-value"])
+        "option-without-value", "flag-with-value", "double-dash-value", "double-dash-attached"])
 def test_usage_error_layout(runner, args, stderr):
     """A usage error exits 2 with nothing on stdout, and stderr holds the
     usage, how to get help, a blank line and the error."""
@@ -476,11 +480,13 @@ def test_usage_error_layout(runner, args, stderr):
 @pytest.mark.parametrize("args, written", [
     (["-o", "x.json"], "x.json"), (["--out", "x.json"], "x.json"),
     (["--out=x.json"], "x.json"), (["-ox.json"], "x.json"), (["-o=x.json"], "=x.json"),
-    (["-o", "-x.json"], "-x.json"),
-], ids=["short", "long", "long-equals", "short-attached", "short-equals", "dash-value"])
+    (["-o", "-x.json"], "-x.json"), (["-o", "--"], "--"), (["--out=--"], "--"),
+], ids=["short", "long", "long-equals", "short-attached", "short-equals", "dash-value",
+        "double-dash-value", "double-dash-attached"])
 def test_option_value_forms(runner, fixture_dir, monkeypatch, args, written):
     """An option's value may follow it, be attached to it (all of it, as
-    under click: ``-o=x.json`` names ``=x.json``), or start with '-'."""
+    under click: ``-o=x.json`` names ``=x.json``), or start with '-'; the
+    argument after an option that takes a value is that value, ``--`` too."""
     monkeypatch.chdir(fixture_dir)
     r = runner.invoke(main, ["--json", "compose", "idk.json", "idk.json", *args])
     assert r.exit_code == 0 and jout(r)["out"] == written
@@ -491,6 +497,13 @@ def test_arguments_after_double_dash_are_paths(runner, fixture_dir, monkeypatch)
     monkeypatch.chdir(fixture_dir)
     r = runner.invoke(main, ["compose", "idk.json", "--", "-o"])
     assert r.exit_code == 2 and r.stderr.startswith("error: cannot read -o: ")
+
+
+def test_double_dash_after_estimator_is_its_path(runner, fixture_dir, monkeypatch):
+    """``--estimator --`` names the file ``--``: the audit is not skipped."""
+    monkeypatch.chdir(fixture_dir)
+    r = runner.invoke(main, ["crb", "coin_model.json", "--estimator", "--"])
+    assert (r.exit_code, r.stdout) == (2, "") and r.stderr.startswith("error: cannot read --: ")
 
 
 def test_zero_tol_is_accepted(runner, fixture_dir):

@@ -1,6 +1,8 @@
-"""Mutated demo files never end a command in a traceback: every command exits
-0, 1, 2 or 3, raises nothing but ``SystemExit``, and writes strict JSON."""
+"""Mutated demo files and fuzzed command lines never end a command in a
+traceback: every command exits 0, 1, 2 or 3, raises nothing but
+``SystemExit``, and writes strict JSON."""
 import json
+import os
 import runpy
 import sys
 import tempfile
@@ -8,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cencov_ncp.cli import main
@@ -27,6 +29,14 @@ VALUES = st.one_of(
     st.sampled_from([HUGE, None, True, False, 0, -1, 0.5, 10 ** 400, [], {}, [[]], [0.5],
                      {"x": 1.0}, {"(1,1)": 1.0}, ["rho.json"], [["(1,1)"] * 3]]),
 )
+
+# every spelling of every option, values that parse or fail, the commands, a
+# near miss of one, and demo files
+TOKENS = ["--tol", "--h", "--json", "--help", "-o", "--out", "--estimator", "--", "-",
+          "-ox.json", "-o=x.json", "--out=", "--tol=", "--json=1", "--js", "-x", "nan", "-1e-5",
+          "1e-3", "validate", "compose", "push", "pull", "pipeline", "gns", "fisher", "crb",
+          "cp", "valid", "rho.json", "identity.json", "coin_model.json", "pm_half.json",
+          "pipeline.json"]
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +119,30 @@ def test_mutated_demo_files_exit_with_a_code(demo, data):
     key = data.draw(st.sampled_from(NAMES), label="key")
     check_mutant(demo, name, json.dumps(mutate(root, at, how, new, key))
                  .replace(json.dumps(HUGE), "1e400"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(args=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6))
+@example(args=["--tol", "--", "gns", "rho.json"])
+def test_command_lines_exit_with_a_code(demo, args):
+    """A command line of options, commands and demo files, run in a copy of
+    the demo files, exits with a code and raises nothing but ``SystemExit``;
+    a usage error writes nothing on stdout, and a command strict JSON."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in demo.items():
+            (Path(tmp) / name).write_text(json.dumps(data))
+        os.chdir(tmp)
+        try:
+            result = CliRunner().invoke(main, ["--json", *args])
+        finally:
+            os.chdir(home)
+    assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+    assert isinstance(result.exception, (SystemExit, type(None))), (args, result.exception)
+    if result.exit_code == 2:
+        assert result.stdout == "", args
+    elif result.stdout and not result.stdout.startswith("Usage: "):  # the help of --help
+        strict_json(result.stdout)
 
 
 @pytest.mark.parametrize("name, at, how, new", [

@@ -134,8 +134,8 @@ GNS_LAYERS = {"cencov_ncp.gns", "cencov_ncp.estimation"}
 ])
 def test_commands_load_only_the_layers_they_run(command_files, args, unloaded):
     """Each command, and ``--help``, loads only the layers it runs, and no
-    click module: the command line is parsed with argparse."""
-    code, loaded, click = _fresh("""
+    click, argparse or gettext module: the CLI reads its own command line."""
+    code, loaded, click, parsers = _fresh("""
         import json, os, sys
         from cencov_ncp.cli import main
         os.chdir(sys.argv[1])
@@ -144,9 +144,11 @@ def test_commands_load_only_the_layers_they_run(command_files, args, unloaded):
         except SystemExit as exc:
             code = exc.code
         print(json.dumps([code, [m for m in sys.modules if m.startswith("cencov_ncp.")],
-                          [m for m in sys.modules if m.split(".")[0] == "click"]]))
+                          [m for m in sys.modules if m.split(".")[0] == "click"],
+                          [m for m in sys.modules if m in ("argparse", "gettext")]]))
     """, str(command_files), json.dumps(args))
     assert code == 0
     assert {"cencov_ncp.cli", "cencov_ncp.fileio", "cencov_ncp.channels"} <= set(loaded)
     assert not unloaded & set(loaded)
     assert click == []
+    assert parsers == []
