@@ -4,7 +4,8 @@ groupoids, states, kernels, and statistical models.
 Exit codes: 0 success, 1 validation failure, 2 usage, I/O or schema error,
 3 numerical failure.  Commands call the library directly; :func:`main` maps a
 library error or OSError to its exit code, once, and prints
-``error: <message>``.  A closed stdout exits 1 with nothing on stderr.
+``error: <message>``.  A closed stdout exits 1 with nothing on stderr; an
+``-o`` file whose reader has gone exits 2, as any other OSError.
 
 The command line is read in two stages, each in one scan: the options before
 the command, then the command's own arguments.  Help and usage errors keep the
@@ -13,6 +14,7 @@ help.``, a blank line, then ``Error: ...``.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -232,7 +234,14 @@ def _run(args: list[str], prog: str) -> None:
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run the command line ``args`` (default ``sys.argv[1:]``) and exit:
-    always by raising :class:`SystemExit` with the exit code."""
+    always by raising :class:`SystemExit` with the exit code.
+
+    The first call in a process freezes what is alive (``gc.freeze``): the
+    interpreter, numpy and the library outlive the command, so no collection
+    walks them again, those at exit included.  Cyclic garbage alive at that
+    call stays until ``gc.unfreeze()``."""
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     try:
         _run(sys.argv[1:] if args is None else list(args), prog_name or _prog_name())
     except _UsageError as exc:
@@ -244,7 +253,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         _fail(EXIT_NUMERICAL, str(exc))
     except CencovNcpError as exc:
         _fail(EXIT_VALIDATION, str(exc))
-    except BrokenPipeError:
+    except BrokenPipeError as exc:
+        if exc.filename is not None:  # an -o file's reader left, not stdout's
+            _fail(EXIT_SCHEMA, str(exc))
         # a closed stdout: exit 1 quietly, with stdout on devnull so that
         # the interpreter's flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

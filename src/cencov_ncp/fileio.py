@@ -78,7 +78,8 @@ def _write_json(path: Path, data: dict) -> None:
     a temporary name in its directory and renamed over ``path`` (or the file a
     link at ``path`` names) at the end, with the old file's mode, so a failure
     leaves it as it was.  Anything else (a device, a FIFO, a pipe, a file in
-    a read-only directory) is opened and written in place.
+    a read-only directory) is opened and written in place.  An OSError names
+    ``path``.
     """
     data = {"fmt": FMT, **data}
     target = path.resolve()
@@ -86,25 +87,26 @@ def _write_json(path: Path, data: dict) -> None:
         old = os.stat(path)
     except FileNotFoundError:
         old = None
-    if old is not None and not (_names_regular_file(target, old)
-                                and os.access(target.parent, os.W_OK | os.X_OK)):
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_values(fh, path, data)
-        return
-    if old is not None and not os.access(target, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:  # a stale one is a dead writer's
-            _write_values(fh, path, data)
-        if old is not None:
-            os.chmod(tmp, S_IMODE(old.st_mode))
-        os.replace(tmp, target)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename is not None:  # not the temporary name
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
-        raise
+        if old is not None and not (_names_regular_file(target, old)
+                                    and os.access(target.parent, os.W_OK | os.X_OK)):
+            with open(path, "w", encoding="utf-8") as fh:
+                _write_values(fh, path, data)
+            return
+        if old is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:  # a stale one is a dead writer's
+                _write_values(fh, path, data)
+            if old is not None:
+                os.chmod(tmp, S_IMODE(old.st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # named as path: not the temporary name, nor none (a write)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _names_regular_file(target: Path, st: os.stat_result) -> bool:

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import gc
 import json
 import os
 import subprocess
@@ -608,3 +610,63 @@ def test_unwritable_out_names_the_given_path(runner, fixture_dir):
     assert r.exit_code == 2 and r.stdout == ""
     assert r.stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
     assert not (fixture_dir / "missing").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["compose", "idk.json", "transpose.json"],
+    ["push", "rho.json", "idk.json"],
+], ids=["compose", "push"])
+def test_out_to_a_pipe_with_no_reader_exits_2_naming_it(runner, fixture_dir, monkeypatch, args):
+    """EPIPE on an ``-o`` file is an I/O error of that file, not a closed
+    stdout: exit 2 with ``error: ...`` naming it."""
+    monkeypatch.chdir(fixture_dir)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = runner.invoke(main, ["--json", *args, "-o", f"/dev/fd/{write}"])
+    finally:
+        os.close(write)
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == f"error: [Errno 32] Broken pipe: '/dev/fd/{write}'\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_to_a_full_device_names_it(runner, fixture_dir):
+    """A device is written in place; its failed write names it."""
+    r = runner.invoke(main, ["compose", str(fixture_dir / "idk.json"),
+                             str(fixture_dir / "idk.json"), "-o", "/dev/full"])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == "error: [Errno 28] No space left on device: '/dev/full'\n"
+
+
+def test_failed_write_of_a_new_out_file_names_it(runner, fixture_dir, monkeypatch):
+    """A write that fails under the temporary name names the given path, and
+    leaves no file."""
+    def full(fh, path, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(fileio, "_write_values", full)
+    out = fixture_dir / "composed.json"
+    r = runner.invoke(main, ["compose", str(fixture_dir / "idk.json"),
+                             str(fixture_dir / "idk.json"), "-o", str(out)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == f"error: [Errno 28] No space left on device: '{out}'\n"
+    assert not any(p.name.startswith(".composed") for p in fixture_dir.iterdir())
+    assert not out.exists()
+
+
+def test_main_freezes_the_heap_once_and_collection_stays_on(runner, fixture_dir):
+    """The first ``main`` call of a process freezes what is alive; a later
+    call freezes nothing more, so a caller's garbage is still collected, and
+    no call turns collection off."""
+    gc.enable()  # as in a new process, whatever an earlier call did
+    args = ["--json", "validate", str(fixture_dir / "rho.json")]
+    assert runner.invoke(main, args).exit_code == 0
+    assert gc.isenabled()
+    frozen = gc.get_freeze_count()
+    alive = [[] for _ in range(100)]  # tracked when the next call starts
+    assert runner.invoke(main, args).exit_code == 0
+    assert frozen > 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+    del alive

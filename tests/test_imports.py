@@ -134,9 +134,10 @@ GNS_LAYERS = {"cencov_ncp.gns", "cencov_ncp.estimation"}
 ])
 def test_commands_load_only_the_layers_they_run(command_files, args, unloaded):
     """Each command, and ``--help``, loads only the layers it runs, and no
-    click, argparse or gettext module: the CLI reads its own command line."""
-    code, loaded, click, parsers = _fresh("""
-        import json, os, sys
+    click, argparse or gettext module: the CLI reads its own command line.
+    ``main`` leaves the heap frozen and collection on."""
+    code, loaded, click, parsers, frozen, enabled = _fresh("""
+        import gc, json, os, sys
         from cencov_ncp.cli import main
         os.chdir(sys.argv[1])
         try:
@@ -145,10 +146,13 @@ def test_commands_load_only_the_layers_they_run(command_files, args, unloaded):
             code = exc.code
         print(json.dumps([code, [m for m in sys.modules if m.startswith("cencov_ncp.")],
                           [m for m in sys.modules if m.split(".")[0] == "click"],
-                          [m for m in sys.modules if m in ("argparse", "gettext")]]))
+                          [m for m in sys.modules if m in ("argparse", "gettext")],
+                          gc.get_freeze_count() > 0, gc.isenabled()]))
     """, str(command_files), json.dumps(args))
     assert code == 0
     assert {"cencov_ncp.cli", "cencov_ncp.fileio", "cencov_ncp.channels"} <= set(loaded)
     assert not unloaded & set(loaded)
     assert click == []
     assert parsers == []
+    assert frozen is True
+    assert enabled is True
