@@ -48,11 +48,11 @@ class ClassicalKernel:
             raise RowSumViolation("classical kernel has no rows")
         if not np.isfinite(M).all():
             raise RowSumViolation("classical kernel has non-finite entries")
-        if np.any(M < -numkit.STOCHASTIC_TOL):
+        if not numkit.within(-M, numkit.STOCHASTIC_TOL).all():
             raise RowSumViolation("classical kernel has negative entries")
-        rows = M.sum(axis=1)
-        if np.abs(rows - 1.0).max() > numkit.STOCHASTIC_TOL:
-            raise RowSumViolation(f"row sums deviate by {np.abs(rows - 1.0).max():.3e}")
+        dev = np.abs(M.sum(axis=1) - 1.0).max()
+        if not numkit.within(dev, numkit.STOCHASTIC_TOL):
+            raise RowSumViolation(f"row sums deviate by {dev:.3e}")
         object.__setattr__(self, "K", M)
 
 
@@ -88,15 +88,17 @@ class KernelReport:
 
 
 def validate_kernel(Pi: QuantumKernel, tol: float = numkit.TOL) -> KernelReport:
-    """Check the three kernel axioms and report the deficits."""
+    """Check the three kernel axioms and report the deficits; NotHermitian,
+    before any arithmetic, if an entry of the kernel is not finite."""
     G1, G2 = Pi.g1, Pi.g2
+    numkit._finite(Pi.pi)
 
     # (i) sum_x Pi(a1, 1_x) nu2(1_x) = [a1 is a unit]
     want = (G1.unit_ix[G1.src] == np.arange(len(G1.elements))).astype(float)
     norm_dev = float(np.abs(Pi.pi[:, G2.unit_ix] @ G2.nu_vec[G2.unit_ix] - want).max())
 
     # (ii) Pi(1_x, .) positive definite on Gamma_2, for every unit of Gamma_1
-    pos = [fiber_psd_verdicts(G2, Pi.pi[u], tol, 1.0 + np.abs(Pi.pi[u]).max())
+    pos = [fiber_psd_verdicts(G2, Pi.pi[u], tol, np.abs(Pi.pi[u]).max())
            for u in G1.unit_ix]
     pos_min = {x1: float(lo.min()) for x1, (_, lo) in zip(G1.outcomes, pos)}
 
@@ -105,14 +107,14 @@ def validate_kernel(Pi: QuantumKernel, tol: float = numkit.TOL) -> KernelReport:
         Pi.pi.conj() - G2.delta_vec * Pi.pi[np.ix_(G1.inv_ix, G2.inv_ix)]
     ).max(initial=0.0))
 
-    scale = 1.0 + float(np.abs(Pi.pi).max(initial=0.0))
+    size = float(np.abs(Pi.pi).max(initial=0.0))
     return KernelReport(
         normalization_deficit=norm_dev,
         positivity_min_eigenvalue=pos_min,
         hermiticity_deficit=herm_dev,
-        normalization_ok=norm_dev <= tol * scale,
+        normalization_ok=numkit.within(norm_dev, tol, size),
         positivity_ok=all(ok.all() for ok, _ in pos),
-        hermiticity_ok=herm_dev <= tol * scale,
+        hermiticity_ok=numkit.within(herm_dev, tol, size),
     )
 
 
@@ -161,7 +163,9 @@ def compose(Pi12: QuantumKernel, Pi23: QuantumKernel) -> QuantumKernel:
     """``(Pi12 o Pi23)(a1, a3) = sum_{a2} Pi12(a1,a2) Pi23(a2,a3) nu2(a2)``."""
     if Pi12.g2 != Pi23.g1:
         raise GroupoidMismatch("middle groupoids do not match")
-    return QuantumKernel(Pi12.g1, Pi23.g2, (Pi12.pi * Pi12.g2.nu_vec) @ Pi23.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan entry, no warning
+        pi = (Pi12.pi * Pi12.g2.nu_vec) @ Pi23.pi
+    return QuantumKernel(Pi12.g1, Pi23.g2, pi)
 
 
 def embed_classical(K: ClassicalKernel, G1: FiniteGroupoid,
@@ -184,7 +188,7 @@ def check_ncp_morphism(Pi: QuantumKernel, rho1: State, rho2: State,
     if rho1.groupoid != Pi.g1 or rho2.groupoid != Pi.g2:
         raise GroupoidMismatch("state groupoids do not match kernel")
     pushed = push_state_report(rho1, Pi, tol)[0]
-    return bool(np.abs(pushed.phi - rho2.phi).max() <= tol * (1 + np.abs(rho2.phi).max()))
+    return bool(numkit.within(np.abs(pushed.phi - rho2.phi).max(), tol, np.abs(rho2.phi).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,7 @@ def choi_to_kernel(kraus: Sequence[np.ndarray], G1: FiniteGroupoid,
     A = [numkit._as_array(a, (m, n), GroupoidMismatch, "Kraus operator") for a in kraus]
     A = np.reshape(A, (len(A), m, n))  # of shape (0, m, n) for an empty family
     dev = completeness_deficit(A)
-    if not dev <= tol:  # a nan deficit too
+    if not numkit.within(dev, tol):
         raise NonTracePreserving(f"sum A†A deviates from identity by {dev:.3e}")
     return _from_choi(np.einsum("aki,alj->ikjl", A, np.conj(A)).reshape(K.shape), K, G1, G2)
 
@@ -278,6 +282,8 @@ def choi_matrix(Pi: QuantumKernel) -> np.ndarray:
 def cp_verdict(Pi: QuantumKernel, tol: float = numkit.TOL) -> tuple[bool, float]:
     """``(is_cp, min_choi_eigenvalue)`` via the Choi criterion: the
     :func:`numkit.psd_verdicts` of the Choi matrix, so a Choi matrix that is
-    not Hermitian is not CP and has least eigenvalue -inf."""
+    not Hermitian is not CP and has least eigenvalue -inf; NotHermitian,
+    before any arithmetic, if an entry of the kernel is not finite."""
+    numkit._finite(Pi.pi)
     (ok,), (lo,) = numkit.psd_verdicts(choi_matrix(Pi)[None], tol)
     return bool(ok), float(lo)

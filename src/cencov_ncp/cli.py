@@ -60,6 +60,7 @@ _OPTIONS = [
 _OUT = (("-o", "--out"), "PATH", "")
 _ESTIMATOR = (("--estimator",), "PATH", "")
 _COMMANDS = {}  # name: (function, positional arguments, options)
+_frozen = False  # set by the first main call; gc.get_freeze_count() walks what is frozen
 
 
 def _echo(text: str, stream=None) -> None:
@@ -240,8 +241,10 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     interpreter, numpy and the library outlive the command, so no collection
     walks them again, those at exit included.  Cyclic garbage alive at that
     call stays until ``gc.unfreeze()``."""
-    if gc.get_freeze_count() == 0:
+    global _frozen
+    if not _frozen:
         gc.freeze()
+        _frozen = True
     try:
         _run(sys.argv[1:] if args is None else list(args), prog_name or _prog_name())
     except _UsageError as exc:
@@ -315,7 +318,7 @@ def validate(ctx, file):
         data.update(passed=True, shape=list(obj.K.shape))
     elif kind == "kraus":
         dev = completeness_deficit(obj)
-        data.update(passed=dev <= tol, completeness_deficit=dev, operators=len(obj))
+        data.update(passed=numkit.within(dev, tol), completeness_deficit=dev, operators=len(obj))
     elif kind == "model":
         model, grid = obj
         for s in [model.s0, *grid]:

@@ -59,7 +59,7 @@ class Estimator:
 
     def __post_init__(self):
         dev = np.abs(star(self.a).coeff - self.a.coeff).max()
-        if dev > numkit.SELFADJOINT_TOL * (1.0 + np.abs(self.a.coeff).max()):
+        if not numkit.within(dev, numkit.SELFADJOINT_TOL, np.abs(self.a.coeff).max()):
             raise NotSelfAdjoint(
                 f"estimator is not self-adjoint (deviation {dev:.3e})"
             )
@@ -89,7 +89,7 @@ def riesz_representer(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAUL
     b = np.conj(v)
     ell = S.solve(b)
     residual = float(np.linalg.norm(S.apply(ell) - b))
-    if residual > numkit.FOLIUM_TOL * (1.0 + float(np.abs(v).max(initial=0.0))):
+    if not numkit.within(residual, numkit.FOLIUM_TOL, float(np.abs(v).max(initial=0.0))):
         raise FoliumViolation(f"derivative leaves the folium (residual {residual:.3e})")
     return ell, float(residual)
 
@@ -99,7 +99,7 @@ def fisher_metric(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAULT_H)
     imaginary part required to be negligible."""
     ell, _ = riesz_representer(M, S, h=h)
     val = gns_inner(S, ell, ell)
-    if abs(val.imag) > numkit.TOL * (1.0 + abs(val.real)):
+    if not numkit.within(abs(val.imag), numkit.TOL, abs(val.real)):
         raise FoliumViolation(f"Fisher metric has imaginary part {val.imag:.3e}")
     return float(val.real)
 
@@ -107,7 +107,7 @@ def fisher_metric(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAULT_H)
 def cramer_rao_bound(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAULT_H) -> float:
     """``1 / G_F``; raises ZeroInformation for a stationary curve."""
     gf = fisher_metric(M, S, h=h)
-    if gf <= numkit.BOUND_TOL:
+    if numkit.within(gf, numkit.BOUND_TOL):
         raise ZeroInformation(f"Fisher metric {gf:.3e} is numerically zero")
     return 1.0 / gf
 
@@ -119,7 +119,7 @@ class UnbiasednessReport:
 
     @property
     def passed(self) -> bool:
-        return all(d <= self.tol for d in self.deviations.values())
+        return all(numkit.within(d, self.tol) for d in self.deviations.values())
 
 
 def check_unbiased(M: StatisticalModel, A: Estimator,
@@ -149,7 +149,7 @@ def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float) -> CramerR
         second_moment=float(second),
         bound=float(bound),
         slack=float(slack),
-        saturated=bool(slack <= numkit.SATURATION_TOL),
+        saturated=bool(numkit.within(slack, numkit.SATURATION_TOL)),
     )
 
 
@@ -164,7 +164,7 @@ def classical_fisher_rao(M: StatisticalModel, h: float = numkit.DEFAULT_H) -> fl
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical Fisher-Rao needs a trivial groupoid")
     p0 = M.at(M.s0).phi[G.unit_ix].real * G.nu_vec[G.unit_ix]
-    if np.any(p0 <= numkit.P_FLOOR):
+    if numkit.within(p0, numkit.P_FLOOR).any():
         raise SupportBoundary("probability mass at or below the support floor")
     dp = derivative_vector(M, h=h)[G.unit_ix].real
     return float(np.sum(dp * dp / p0))
@@ -190,7 +190,7 @@ def congruent_invariance(M: StatisticalModel, K: ClassicalKernel,
         raise GroupoidMismatch(f"K {K.K.shape} and L {L.K.shape} do not fit "
                                f"{len(M.groupoid.outcomes)} outcomes, L shaped as K transposed")
     KL = K.K @ L.K
-    if np.abs(KL - np.eye(KL.shape[0])).max() > numkit.CONGRUENCE_TOL:
+    if not numkit.within(np.abs(KL - np.eye(KL.shape[0])).max(), numkit.CONGRUENCE_TOL):
         raise NotCongruent("K has no left inverse: K L != identity")
 
     before = classical_fisher_rao(M, h=h)

@@ -19,7 +19,6 @@ arrays directly, and a groupoid holds its labels only as ``elements`` and
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -186,7 +185,7 @@ class FiniteGroupoid:
         weights, so that delta = 1; raises NotPairGroupoid or NonUniformP."""
         if self.pair_grid is None:
             raise NotPairGroupoid("the matrix picture needs a pair groupoid")
-        if np.any(np.abs(self.nu_vec - 1.0 / len(self.outcomes)) > numkit.TOL):
+        if not numkit.within(np.abs(self.nu_vec - 1.0 / len(self.outcomes)), numkit.TOL).all():
             raise NonUniformP("the matrix picture needs uniform P and unit fiber weights")
         return self.pair_grid
 
@@ -196,16 +195,21 @@ class FiniteGroupoid:
 # ---------------------------------------------------------------------------
 
 def _measure(outcomes: Sequence[str], P: Mapping[str, float]) -> np.ndarray:
-    """P in outcome order, once it is strictly positive and sums to 1."""
-    for x in outcomes:
+    """P in outcome order, converted by ``numkit._as_array``, once it is
+    strictly positive and sums to 1; the first outcome that is missing or not
+    strictly positive is named."""
+    p = numkit._as_array([P[x] if x in P else np.nan for x in outcomes], (len(outcomes),),
+                         BadMeasure, "P", float)
+    k = _first(~(p > 0.0) | ~np.isfinite(p))
+    if k is not None:
+        x = outcomes[k]
         if x not in P:
             raise BadMeasure(f"P missing outcome {x!r}")
-        if not (P[x] > 0.0) or not math.isfinite(P[x]):
-            raise BadMeasure(f"P({x!r}) = {P[x]} is not strictly positive")
-    total = sum(P[x] for x in outcomes)
-    if abs(total - 1.0) > numkit.TOL:
+        raise BadMeasure(f"P({x!r}) = {P[x]} is not strictly positive")
+    total = sum(p.tolist())
+    if not numkit.within(abs(total - 1.0), numkit.TOL):
         raise BadMeasure(f"P sums to {total}, expected 1")
-    return np.array([P[x] for x in outcomes], dtype=float)
+    return p
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -321,7 +325,8 @@ def validate(spec: GroupoidSpec) -> FiniteGroupoid:
         raise SchemaError(f"compose pair ({elements[b_]!r},{elements[a_]!r}) is listed twice")
     C, stray = _packed(src, tgt, len(outcomes), b, a, g)
     fw = spec.fiber_weight or dict.fromkeys(elements, 1.0)
-    w = np.array([fw.get(e, np.nan) for e in elements], dtype=float)
+    w = numkit._as_array([fw.get(e, np.nan) for e in elements], (len(elements),), BadWeight,
+                         "fiber_weight", float)
     return _checked(FiniteGroupoid(elements, outcomes, src, tgt, inv, unit, C, P, w), stray)
 
 
@@ -369,7 +374,7 @@ def _checked(G: FiniteGroupoid, stray=np.empty(0, dtype=np.intp)) -> FiniteGroup
     if k is not None:
         raise BadWeight(f"fiber weight of {e[k]!r} must be a positive number")
     # left invariance of the Haar system: w(alpha o beta) = w(beta)
-    k = _first(np.abs(w[gamma] - w[alpha]) > numkit.TOL * (1.0 + np.abs(w[alpha])))
+    k = _first(~numkit.within(np.abs(w[gamma] - w[alpha]), numkit.TOL, np.abs(w[alpha])))
     if k is not None:
         raise BadWeight(f"fiber weights are not left-invariant at "
                         f"compose({e[beta[k]]!r},{e[alpha[k]]!r})")
@@ -422,12 +427,12 @@ def _first_nonassociative(G: FiniteGroupoid) -> Optional[tuple[int, int, int]]:
 def modular_function(G: FiniteGroupoid) -> dict[str, float]:
     """The modular map delta, verified to be a groupoid homomorphism."""
     delta = G.delta_vec
-    x = _first(np.abs(delta[G.unit_ix] - 1.0) > numkit.TOL)
+    x = _first(~numkit.within(np.abs(delta[G.unit_ix] - 1.0), numkit.TOL))
     if x is not None:
         raise HomomorphismViolation(f"delta(unit of {G.outcomes[x]!r}) != 1")
     b, a, g = G.triples
     deviation = np.abs(delta[g] - delta[b] * delta[a])
-    k = _first(deviation > numkit.TOL * (1.0 + np.abs(delta[g])))
+    k = _first(~numkit.within(deviation, numkit.TOL, np.abs(delta[g])))
     if k is not None:
         e = G.elements
         raise HomomorphismViolation(

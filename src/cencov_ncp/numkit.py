@@ -1,10 +1,15 @@
 """Batched Hermitian eigensolves and positive-semidefiniteness verdicts, every
-tolerance of the package, and the one conversion of array arguments.
+tolerance of the package and the one rule that compares with it, and the one
+conversion of array arguments.
 
 Thin wrappers around LAPACK (via numpy): each call decides a whole stack of
 matrices with one eigensolve.  Each verdict that takes a ``tol`` (the state,
 kernel, Kraus, CP and GNS rank verdicts) defaults to ``TOL``, and the CLI's
-``--tol`` sets it; the other bounds below are fixed.  ``_as_array`` converts
+``--tol`` sets it; the other bounds below are fixed.  Every pass/fail verdict
+of the package is :func:`within`: ``deviation <= tol * (1 + size)``, with
+``size`` the magnitude of the object checked (0 for an absolute bound), so
+that nan fails.  The one comparison with a tolerance made elsewhere is the GNS
+rank cut, a spectral split rather than a verdict.  ``_as_array`` converts
 every array argument of the library and raises its caller's error class.
 """
 from __future__ import annotations
@@ -61,13 +66,24 @@ def _as_array(x, shape: tuple, error: type, what: str, dtype=complex) -> np.ndar
     return a
 
 
+def within(deviation, tol: float, size=0.0):
+    """The verdict of every tolerance check, elementwise: ``deviation <= tol *
+    (1 + size)``, so that a nan deviation, size or tolerance fails."""
+    return deviation <= tol * (1.0 + size)
+
+
+def _finite(H):
+    """H, once each of its entries is finite; NotHermitian otherwise."""
+    if not np.isfinite(H).all():
+        raise NotHermitian("matrix contains non-finite entries")
+    return H
+
+
 def hermitian_spectra(H, vectors: bool = False):
     """Ascending eigenvalues, and with ``vectors`` the eigenvectors (columns),
     of the Hermitian part of each matrix of a (..., s, s) stack, its entries
     below ``_UNDERFLOW_FLOOR * max|entry|`` of their matrix set to zero."""
-    if not np.isfinite(H).all():
-        raise NotHermitian("matrix contains non-finite entries")
-    Hh = (H + H.conj().swapaxes(-1, -2)) / 2.0
+    Hh = (_finite(H) + H.conj().swapaxes(-1, -2)) / 2.0
     size = np.abs(Hh)
     Hh[size < _UNDERFLOW_FLOOR * size.max(axis=(-2, -1), keepdims=True, initial=0.0)] = 0.0
     try:
@@ -76,15 +92,15 @@ def hermitian_spectra(H, vectors: bool = False):
         raise NoConvergence(str(exc)) from exc
 
 
-def psd_verdicts(H, tol: float, scale=None):
-    """``(is_psd, min_eigenvalue)`` of each matrix of a (k, s, s) stack: a matrix
-    past the asymmetry bound ``tol * (1 + max|H|)`` gets ``(False, -inf)``, the
-    others are PSD at ``min eigenvalue >= -tol * (1 + spectral radius)``, and
-    ``scale`` if given replaces each ``1 + spectral radius``."""
-    H = np.asarray(H, dtype=complex)
+def psd_verdicts(H, tol: float, size=None):
+    """``(is_psd, min_eigenvalue)`` of each matrix of a finite (k, s, s) stack
+    (NotHermitian if not): a matrix whose asymmetry is not :func:`within` ``tol``
+    at the size max|H| gets ``(False, -inf)``; another is PSD if its ``-min
+    eigenvalue`` is, at the size ``size`` if given, else at its spectral radius."""
+    H = _finite(np.asarray(H, dtype=complex))
     Ht = H.conj().swapaxes(1, 2)
-    herm = ~(np.abs(H - Ht).max(axis=(1, 2)) > tol * (1.0 + np.abs(H).max(axis=(1, 2))))
+    herm = within(np.abs(H - Ht).max(axis=(1, 2)), tol, np.abs(H).max(axis=(1, 2)))
     w = hermitian_spectra(H[herm])
     lo, radius = np.full(len(H), -np.inf), np.zeros(len(H))
     lo[herm], radius[herm] = w[:, 0], np.abs(w).max(axis=1)
-    return lo >= -tol * (1.0 + radius if scale is None else scale), lo
+    return within(-lo, tol, radius if size is None else size), lo

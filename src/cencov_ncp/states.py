@@ -44,12 +44,12 @@ class State:
     phi: np.ndarray  # complex, canonical element order
 
 
-def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, scale=None):
+def fiber_psd_verdicts(G: FiniteGroupoid, phi: np.ndarray, tol: float, size=None):
     """:func:`numkit.psd_verdicts` of the target-fiber Grams of the array phi,
     in outcome order; one eigensolve per distinct fiber size."""
     ok, lo = np.empty(len(G.outcomes), dtype=bool), np.empty(len(G.outcomes))
     for xs, _, T in G.fiber_blocks:
-        ok[xs], lo[xs] = numkit.psd_verdicts(phi[T], tol, scale)
+        ok[xs], lo[xs] = numkit.psd_verdicts(phi[T], tol, size)
     return ok, lo
 
 
@@ -64,8 +64,8 @@ def check_state(phi, G: FiniteGroupoid, tol: float = numkit.TOL) -> StateReport:
         normalization_deficit=float(norm_deficit),
         symmetry_deficit=sym_deficit,
         psd_ok=bool(psd.all()),
-        normalization_ok=norm_deficit <= tol,
-        symmetry_ok=sym_deficit <= tol,
+        normalization_ok=numkit.within(norm_deficit, tol),
+        symmetry_ok=numkit.within(sym_deficit, tol),
     )
 
 
@@ -122,7 +122,7 @@ def make_density(D, tol: float = numkit.TOL) -> DensityMatrix:
         raise InvalidDensity("density matrix is not Hermitian")
     if not ok:
         raise InvalidDensity(f"density matrix has negative eigenvalue {lo:.3e}")
-    if abs(np.trace(M).real - 1.0) > tol:
+    if not numkit.within(abs(np.trace(M).real - 1.0), tol):
         raise InvalidDensity(f"density matrix trace is {np.trace(M).real}")
     return DensityMatrix(M.copy())
 

@@ -26,6 +26,7 @@ from cencov_ncp.errors import (
     DimensionMismatch,
     GroupoidMismatch,
     NonTracePreserving,
+    NotHermitian,
     PositivityLost,
     RowSumViolation,
 )
@@ -262,3 +263,32 @@ def test_random_kraus_kernels_pass_axioms_and_cp(seed):
     assert validate_kernel(Pi).passed
     is_cp, _ = cp_verdict(Pi)
     assert is_cp
+
+
+# entries of pair(2)'s identity kernel: unit rows 0 and 3, off-unit rows 1 and 2
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3)])
+@pytest.mark.parametrize("check", [validate_kernel, cp_verdict])
+def test_infinite_kernel_entry_raises_not_hermitian_before_any_arithmetic(check, entry):
+    """Refused with no numpy RuntimeWarning on the way (an error under the
+    pytest settings), on the unit rows and off them alike."""
+    G = c.pair_groupoid(2)
+    pi = identity_kernel(G).pi.copy()
+    pi[entry] = np.inf
+    with pytest.raises(NotHermitian, match="matrix contains non-finite entries"):
+        check(c.QuantumKernel(G, G, pi))
+
+
+def test_infinite_state_entry_raises_not_hermitian():
+    with pytest.raises(NotHermitian, match="matrix contains non-finite entries"):
+        c.check_state([np.inf, 0.0, 0.0, 1.0], c.pair_groupoid(2))
+
+
+def test_overflowing_composition_warns_nothing_and_fails_validation():
+    """Entries 1e200 in a column of unit rows overflow the composition to inf."""
+    G = c.pair_groupoid(2)
+    pi = identity_kernel(G).pi.copy()
+    pi[0, 1] = pi[1, 1] = 1e200
+    Pi = c.QuantumKernel(G, G, pi)
+    assert not np.isfinite(compose(Pi, Pi).pi).all()
+    with pytest.raises(NotHermitian, match="matrix contains non-finite entries"):
+        validate_kernel(compose(Pi, Pi))

@@ -670,3 +670,30 @@ def test_main_freezes_the_heap_once_and_collection_stays_on(runner, fixture_dir)
     assert gc.get_freeze_count() == frozen
     assert gc.isenabled()
     del alive
+
+
+def test_later_main_calls_leave_the_freeze_alone(runner, monkeypatch):
+    """Only the first ``main`` call of a process looks at the garbage
+    collector's freeze: ``gc.get_freeze_count`` walks every frozen object, so
+    a later call would pay for the heap the first one froze."""
+    assert runner.invoke(main, ["--help"]).exit_code == 0
+
+    def refuse():
+        raise AssertionError("a later main call read or changed the freeze")
+
+    monkeypatch.setattr(cli.gc, "get_freeze_count", refuse)
+    monkeypatch.setattr(cli.gc, "freeze", refuse)
+    assert runner.invoke(main, ["--help"], catch_exceptions=False).exit_code == 0
+
+
+def test_overflowing_compose_exits_1_with_only_its_error(runner, tmp_path, pair2):
+    """Entries 1e200 overflow the composition to inf: the documented error,
+    and no numpy RuntimeWarning, on stderr."""
+    fileio.save_groupoid(pair2, tmp_path / "g.json")
+    pi = c.identity_kernel(pair2).pi.copy()
+    pi[0, 1] = pi[1, 1] = 1e200
+    fileio.save_kernel(c.QuantumKernel(pair2, pair2, pi), tmp_path / "k.json", "g.json", "g.json")
+    k = str(tmp_path / "k.json")
+    r = runner.invoke(main, ["--json", "compose", k, k], catch_exceptions=False)
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert r.stderr == "error: matrix contains non-finite entries\n"

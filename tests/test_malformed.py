@@ -15,13 +15,15 @@ from cencov_ncp import fileio
 from cencov_ncp.channels import ClassicalKernel, completeness_deficit
 from cencov_ncp.cli import main
 from cencov_ncp.errors import (
+    BadMeasure,
+    BadWeight,
     DimensionMismatch,
     GroupoidMismatch,
     InvalidDensity,
     RowSumViolation,
     SchemaError,
 )
-from conftest import CliRunner
+from conftest import CliRunner, spec_of
 
 
 def repeated_compose_pair(d, first):
@@ -438,3 +440,37 @@ def test_matrix_where_a_vector_is_due_is_refused(case, x, shape):
     call, error = ARRAY_ARGUMENTS[case]
     with pytest.raises(error, match=re.escape(f"must be a vector, not of shape {shape}")):
         call(x)
+
+
+# a table of the outcome measure P or the fiber weights of trivial(2), and the
+# class and message it raises; a value that is no real number is refused by
+# numkit._as_array, never parsed or compared
+MEASURES = {
+    "P-numeric-strings": ("P", {"1": "0.5", "2": "0.5"}, BadMeasure,
+                          "P is not an array of numbers"),
+    "P-none": ("P", {"1": None, "2": 0.5}, BadMeasure, "P is not an array of numbers"),
+    "P-complex": ("P", {"1": 0.5 + 0.5j, "2": 0.5}, BadMeasure,
+                  "P is not an array of real numbers"),
+    "P-missing": ("P", {"2": 1.0}, BadMeasure, "P missing outcome '1'"),
+    "P-zero-before-missing": ("P", {"1": 0}, BadMeasure, "P('1') = 0 is not strictly positive"),
+    "P-nan": ("P", {"1": 0.5, "2": float("nan")}, BadMeasure,
+              "P('2') = nan is not strictly positive"),
+    "fiber_weight-numeric-strings": ("fiber_weight", {"1_1": "2.0", "1_2": "0.5"}, BadWeight,
+                                     "fiber_weight is not an array of numbers"),
+    "fiber_weight-string": ("fiber_weight", {"1_1": "abc", "1_2": 1.0}, BadWeight,
+                            "fiber_weight is not an array of numbers"),
+    "fiber_weight-missing": ("fiber_weight", {"1_1": 1.0}, BadWeight,
+                             "fiber weight of '1_2' must be a positive number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEASURES))
+def test_measure_and_weights_raise_their_class(case):
+    """In ``validate``, and for P in ``pair_groupoid``, with the outcome named
+    where one is missing or not strictly positive."""
+    table, values, error, message = MEASURES[case]
+    with pytest.raises(error, match=re.escape(message)):
+        c.validate(dataclasses.replace(spec_of(TRIV2), **{table: values}))
+    if table == "P":
+        with pytest.raises(error, match=re.escape(message)):
+            c.pair_groupoid(2, P=values)
