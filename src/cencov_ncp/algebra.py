@@ -23,7 +23,8 @@ from .groupoid import FiniteGroupoid
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """A formal linear combination of groupoid elements."""
+    """A formal linear combination of groupoid elements; only the shape is
+    checked, and a complex ``coeff`` is kept as given, the caller's array."""
 
     groupoid: FiniteGroupoid
     coeff: np.ndarray  # complex, canonical element order

@@ -53,7 +53,8 @@ class ClassicalKernel:
         dev = np.abs(M.sum(axis=1) - 1.0).max()
         if not numkit.within(dev, numkit.STOCHASTIC_TOL):
             raise RowSumViolation(f"row sums deviate by {dev:.3e}")
-        object.__setattr__(self, "K", M)
+        object.__setattr__(self, "K", M.copy())  # read-only, and not the caller's
+        self.K.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,8 @@ class ClassicalKernel:
 
 @dataclass(frozen=True)
 class QuantumKernel:
-    """Kernel function stored as a |Gamma_1| x |Gamma_2| complex array."""
+    """Kernel function stored as a |Gamma_1| x |Gamma_2| complex array; only
+    the shape is checked, and a complex ``pi`` is kept as given, the caller's array."""
 
     g1: FiniteGroupoid
     g2: FiniteGroupoid

@@ -7,10 +7,10 @@ library error or OSError to its exit code, once, and prints
 ``error: <message>``.  A closed stdout exits 1 with nothing on stderr; an
 ``-o`` file whose reader has gone exits 2, as any other OSError.
 
-The command line is read in two stages, each in one scan: the options before
-the command, then the command's own arguments.  Help and usage errors keep the
-layout the CLI had under click: ``Usage: ...``, ``Try '... --help' for
-help.``, a blank line, then ``Error: ...``.
+:func:`_parse` reads the command line in two stages, each in one scan: the
+options before the command, then the command's.  The help (:func:`_help`)
+and a usage error (:func:`_usage_error`, exit 2) keep click's layout:
+``Usage: ...``, ``Try '... --help' for help.``, a blank line, ``Error: ...``.
 """
 from __future__ import annotations
 
@@ -51,11 +51,13 @@ _NUMERICAL = (NoConvergence, FoliumViolation, ZeroInformation)
 
 _DESCRIPTION = "Finite groupoid algebras, states, kernels, and Cramer-Rao reports."
 # options as (flags, metavar, help); an option with no metavar is a flag
+_HELP = (("--help",), None, "Show this message and exit.")
 _OPTIONS = [
     (("--tol",), "FLOAT", f"Validation tolerance.  [default: {numkit.TOL}]"),
     (("--h",), "FLOAT",
      f"Finite-difference step for model derivatives.  [default: {numkit.DEFAULT_H}]"),
     (("--json",), None, "Machine-readable output."),
+    _HELP,
 ]
 _OUT = (("-o", "--out"), "PATH", "")
 _ESTIMATOR = (("--estimator",), "PATH", "")
@@ -77,19 +79,12 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-class _UsageError(Exception):
-    """A command line that does not parse: the message, after the usage of
-    ``parser`` when there is one."""
-
-    def __init__(self, message: str, parser: _Parser | None = None):
-        super().__init__(message)
-        self.parser = parser
-
-    def __str__(self) -> str:
-        p, message = self.parser, self.args[0]
-        if p is None:
-            return f"Error: {message}\n"
-        return f"Usage: {p.usage}\nTry '{p.prog} --help' for help.\n\nError: {message}\n"
+def _usage_error(message: str, usage: str | None = None) -> None:
+    """Exit 2 with the error on stderr, after the usage and how to get help."""
+    head = "" if usage is None else (  # the program, or it and the command, before " [OPTIONS]"
+        f"Usage: {usage}\nTry '{usage.rpartition(' [OPTIONS]')[0]} --help' for help.\n\n")
+    _echo(f"{head}Error: {message}\n", sys.stderr)
+    sys.exit(EXIT_USAGE)
 
 
 def _did_you_mean(name: str, choices) -> str:
@@ -102,93 +97,83 @@ def _did_you_mean(name: str, choices) -> str:
     return f" Did you mean {quoted}?" if found else ""
 
 
-class _Parser:
-    """The options of the top level or of one command: ``--help`` is the only
-    help flag, no option is abbreviated, the help has click's layout, and an
-    error raises :class:`_UsageError`.  ``commands`` are the help rows of the
-    top level's commands."""
+def _help(usage: str, doc: str | None, options, commands=()) -> str:
+    """The help in click's layout: usage, ``doc``, option rows, command rows."""
+    lines = [line.strip() for line in (doc or "").strip().splitlines()]
+    text = f"Usage: {usage}\n" + ("\n" if lines else "")
+    text += "".join(f"  {x}\n" if x else "\n" for x in lines)
+    options = [(", ".join(flags) + (f" {metavar}" if metavar else ""), help_)
+               for flags, metavar, help_ in options]
+    for title, rows in (("Options", options), ("Commands", commands)):
+        if rows:
+            width = max(len(first) for first, _ in rows) + 2
+            text += f"\n{title}:\n" + "".join(f"  {first:<{width}}{second}".rstrip() + "\n"
+                                               for first, second in rows)
+    return text
 
-    def __init__(self, prog: str, usage: str, doc: str, options, commands=()):
-        self.prog, self.usage, self.doc, self.commands = prog, usage, doc, commands
-        options = [*options, (("--help",), None, "Show this message and exit.")]
-        self.rows = [(", ".join(flags) + (f" {metavar}" if metavar else ""), text)
-                     for flags, metavar, text in options]
-        self.names = {flag: flags[-1][2:] for flags, _, _ in options for flag in flags}
-        self.valued = {flag for flags, metavar, _ in options if metavar for flag in flags}
 
-    def format_help(self) -> str:
-        lines = [line.strip() for line in (self.doc or "").strip().splitlines()]
-        text = f"Usage: {self.usage}\n" + ("\n" if lines else "")
-        text += "".join(f"  {x}\n" if x else "\n" for x in lines)
-        for title, rows in (("Options", self.rows), ("Commands", self.commands)):
-            if rows:
-                width = max(len(first) for first, _ in rows) + 2
-                text += f"\n{title}:\n" + "".join(f"  {first:<{width}}{second}".rstrip() + "\n"
-                                                   for first, second in rows)
-        return text
-
-    def parse(self, args: list[str]) -> tuple[dict, list[str]]:
-        """The options given in ``args``, by name, and, in order, the
-        arguments that are no option; the top level stops at its command, the
-        first of these, and every argument after ``--`` is no option.
-
-        As under click, an option's value is the next argument, whatever it
-        is (``--h -1e-5``, ``-o --``), or is attached to it (``--out=x``,
-        ``-ox``; ``-o=x`` gives ``=x``).  A missing value, or a value given to
-        a flag, fails at once; an unknown option once the stage is read, and
-        only then does ``--help`` print the help."""
-        given, words, unknown, rest = {}, [], None, iter(args)
-        for arg in rest:
-            if arg == "--":
+def _parse(args: list[str], options, usage: str, help_text: str, stop: bool):
+    """The ``options`` given in ``args``, by name, and the other arguments in
+    order; with ``stop`` (the top level) the scan ends at the first of these.
+    After ``--`` no argument is an option; ``--help`` is the only help flag,
+    and no option is abbreviated.  As under click, an option's value is the
+    next argument, whatever it is (``--h -1``, ``-o --``), or is attached
+    (``--out=x``, ``-ox``; ``-o=x`` gives ``=x``).  A missing value, or a
+    value given to a flag, fails at once; an unknown option once the stage is
+    read, and only then does ``--help`` print ``help_text``."""
+    names = {flag: flags[-1][2:] for flags, _, _ in options for flag in flags}
+    valued = {flag for flags, metavar, _ in options if metavar for flag in flags}
+    given, words, unknown, rest = {}, [], None, iter(args)
+    for arg in rest:
+        if arg == "--":
+            break
+        flag, eq, value = arg.partition("=")
+        if arg in valued:
+            if (value := next(rest, None)) is None:
+                _usage_error(f"Option {arg!r} requires an argument.")
+            given[names[arg]] = value
+        elif arg[:2] in valued:  # ``-ox``: the rest is the value, '=' included
+            given[names[arg[:2]]] = arg[2:]
+        elif eq and flag in names:
+            if flag not in valued:
+                _usage_error(f"Option {flag!r} does not take a value.")
+            given[names[flag]] = value
+        elif arg in names:
+            given[names[arg]] = True
+        elif arg[:1] == "-" and arg != "-":  # of a short option, only its letter
+            unknown = unknown or (flag if arg[:2] == "--" else arg[:2])
+        else:
+            words.append(arg)
+            if stop:
                 break
-            flag, eq, value = arg.partition("=")
-            if arg in self.valued:
-                if (value := next(rest, None)) is None:
-                    raise _UsageError(f"Option {arg!r} requires an argument.")
-                given[self.names[arg]] = value
-            elif arg[:2] in self.valued:  # ``-ox``: the rest is the value, '=' included
-                given[self.names[arg[:2]]] = arg[2:]
-            elif eq and flag in self.names:
-                if flag not in self.valued:
-                    raise _UsageError(f"Option {flag!r} does not take a value.")
-                given[self.names[flag]] = value
-            elif arg in self.names:
-                given[self.names[arg]] = True
-            elif arg[:1] == "-" and arg != "-":  # of a short option, only its letter
-                unknown = unknown or (flag if arg[:2] == "--" else arg[:2])
-            else:
-                words.append(arg)
-                if self.commands:
-                    break
-        if unknown:  # a long option is named with the known ones close to it
-            long = [flag for flag in self.names if flag[:2] == "--"]
-            hint = _did_you_mean(unknown, long) if unknown[:2] == "--" else ""
-            raise _UsageError(f"No such option {unknown!r}.{hint}", self)
-        if given.pop("help", False):
-            _echo(self.format_help())
-            sys.exit(0)
-        return given, words + list(rest)
+    if unknown:  # a long option is named with the known ones close to it
+        long = [flag for flag in names if flag[:2] == "--"]
+        hint = _did_you_mean(unknown, long) if unknown[:2] == "--" else ""
+        _usage_error(f"No such option {unknown!r}.{hint}", usage)
+    if given.pop("help", False):
+        _echo(help_text)
+        sys.exit(0)
+    return given, words + list(rest)
 
 
 def _command(*arguments: str, options=()):
     """Register the decorated function as the command of its name, with its
     positional ``arguments`` and its ``options``."""
     def register(fn):
-        _COMMANDS[fn.__name__] = (fn, arguments, options)
+        _COMMANDS[fn.__name__] = (fn, arguments, [*options, _HELP])
         return fn
     return register
 
 
-def _finite(parser: _Parser, option: str, value, strict: bool = False) -> float:
+def _finite(usage: str, option: str, value, strict: bool = False) -> float:
     """A finite ``--tol`` >= 0, or a finite ``--h`` > 0."""
     try:
         value = float(value)
     except ValueError:
-        raise _UsageError(f"Invalid value for {option!r}: {value!r} is not a valid float.",
-                          parser) from None
+        _usage_error(f"Invalid value for {option!r}: {value!r} is not a valid float.", usage)
     if not np.isfinite(value) or value < 0 or (strict and value == 0):
-        raise _UsageError(f"Invalid value for {option!r}: must be finite and "
-                          f"{'>' if strict else '>='} 0", parser)
+        _usage_error(f"Invalid value for {option!r}: must be finite and "
+                     f"{'>' if strict else '>='} 0", usage)
     return value
 
 
@@ -206,30 +191,30 @@ def _run(args: list[str], prog: str) -> None:
     # a command's first docstring line is its summary (none under python -OO)
     commands = sorted((name, (fn.__doc__ or "").strip().split("\n")[0])
                       for name, (fn, _, _) in _COMMANDS.items())
-    top = _Parser(prog, f"{prog} [OPTIONS] COMMAND [ARGS]...", _DESCRIPTION, _OPTIONS, commands)
+    usage = f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    help_text = _help(usage, _DESCRIPTION, _OPTIONS, commands)
     if not args:  # the help, as a usage error
-        _echo(top.format_help(), sys.stderr)
+        _echo(help_text, sys.stderr)
         sys.exit(EXIT_USAGE)
-    given, words = top.parse(args)
-    ctx = {"tol": _finite(top, "--tol", given.get("tol", numkit.TOL)),
-           "h": _finite(top, "--h", given.get("h", numkit.DEFAULT_H), strict=True),
+    given, words = _parse(args, _OPTIONS, usage, help_text, stop=True)
+    ctx = {"tol": _finite(usage, "--tol", given.get("tol", numkit.TOL)),
+           "h": _finite(usage, "--h", given.get("h", numkit.DEFAULT_H), strict=True),
            "json": given.get("json", False), "loaded": {}}
     if not words:
-        raise _UsageError("Missing command.", top)
+        _usage_error("Missing command.", usage)
     name, *rest = words
     if name not in _COMMANDS:
-        raise _UsageError(f"No such command {name!r}.{_did_you_mean(name, _COMMANDS)}", top)
+        _usage_error(f"No such command {name!r}.{_did_you_mean(name, _COMMANDS)}", usage)
     fn, arguments, options = _COMMANDS[name]
     metavars = [a.upper() for a in arguments]
-    parser = _Parser(f"{prog} {name}", f"{prog} {name} [OPTIONS] {' '.join(metavars)}",
-                     fn.__doc__, options)
-    given, words = parser.parse(rest)
+    usage = f"{prog} {name} [OPTIONS] {' '.join(metavars)}"
+    given, words = _parse(rest, options, usage, _help(usage, fn.__doc__, options), stop=False)
     if len(words) < len(arguments):
-        raise _UsageError(f"Missing argument {metavars[len(words)]!r}.", parser)
+        _usage_error(f"Missing argument {metavars[len(words)]!r}.", usage)
     if len(words) > len(arguments):
         extra = words[len(arguments):]
         s = "s" if len(extra) > 1 else ""
-        raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})", parser)
+        _usage_error(f"Got unexpected extra argument{s} ({' '.join(extra)})", usage)
     fn(ctx, *words, **given)
 
 
@@ -247,9 +232,6 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         _frozen = True
     try:
         _run(sys.argv[1:] if args is None else list(args), prog_name or _prog_name())
-    except _UsageError as exc:
-        _echo(str(exc), sys.stderr)
-        sys.exit(EXIT_USAGE)
     except SchemaError as exc:
         _fail(EXIT_SCHEMA, str(exc))
     except _NUMERICAL as exc:

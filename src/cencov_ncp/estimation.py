@@ -66,9 +66,13 @@ class Estimator:
 
 
 def derivative_vector(M: StatisticalModel, h: float = numkit.DEFAULT_H) -> np.ndarray:
-    """Central difference of ``s -> phi_s(alpha) nu(alpha)`` per element."""
+    """Central difference of ``s -> phi_s(alpha) nu(alpha)`` per element;
+    NoConvergence if it is not finite."""
     nu = M.groupoid.nu_vec
-    return (M.at(M.s0 + h).phi * nu - M.at(M.s0 - h).phi * nu) / (2.0 * h)
+    v = (M.at(M.s0 + h).phi * nu - M.at(M.s0 - h).phi * nu) / (2.0 * h)
+    if not np.isfinite(v).all():
+        raise NoConvergence(f"derivative vector is not finite (h = {h})")
+    return v
 
 
 def riesz_representer(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAULT_H):
@@ -84,8 +88,6 @@ def riesz_representer(M: StatisticalModel, S: GnsSpace, h: float = numkit.DEFAUL
     if S.groupoid != M.groupoid:
         raise GroupoidMismatch("GNS space built on a different groupoid")
     v = derivative_vector(M, h=h)
-    if not np.isfinite(v).all():
-        raise NoConvergence(f"derivative vector is not finite (h = {h})")
     b = np.conj(v)
     ell = S.solve(b)
     residual = float(np.linalg.norm(S.apply(ell) - b))
@@ -125,10 +127,7 @@ class UnbiasednessReport:
 def check_unbiased(M: StatisticalModel, A: Estimator,
                    grid: Sequence[float]) -> UnbiasednessReport:
     """Per-grid-point deviation ``|rho_s(A) - s|``."""
-    devs = {}
-    for s in grid:
-        val = expectation(M.at(s), A.a)
-        devs[float(s)] = abs(val - s)
+    devs = {float(s): abs(expectation(M.at(s), A.a) - s) for s in grid}
     return UnbiasednessReport(deviations=devs, tol=numkit.UNBIASED_TOL)
 
 
@@ -142,15 +141,10 @@ class CramerRaoAudit:
 
 def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float) -> CramerRaoAudit:
     """Compare the second moment ``rho_0(A* A)`` against the Cramer-Rao bound."""
-    rho0 = M.at(M.s0)
-    second = expectation(rho0, convolve(star(A.a), A.a)).real
+    second = expectation(M.at(M.s0), convolve(star(A.a), A.a)).real
     slack = second - bound
-    return CramerRaoAudit(
-        second_moment=float(second),
-        bound=float(bound),
-        slack=float(slack),
-        saturated=bool(numkit.within(slack, numkit.SATURATION_TOL)),
-    )
+    return CramerRaoAudit(second_moment=float(second), bound=float(bound), slack=float(slack),
+                          saturated=bool(numkit.within(slack, numkit.SATURATION_TOL)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +158,8 @@ def classical_fisher_rao(M: StatisticalModel, h: float = numkit.DEFAULT_H) -> fl
     if len(G.elements) != len(G.outcomes):
         raise GroupoidMismatch("classical Fisher-Rao needs a trivial groupoid")
     p0 = M.at(M.s0).phi[G.unit_ix].real * G.nu_vec[G.unit_ix]
+    if not np.isfinite(p0).all():
+        raise SupportBoundary("probability mass is not finite")
     if numkit.within(p0, numkit.P_FLOOR).any():
         raise SupportBoundary("probability mass at or below the support floor")
     dp = derivative_vector(M, h=h)[G.unit_ix].real
@@ -204,11 +200,8 @@ def congruent_invariance(M: StatisticalModel, K: ClassicalKernel,
     pushed = StatisticalModel(groupoid=G2, curve=lambda s: push_state(M.at(s), Pi),
                               s0=M.s0, interval=M.interval)
     after = classical_fisher_rao(pushed, h=h)
-    return CongruenceReport(
-        fisher_before=before,
-        fisher_after=after,
-        deviation=abs(before - after),
-    )
+    return CongruenceReport(fisher_before=before, fisher_after=after,
+                            deviation=abs(before - after))
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ class FiniteGroupoid:
         for name, (dtype, per, indexes) in _ARRAYS.items():
             # src and tgt come first: the composable pairs are counted from them
             size = sizes[per] if per in sizes else int(self._rows[0][-1])
-            a = numkit._as_array(getattr(self, name), (size,), SchemaError,
+            a = numkit._as_array(given := getattr(self, name), (size,), SchemaError,
                                  f"{name} (one entry per {per})", dtype)
             if indexes:
                 lo, hi = indexes[0], sizes[indexes[1]]
@@ -101,6 +101,8 @@ class FiniteGroupoid:
                 if k is not None:
                     raise SchemaError(f"{name} entry {a[k]} at position {k} "
                                       f"is outside [{lo}, {hi})")
+            if a is given or a.base is not None:  # the caller's array or a view of it
+                a = a.copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 

@@ -65,6 +65,16 @@ def test_classical_kernel_guards():
         ClassicalKernel(np.zeros((0, 2)))
 
 
+def test_classical_kernel_keeps_a_read_only_copy():
+    M = np.array([[0.5, 0.5], [0.0, 1.0]])
+    K = ClassicalKernel(M)
+    assert K.K is not M and M.flags.writeable
+    M[0] = [1.0, 0.0]
+    assert np.array_equal(K.K, [[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        K.K[0, 0] = 1.0
+
+
 def test_identity_kernel_axioms(pair2):
     assert validate_kernel(identity_kernel(pair2)).passed
 

@@ -449,7 +449,105 @@ def test_help_and_no_arguments(runner):
     assert runner.invoke(main, ["-h"]).exit_code == 2
 
 
-TOP = "Usage: cencov-ncp [OPTIONS] COMMAND [ARGS]...\nTry 'cencov-ncp --help' for help.\n\n"
+_OUT_ROWS = """
+    Options:
+      -o, --out PATH
+      --help          Show this message and exit.
+"""
+_HELP_ROW = """
+    Options:
+      --help  Show this message and exit.
+"""
+# the exact help of the top level and of every command
+HELP = {
+    "": """\
+    Usage: cencov-ncp [OPTIONS] COMMAND [ARGS]...
+
+      Finite groupoid algebras, states, kernels, and Cramer-Rao reports.
+
+    Options:
+      --tol FLOAT  Validation tolerance.  [default: 1e-09]
+      --h FLOAT    Finite-difference step for model derivatives.  [default: 1e-05]
+      --json       Machine-readable output.
+      --help       Show this message and exit.
+
+    Commands:
+      compose   Compose two kernel files (first applied first).
+      cp        Choi complete-positivity verdict for a pair-groupoid kernel.
+      crb       Cramer-Rao bound; audit a self-adjoint estimator when given.
+      fisher    Fisher metric of a model; classical value when applicable.
+      gns       Report the GNS dimension, ideal dimension, and Gram spectrum.
+      pipeline  Run an ordered kernel pipeline on an initial state.
+      pull      Pull an observable back through a kernel.
+      push      Push a state forward through a kernel.
+      validate  Validate a groupoid, state, kernel, or model file.
+""",
+    "compose": """\
+    Usage: cencov-ncp compose [OPTIONS] K1 K2
+
+      Compose two kernel files (first applied first).
+""" + _OUT_ROWS,
+    "cp": """\
+    Usage: cencov-ncp cp [OPTIONS] KERNEL
+
+      Choi complete-positivity verdict for a pair-groupoid kernel.
+""" + _HELP_ROW,
+    "crb": """\
+    Usage: cencov-ncp crb [OPTIONS] MODEL
+
+      Cramer-Rao bound; audit a self-adjoint estimator when given.
+
+    Options:
+      --estimator PATH
+      --help            Show this message and exit.
+""",
+    "fisher": """\
+    Usage: cencov-ncp fisher [OPTIONS] MODEL
+
+      Fisher metric of a model; classical value when applicable.
+""" + _HELP_ROW,
+    "gns": """\
+    Usage: cencov-ncp gns [OPTIONS] STATE
+
+      Report the GNS dimension, ideal dimension, and Gram spectrum.
+""" + _HELP_ROW,
+    "pipeline": """\
+    Usage: cencov-ncp pipeline [OPTIONS] CONFIG
+
+      Run an ordered kernel pipeline on an initial state.
+
+      Config file: {"fmt": ..., "initial_state": path, "kernels": [paths]}.
+""" + _OUT_ROWS,
+    "pull": """\
+    Usage: cencov-ncp pull [OPTIONS] KERNEL OBSERVABLE
+
+      Pull an observable back through a kernel.
+""" + _OUT_ROWS,
+    "push": """\
+    Usage: cencov-ncp push [OPTIONS] STATE KERNEL
+
+      Push a state forward through a kernel.
+""" + _OUT_ROWS,
+    "validate": """\
+    Usage: cencov-ncp validate [OPTIONS] FILE
+
+      Validate a groupoid, state, kernel, or model file.
+""" + _HELP_ROW,
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "top")
+def test_help_text_is_exact(runner, command):
+    """``[COMMAND] --help`` prints exactly the recorded help on stdout and exits 0."""
+    r = runner.invoke(main, [command, "--help"] if command else ["--help"])
+    assert (r.exit_code, r.stdout, r.stderr) == (0, textwrap.dedent(HELP[command]), "")
+
+
+def test_every_command_has_a_recorded_help():
+    assert sorted(cli._COMMANDS) == sorted(HELP)[1:]
+
+
+TOP ="Usage: cencov-ncp [OPTIONS] COMMAND [ARGS]...\nTry 'cencov-ncp --help' for help.\n\n"
 COMPOSE = "Usage: cencov-ncp compose [OPTIONS] K1 K2\nTry 'cencov-ncp compose --help' for help.\n\n"
 
 

@@ -27,6 +27,7 @@ from cencov_ncp.estimation import (
     riesz_representer,
 )
 from cencov_ncp.gns import build_gns
+from cencov_ncp.states import State
 
 from conftest import random_density
 
@@ -310,3 +311,15 @@ def test_non_finite_derivative_raises_no_convergence():
     for fn in (riesz_representer, fisher_metric, cramer_rao_bound):
         with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
             fn(M, S, h=0.0)
+
+
+def test_classical_fisher_rao_refuses_what_is_not_finite():
+    """On unchecked states: a nan probability is refused at the support floor,
+    and a derivative that is not finite (a zero step, 0/0) as a numerical
+    failure, not a NaN metric."""
+    G = c.trivial_groupoid(2)
+    nan = StatisticalModel(G, lambda s: State(G, np.array([np.nan, 1.0], complex)), 0.0, (-1, 1))
+    with pytest.raises(SupportBoundary, match="not finite"):
+        classical_fisher_rao(nan)
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="not finite"):
+        classical_fisher_rao(coin_model(), h=0.0)

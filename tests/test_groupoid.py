@@ -94,6 +94,24 @@ def test_saved_groupoid_loads_equal_with_read_only_arrays(tmp_path):
         G.compose_ix[0] = 1
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+def test_groupoid_freezes_its_own_arrays_not_the_callers(view):
+    """Arrays given to the constructor, or views of them, stay the caller's
+    and writable; the groupoid keeps read-only copies that later writes to
+    the caller's arrays do not reach."""
+    G = c.pair_groupoid(3)
+    names = ["src", "tgt", "inv_ix", "unit_ix", "compose_ix", "P_vec", "weight_vec"]
+    given = {name: np.array(getattr(G, name)) for name in names}
+    H = dataclasses.replace(G, **{name: a[:] if view else a for name, a in given.items()})
+    for name, a in given.items():
+        assert a.flags.writeable, name
+        a[0] = 1 - a[0]
+        assert np.array_equal(getattr(H, name), getattr(G, name)), name
+        with pytest.raises(ValueError):
+            getattr(H, name)[0] = 0
+    assert H == G
+
+
 def test_compose_ix_holds_one_entry_per_composable_pair():
     """pair(3) has 27 composable pairs: ``compose_ix`` lists their products
     row by row, and the constructor takes no other shape, such as the dense

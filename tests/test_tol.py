@@ -336,10 +336,12 @@ def _saturated(f):
     return c.cramer_rao_audit(M, A, 1.0 - f * numkit.SATURATION_TOL).saturated
 
 
-def _support_floor(f):
-    """A constant coin with p(1) = p: within P_FLOOR, no Fisher-Rao metric."""
+def _support_floor(f, checked=True):
+    """A constant coin with p(1) = p: within P_FLOOR, no Fisher-Rao metric.
+    Unchecked, the curve returns a bare State, so a nan p reaches the floor."""
     G = c.trivial_groupoid(2)
-    rho = c.classical_state(G, [f * numkit.P_FLOOR, 1.0 - f * numkit.P_FLOOR])
+    p = np.array([f * numkit.P_FLOOR, 1.0 - f * numkit.P_FLOOR])
+    rho = c.classical_state(G, p) if checked else State(G, (p / G.nu_vec).astype(complex))
     M = StatisticalModel(G, lambda s: rho, 0.0, (-1.0, 1.0))
     return _raises(lambda: c.classical_fisher_rao(M), SupportBoundary, "support floor")
 
@@ -444,6 +446,8 @@ VERDICTS = {
     "estimation.UnbiasednessReport": (_unbiased, None),
     "estimation.cramer_rao_audit": (_saturated, None),
     "estimation.classical_fisher_rao": (_support_floor, (InvalidState, "non-finite")),
+    "estimation.classical_fisher_rao unchecked state": (
+        lambda f: _support_floor(f, checked=False), (SupportBoundary, "not finite")),
     "estimation.congruent_invariance": (_congruence, (RowSumViolation, "non-finite")),
     "groupoid.pair_index": (_uniform_nu, (BadMeasure, "not strictly positive")),
     "groupoid._measure": (_measure_sum, (BadMeasure, "not strictly positive")),
@@ -485,6 +489,8 @@ def test_nan_folium_residual_leaves_the_folium(monkeypatch):
 def test_nan_in_the_congruence_check_is_not_congruent():
     """A left inverse given a nan after its construction: K L is nan there."""
     K, L = ClassicalKernel(np.eye(2)), ClassicalKernel(np.eye(2))
-    L.K[0, 0] = np.nan
+    nan = L.K.copy()
+    nan[0, 0] = np.nan
+    object.__setattr__(L, "K", nan)
     with pytest.raises(NotCongruent, match="no left inverse"):
         c.congruent_invariance(c.coin_model(), K, L)
