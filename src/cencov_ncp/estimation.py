@@ -127,7 +127,10 @@ class UnbiasednessReport:
 def check_unbiased(M: StatisticalModel, A: Estimator,
                    grid: Sequence[float]) -> UnbiasednessReport:
     """Per-grid-point deviation ``|rho_s(A) - s|``."""
-    devs = {float(s): abs(expectation(M.at(s), A.a) - s) for s in grid}
+    devs = {}
+    for s in grid:
+        val = expectation(M.at(s), A.a)
+        devs[float(s)] = abs(val - s)
     return UnbiasednessReport(deviations=devs, tol=numkit.UNBIASED_TOL)
 
 
@@ -141,10 +144,15 @@ class CramerRaoAudit:
 
 def cramer_rao_audit(M: StatisticalModel, A: Estimator, bound: float) -> CramerRaoAudit:
     """Compare the second moment ``rho_0(A* A)`` against the Cramer-Rao bound."""
-    second = expectation(M.at(M.s0), convolve(star(A.a), A.a)).real
+    rho0 = M.at(M.s0)
+    second = expectation(rho0, convolve(star(A.a), A.a)).real
     slack = second - bound
-    return CramerRaoAudit(second_moment=float(second), bound=float(bound), slack=float(slack),
-                          saturated=bool(numkit.within(slack, numkit.SATURATION_TOL)))
+    return CramerRaoAudit(
+        second_moment=float(second),
+        bound=float(bound),
+        slack=float(slack),
+        saturated=bool(numkit.within(slack, numkit.SATURATION_TOL)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +208,11 @@ def congruent_invariance(M: StatisticalModel, K: ClassicalKernel,
     pushed = StatisticalModel(groupoid=G2, curve=lambda s: push_state(M.at(s), Pi),
                               s0=M.s0, interval=M.interval)
     after = classical_fisher_rao(pushed, h=h)
-    return CongruenceReport(fisher_before=before, fisher_after=after,
-                            deviation=abs(before - after))
+    return CongruenceReport(
+        fisher_before=before,
+        fisher_after=after,
+        deviation=abs(before - after),
+    )
 
 
 # ---------------------------------------------------------------------------

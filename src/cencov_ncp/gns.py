@@ -40,10 +40,6 @@ class GnsSpace:
             u = numkit._as_array(u, (n, -1), DimensionMismatch, "coordinate vectors")
         except DimensionMismatch:  # a vector, or the error that names it
             u = numkit._as_array(u, (n,), DimensionMismatch, "coordinate vector")
-        return self._product(u)
-
-    def _product(self, u: np.ndarray) -> np.ndarray:
-        """``gram @ u`` in the dtype of u."""
         out = np.zeros_like(u)
         for F, B, *_ in self.blocks:
             out[F] = np.einsum("kij,kj...->ki...", B, u[F])
@@ -51,20 +47,10 @@ class GnsSpace:
 
     def solve(self, v) -> np.ndarray:
         """``Q Q† v``, the minimum-norm solution of ``gram x = v`` on the range
-        of the Gram matrix: ``V diag(1/w) V† v_F`` on the kept block spectra,
-        refined once against the residual ``v - gram x`` in extended precision
-        (``np.clongdouble``; where that is plain double the refinement gains
-        nothing).  The eigensolver leaves an error of about eps * lam_max in
-        a small eigenvalue w, which the solve alone returns in x as a
-        relative error of about eps * lam_max / w; the refinement takes it
-        out."""
+        of the Gram matrix: ``V diag(1/w) V† v_F`` on the kept block spectra."""
         n = len(self.groupoid.elements)
         v = numkit._as_array(v, (n,), DimensionMismatch, "coordinate vector")
-        x = self._pseudo_solve(v)
-        return x + self._pseudo_solve((v - self._product(x.astype(np.clongdouble))).astype(complex))
-
-    def _pseudo_solve(self, v: np.ndarray) -> np.ndarray:
-        x = np.zeros(len(v), dtype=complex)
+        x = np.zeros(n, dtype=complex)
         for F, _, w, V, keep in self.blocks:
             c = np.einsum("kji,kj->ki", V.conj(), v[F])
             x[F] = np.einsum("kij,kj->ki", V, np.divide(c, w, out=np.zeros_like(c), where=keep))
@@ -137,12 +123,10 @@ def build_gns(rho0: State, tol: float = numkit.TOL) -> GnsSpace:
 
 
 def gns_inner(S: GnsSpace, u, v) -> complex:
-    """``<u|v> = u† gram v`` on spanning-set coordinate vectors, summed in
-    extended precision: ``gram v`` cancels to a vector far shorter than
-    ``|gram| |v|`` when v lies near the Gelfand ideal."""
+    """``<u|v> = u† gram v`` on spanning-set coordinate vectors."""
     uu, vv = (numkit._as_array(x, (len(S.groupoid.elements),), DimensionMismatch,
                                "coordinate vector") for x in (u, v))
-    return complex(uu.conj() @ S._product(vv.astype(np.clongdouble)))
+    return complex(uu.conj() @ S.apply(vv))
 
 
 def gns_represent(S: GnsSpace, a: AlgebraElement) -> np.ndarray:

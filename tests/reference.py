@@ -592,19 +592,15 @@ def build_gns(rho0: State, rank_tol: float = numkit.TOL) -> DenseGns:
 def fisher_metric(M, S: DenseGns, h: float = DEFAULT_H) -> float:
     """``<l|l>`` for the dense Riesz representer ``l = Q Q† conj(v)``, v the
     central difference of ``phi_s nu``; FoliumViolation past the folium
-    residual bound or for a non-negligible imaginary part.  l is refined once
-    against ``conj(v) - gram l`` and ``<l|l>`` summed, both in extended
-    precision, so that the value is accurate on an ill-conditioned Gram
-    matrix too."""
+    residual bound or for a non-negligible imaginary part."""
     nu = M.groupoid.nu_vec
     v = (M.at(M.s0 + h).phi * nu - M.at(M.s0 - h).phi * nu) / (2.0 * h)
-    Q, b, gram = S.quotient_basis, np.conj(v), S.gram.astype(np.clongdouble)
+    Q, b = S.quotient_basis, np.conj(v)
     ell = Q @ (Q.conj().T @ b)
-    ell = ell + Q @ (Q.conj().T @ (b - gram @ ell).astype(complex))
     residual = float(np.linalg.norm(S.gram @ ell - b))
     if residual > FOLIUM_TOL * (1.0 + float(np.abs(v).max(initial=0.0))):
         raise FoliumViolation(f"derivative leaves the folium (residual {residual:.3e})")
-    val = complex(ell.conj() @ gram @ ell)
+    val = complex(ell.conj() @ S.gram @ ell)
     if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
         raise FoliumViolation(f"Fisher metric has imaginary part {val.imag:.3e}")
     return float(val.real)

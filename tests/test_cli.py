@@ -547,7 +547,7 @@ def test_every_command_has_a_recorded_help():
     assert sorted(cli._COMMANDS) == sorted(HELP)[1:]
 
 
-TOP ="Usage: cencov-ncp [OPTIONS] COMMAND [ARGS]...\nTry 'cencov-ncp --help' for help.\n\n"
+TOP = "Usage: cencov-ncp [OPTIONS] COMMAND [ARGS]...\nTry 'cencov-ncp --help' for help.\n\n"
 COMPOSE = "Usage: cencov-ncp compose [OPTIONS] K1 K2\nTry 'cencov-ncp compose --help' for help.\n\n"
 
 
